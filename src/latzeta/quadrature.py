@@ -94,21 +94,26 @@ def vectorize1(f):
 
 
 def vectorize2(f):
-    """Wrap a 2-D integrand so it maps coordinate arrays to complex arrays."""
+    """Wrap a 2-D integrand so it maps coordinate arrays to complex arrays.
+
+    The coordinates reach f as given, so on a tensor grid (a (1, N) row of
+    x and an (M, 1) column of y) factors of x or y alone are computed once
+    per axis; only the result is broadcast to the grid shape."""
 
     def g(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xb, yb = np.broadcast_arrays(xs, ys)
+        shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
         try:
-            zs = np.asarray(f(xb, yb), dtype=complex)
+            zs = np.asarray(f(xs, ys), dtype=complex)
+            if zs.shape != shape:
+                zs = np.broadcast_to(zs, shape).astype(complex)
+            return zs
         except (TypeError, ValueError, AttributeError, IndexError):
+            xb, yb = np.broadcast_arrays(xs, ys)
             flat = np.array(
                 [complex(f(float(x), float(y))) for x, y in zip(xb.ravel(), yb.ravel())],
                 dtype=complex,
             )
-            return flat.reshape(xb.shape)
-        if zs.shape != xb.shape:
-            zs = np.broadcast_to(zs, xb.shape).astype(complex)
-        return zs
+            return flat.reshape(shape)
 
     return g
 
@@ -549,7 +554,7 @@ def integrate_rect(
     def eval_cells(batch):
         nonlocal evals
         # coarse 8x8 plus fine (2x2 split, 8x8 each) in one flattened call
-        nx_list, ny_list, slices = [], [], []
+        slices = []
         for (a, b, c, d) in batch:
             for ex, ey in (
                 (np.array([a, b]), np.array([c, d])),
@@ -684,21 +689,24 @@ def integrate_half_strip(
                 f"half-strip boundary passes within {dmin:.2e} of an integrand pole"
             )
 
-    # sampled tail constant along representative rays in the strip
-    rr = np.array([16.0, 32.0, 64.0, 128.0])
-    pts = []
-    for r in rr:
-        pts.append((hot_x, y_edge + sign * r))
-        pts.append((hot_x + r, y_edge + sign * r / 2))
-        pts.append((hot_x - r, y_edge + sign * r / 2))
-    px = np.array([p[0] for p in pts])
-    py = np.array([p[1] for p in pts])
+    # sampled tail constant along representative rays in the strip; each
+    # ray is probed at four phases of the unit cell, since P1-weighted
+    # integrands can vanish at every probe that shares one phase
+    phases = np.array([0.0, 0.25, 0.5, 0.75])
+    px, py = [], []
+    for r in (16.0, 32.0, 64.0, 128.0):
+        for dx, dy in ((0.0, r), (r, r / 2), (-r, r / 2)):
+            px.append(hot_x + dx + phases)
+            py.append(y_edge + sign * (dy + phases))
+    px = np.concatenate(px)
+    py = np.concatenate(py)
     mags = np.abs(fv2(px, py))
     rads = np.hypot(px - hot_x, py - y_edge)
     scaled = mags * rads ** decay_order
-    if scaled.size and scaled[-3:].max() > 50.0 * (scaled[:3].max() + 1e-300) and mags[-3:].max() > 1e-13:
+    group = 3 * phases.size  # probes per radius
+    if scaled[-group:].max() > 50.0 * (scaled[:group].max() + 1e-300) and mags[-group:].max() > 1e-13:
         raise TailEstimateFailed("half-strip integrand shows no decay in sampling")
-    c = float(scaled.max()) if scaled.size else 0.0
+    c = float(scaled.max())
     q = decay_order
 
     def tail_bound(r):

@@ -13,7 +13,11 @@ Two independent evaluation routes:
   along the two edges y0 +/- eps of the excluded band around the pole
   row, plus two half-strip double integrals above and below the band.
   Only supported for k >= 3 (the 2-D pieces are not absolutely
-  convergent below that).
+  convergent below that).  For integer j >= 2 and c off the line,
+  int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
+  integrates to exactly 0 and is left out of the integrands.  What is
+  left decays like |b|^-(k+1), faster than the decay order k passed to
+  the quadrature, which therefore stays a valid bound.
 
 (x0, y0) are the lattice coordinates of -a; when y0 falls on an integer
 row no band of width < 1 can exclude that row from both strips, so the
@@ -101,7 +105,10 @@ def _row_sum(c: complex, w1: complex, k: int, tol: float):
 
     Terms are paired n, -n (which reproduces the symmetric partial sums
     exactly) and the N-doubling partial sums are extrapolated; the paired
-    tail has a smooth 1/N expansion, so this converges for every k >= 1."""
+    tail has a smooth 1/N expansion, so this converges for every k >= 1.
+    The pairs are centred on the row point nearest the pole; a finite
+    shift of the centre leaves the symmetric limit unchanged."""
+    c += round(-(c / w1).real) * w1
     partial = complex(c ** (-k))
     levels = []
     prev_n = 0
@@ -121,6 +128,10 @@ def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
     """E_k(a, W) by Eisenstein summation: inner symmetric sums over n,
     then the outer symmetric sum over m."""
     w1, w2 = p.lat.w1, p.lat.w2
+    # the outer sum stays centred on m = 0 (for k = 1 the rows tend to the
+    # constants -/+ i pi / w1, so re-centring would change E_1), but it may
+    # not stop before it has passed the pole row
+    pole_row = abs(lattice_coordinates(p.lat, -p.a).y0)
     row_tol = tol / 64
     value, err = _row_sum(p.a, w1, p.k, row_tol)
     pair_tol = tol / 8
@@ -136,7 +147,7 @@ def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
         # bound the remaining tail comfortably
         if abs(pair) < pair_tol:
             small_streak += 1
-            if small_streak >= 2 and m >= 4:
+            if small_streak >= 2 and m >= 4 and m > pole_row + 1:
                 err += 2 * abs(pair)
                 break
         else:
@@ -234,19 +245,17 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     def base(x, y):
         return a + x * w1 + y * w2
 
-    # edge integrals along y0 +/- eps, with the P1(x)-weighted derivative
-    # correction from the strips' boundary terms
+    # decay_order stays k below: it is a valid (conservative) bound for the
+    # remaining terms, which decay like |b|^-(k+1)
     p1_up = p1(y_up)
     p1_dn = p1(y_dn)
 
     def edge_integrand(x):
-        b_up = base(x, y_up)
-        b_dn = base(x, y_dn)
+        """The P1(x)-weighted derivative terms of the edges y0 +/- eps.
+        The edges' b^-k P1(y0 +/- eps) terms integrate to 0 over the line."""
         return (
-            b_up ** (-k) * p1_up
-            - b_dn ** (-k) * p1_dn
-            + k * w1 * b_dn ** (-(k + 1)) * p1(x) * p1_dn
-            - k * w1 * b_up ** (-(k + 1)) * p1(x) * p1_up
+            k * w1 * p1(x)
+            * (p1_dn * base(x, y_dn) ** (-(k + 1)) - p1_up * base(x, y_up) ** (-(k + 1)))
         )
 
     q1 = integrate_line(
@@ -254,14 +263,11 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     )
 
     def strip_integrand(x, y):
+        """-k w1 b^-(k+1) P1(x) + k(k+1) w1 w2 b^-(k+2) P1(x) P1(y).
+        The b^-k and -k w2 b^-(k+1) P1(y) terms are left out: each
+        integrates to 0 along x on every row, hence (Fubini) over the strip."""
         b = base(x, y)
-        inv_k1 = b ** (-(k + 1))
-        return (
-            b ** (-k)
-            - k * w1 * inv_k1 * p1(x)
-            - k * w2 * inv_k1 * p1(y)
-            + k * (k + 1) * w1 * w2 * b ** (-(k + 2)) * p1(x) * p1(y)
-        )
+        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
 
     def pole_distance(x, y):
         return abs(base(x, y))

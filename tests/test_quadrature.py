@@ -14,6 +14,7 @@ from latzeta.quadrature import (
     panel_budget,
     richardson_extrapolate,
     shanks_extrapolate,
+    vectorize2,
 )
 
 
@@ -101,6 +102,36 @@ class TestRect:
             lambda x, y: np.exp(-((x - 1) ** 2 + (y - 2) ** 2)), -6.0, 8.0, -5.0, 9.0, tol=1e-10
         )
         assert q.value == pytest.approx(math.pi, abs=1e-8)
+
+
+class TestVectorize:
+    def test_scalar_only_integrand_falls_back(self):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return math.exp(-x) * y
+
+        xs = np.array([[0.0, 1.0, 2.0]])
+        ys = np.array([[1.0], [3.0]])
+        got = vectorize2(f)(xs, ys)
+        assert got.shape == (2, 3)
+        assert got == pytest.approx(np.exp(-xs) * ys, rel=1e-15)
+        # one failed array call, then one scalar call per grid point
+        assert len(calls) == 1 + 6
+        assert all(isinstance(x, float) and isinstance(y, float) for x, y in calls[1:])
+
+    def test_axes_reach_integrand_unbroadcast(self):
+        shapes = []
+
+        def f(x, y):
+            shapes.append((x.shape, y.shape))
+            return np.cos(x)
+
+        got = vectorize2(f)(np.zeros((1, 4)), np.zeros((3, 1)))
+        assert shapes == [((1, 4), (3, 1))]
+        assert got.shape == (3, 4)
+        assert np.all(got == 1.0)
 
 
 class TestHalfStrip:

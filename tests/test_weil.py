@@ -73,7 +73,7 @@ class TestDirect:
     def test_periodicity(self):
         p = WeilParams(SQUARE, 0.3 + 0.2j, 3)
         e = weil_direct(p, tol=1e-10).value
-        for w in (SQUARE.w1, SQUARE.w2, SQUARE.w1 + SQUARE.w2):
+        for w in (SQUARE.w1, SQUARE.w2, SQUARE.w1 + SQUARE.w2, 10 * SQUARE.w2, 30000 * SQUARE.w1):
             shifted = weil_direct(WeilParams(SQUARE, p.a + w, 3), tol=1e-10).value
             assert abs(shifted - e) <= 1e-8 * (1 + abs(e))
 
@@ -113,6 +113,16 @@ class TestIntegral:
         q = weil_integral(p, tol=1e-8)
         assert q.row_correction != 0
         assert abs(q.value - d) / (1 + abs(d)) <= 1e-6
+
+    def test_half_cell_phase(self):
+        # x0 = -1/2: P1(x) vanishes at every point x0 + integer, so a tail
+        # constant sampled at one phase would read 0 and stop the strips early
+        for a in (0.5 + 0.2j, 0.5 + 0.75j):
+            for k in (3, 4):
+                p = WeilParams(SQUARE, a, k)
+                d = weil_direct(p, tol=1e-12).value
+                q = weil_integral(p, tol=1e-8)
+                assert abs(q.value - d) <= q.err + 1e-10 * (1 + abs(d))
 
     def test_rejects_small_k(self):
         for k in (1, 2):
