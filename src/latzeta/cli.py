@@ -316,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--eps", type=float, default=0.25, help="band half-width for the integral path")
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument("--breakdown", action="store_true", help="include J1, J2, J3, row_correction")
-    fmt = pw.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true", default=False)
+    pw.add_argument("--csv", action="store_true", help="CSV instead of the default JSON")
     pw.set_defaults(func=cmd_weil)
 
     pl = sub.add_parser("lerch", help="evaluate the Hurwitz-Lerch zeta")

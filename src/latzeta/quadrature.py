@@ -1,21 +1,21 @@
 """Numerical integration of piecewise-smooth complex-valued integrands.
 
-Three families of routines:
+Two algorithms, each written once:
 
-* ``integrate_segment``: adaptive Gauss-Legendre (order 16, bisection on a
-  Richardson error estimate) on a finite segment, with panels split at
-  caller breakpoints and optionally at every integer (the periodized
-  Bernoulli weight P1 is non-smooth exactly at integers).
-* ``integrate_line`` / ``integrate_ray``: improper 1-D integrals.  The
-  domain is truncated at integer-aligned radii that double geometrically
-  and the partial values are accelerated with iterated Aitken
-  extrapolation; a sampled algebraic tail bound is used as well when the
-  decay is fast enough to make it sharp.  ``LineMode.SYMMETRIC`` realizes
-  the symmetric-limit convention lim_N int_{-N}^{N} for conditionally
-  convergent integrands.
-* ``integrate_half_strip`` / ``integrate_rect``: 2-D tensor-product panel
-  integration on integer cells, adaptive on finite rectangles, truncated
-  plus extrapolated on half-infinite strips.
+* ``_refine``, adaptive max-heap refinement on a finite domain, cut at
+  caller breakpoints and at integers (the periodized Bernoulli weight P1
+  is non-smooth exactly there).  Each pass splits up to 64 of the worst
+  items and evaluates their children in one batch.  ``integrate_segment``
+  compares GL16 on a panel with GL16 on its halves, ``integrate_rect``
+  GL8xGL8 on a cell with GL8xGL8 on its 2x2 split.
+* ``_improper``, the doubling driver of ``integrate_line``,
+  ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
+  at integer-aligned radii that double per level, the partial values are
+  accelerated (Richardson or iterated Aitken), and a sampled algebraic
+  tail bound stops the doubling too when the decay makes it sharp.  The
+  half-strip's first level is an adaptive rectangle, later levels are
+  fixed-order slabs.  ``LineMode.SYMMETRIC`` realizes the symmetric limit
+  lim_N int_{-N}^{N} for conditionally convergent integrands.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     NoConvergence,
+    PoleNearDomain,
     TailEstimateFailed,
     UnsupportedDecay,
 )
@@ -187,6 +188,66 @@ def _accelerate(levels):
 
 
 # ---------------------------------------------------------------------------
+# adaptive refinement
+
+
+def _refine(items, evaluate, split, cost, tol, max_panels, what):
+    """Max-heap refinement of a partition of a finite domain.
+
+    ``evaluate(batch)`` gives (value, error estimate, integral of |f|) per
+    item in one call; ``split(item)`` gives the item's children, or None
+    when it is too small to split; ``cost`` counts integrand evaluations
+    per item.  Each pass splits up to 64 of the items with the largest
+    estimates; panels are the leaves of the partition."""
+    heap = []  # (-err, id, item, value, err)
+    uid = 0
+    value = 0j
+    err_sum = 0.0
+    absmass = 0.0
+    n_panels = 0
+    evals = 0
+
+    def add(batch):
+        nonlocal uid, value, err_sum, absmass, n_panels, evals
+        evals += cost * len(batch)
+        n_panels += len(batch)
+        for item, (v, e, m) in zip(batch, evaluate(batch)):
+            heapq.heappush(heap, (-e, uid, item, v, e))
+            uid += 1
+            value += v
+            err_sum += e
+            absmass += m
+
+    def floor_err():
+        return _EPS_FLOOR * (absmass + abs(value) + 1.0)
+
+    add(items)
+    while err_sum > tol * (1.0 + abs(value)) + floor_err():
+        target = tol * (1.0 + abs(value)) / max(n_panels, 1)
+        popped, children = [], []
+        while heap and len(popped) < 64 and -heap[0][0] > target:
+            kids = split(heap[0][2])
+            if kids is None:
+                break
+            popped.append(heapq.heappop(heap))
+            children.extend(kids)
+        if not popped:
+            break
+        # checked before the popped items leave the sums, so the best
+        # estimate still covers the whole domain
+        if n_panels - len(popped) + len(children) > max_panels:
+            best = QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
+            raise NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=best)
+        for _, _, _, v, e in popped:
+            value -= v
+            err_sum -= e
+        n_panels -= len(popped)
+        add(children)
+
+    return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
+
+
+# ---------------------------------------------------------------------------
 # finite segments
 
 
@@ -262,90 +323,54 @@ def integrate_segment(
     if a == b:
         return QuadratureResult(0j, 0.0, 0, 0)
     fv = vectorize1(f)
-    max_panels = panel_budget(budget)
+
+    def split(panel):
+        lo, hi = panel
+        if hi - lo < 1e-13 * (1 + abs(lo)):
+            return None
+        mid = 0.5 * (lo + hi)
+        return [(lo, mid), (mid, hi)]
 
     pts = _cutpoints(a, b, breakpoints, integer_breakpoints)
-    bounds = list(zip(pts, pts[1:]))
-    evals = 48 * len(bounds)
-    results = _eval_panel_batch(fv, bounds)
-    heap = []  # (-err, id, lo, hi, value, err)
-    uid = 0
-    value = 0j
-    err_sum = 0.0
-    absmass = 0.0
-    for (lo, hi), (v, e, m) in zip(bounds, results):
-        heapq.heappush(heap, (-e, uid, lo, hi, v, e))
-        uid += 1
-        value += v
-        err_sum += e
-        absmass += m
-    n_panels = len(bounds)
-
-    def floor_err():
-        return _EPS_FLOOR * (absmass + abs(value) + 1.0)
-
-    while err_sum > tol * (1.0 + abs(value)) + floor_err():
-        # refine the worst panels in one batched evaluation
-        batch = []
-        target = tol * (1.0 + abs(value)) / max(n_panels, 1)
-        while heap and len(batch) < 64:
-            neg_e, _, lo, hi, v, e = heap[0]
-            if -neg_e <= target or hi - lo < 1e-13 * (1 + abs(lo)):
-                break
-            heapq.heappop(heap)
-            batch.append((lo, hi, v, e))
-        if not batch:
-            break
-        if n_panels + len(batch) > max_panels:
-            best = QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
-            raise NoConvergence(
-                f"segment [{a}, {b}]: panel budget {max_panels} exhausted", best=best
-            )
-        children = []
-        for lo, hi, v, e in batch:
-            mid = 0.5 * (lo + hi)
-            children.extend([(lo, mid), (mid, hi)])
-            value -= v
-            err_sum -= e
-        evals += 48 * len(children)
-        n_panels += len(batch)
-        for (lo, hi), (v, e, m) in zip(children, _eval_panel_batch(fv, children)):
-            heapq.heappush(heap, (-e, uid, lo, hi, v, e))
-            uid += 1
-            value += v
-            err_sum += e
-            absmass += m
-
-    return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
+    return _refine(
+        list(zip(pts, pts[1:])),
+        lambda panels: _eval_panel_batch(fv, panels),
+        split,
+        48,
+        tol,
+        panel_budget(budget),
+        f"segment [{a}, {b}]",
+    )
 
 
 # ---------------------------------------------------------------------------
 # improper 1-D integrals
 
 
-def _sample_tail_constant(fv, probes, decay_order):
-    """Estimate C in |f| <= C r^(-q) by sampling, and reject non-decay."""
-    rs = np.asarray(probes, dtype=float)
-    mags = np.abs(fv(rs))
-    scaled = mags * np.abs(rs) ** decay_order
-    nz = scaled[mags > 0]
-    if nz.size == 0:
-        return 0.0
+def _tail_constant(mags, rads, decay_order):
+    """Estimate C in |f| <= C r^(-q) from sampled |f| at radii rads, and
+    reject non-decay.  Entries (or rows of probes) run from the first
+    radius to the last."""
+    scaled = mags * rads**decay_order
     # growth of |f| r^q across the probe span means the claimed decay is absent
-    if scaled[-1] > 50.0 * (scaled[0] + 1e-300) and mags[-1] > 1e-13:
+    if scaled[-1].max() > 50.0 * (scaled[0].max() + 1e-300) and mags[-1].max() > 1e-13:
         raise TailEstimateFailed(
             f"integrand does not decay like r^-{decay_order} (sampled growth)"
         )
-    return float(np.max(scaled))
+    return float(scaled.max())
 
 
-def _improper_1d(fv, segment_for, start_radius, max_radius, tol, tail_bound, budget):
-    """Common driver: cumulative integrals at doubling radii + acceleration.
+def _improper(segment_for, start_radius, max_radius, tol, tail_bound, max_panels):
+    """The doubling driver: cumulative integrals at doubling radii plus
+    acceleration.
 
-    ``segment_for(r_prev, r)`` integrates the newly added portion of the
-    domain.  ``tail_bound(r)`` is an analytic bound on the neglected tail
-    (may be inf).  Stops when either the plain bound or the extrapolation
-    increment meets tol.
+    ``segment_for(r_prev, r)`` integrates the part of the domain added at
+    radius r (r_prev is None on the first level).  ``tail_bound(r)`` is a
+    bound on the neglected tail (may be inf).  Stops when either the plain
+    bound or the extrapolation increment meets tol; gives up with the best
+    estimate once r reaches max_radius or the panels of all levels exceed
+    max_panels (callers allow 64 panel budgets: each level's adaptive calls
+    hold their own budget, and fixed-order strip cells are cheap).
     """
     levels = []
     quad_err = 0.0
@@ -368,15 +393,25 @@ def _improper_1d(fv, segment_for, start_radius, max_radius, tol, tail_bound, bud
             return QuadratureResult(value, quad_err + plain_tail, panels, evals)
         if len(levels) >= 4 and inc <= tol * scale / 4:
             return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * scale, panels, evals)
-        if r >= max_radius:
+        if r >= max_radius or panels > max_panels:
             best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
             if not math.isfinite(best_e):
                 best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
             best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
             raise NoConvergence(
-                f"improper integral not converged at radius {max_radius}", best=best
+                f"improper integral not converged at radius {r} (tol {tol})", best=best
             )
         r_prev, r = r, 2 * r
+
+
+def _total(parts):
+    """One result for the union of disjoint pieces of a domain."""
+    return QuadratureResult(
+        sum(q.value for q in parts),
+        sum(q.err for q in parts),
+        sum(q.panels for q in parts),
+        sum(q.evals for q in parts),
+    )
 
 
 def integrate_line(
@@ -399,8 +434,8 @@ def integrate_line(
     if mode is LineMode.ABSOLUTE:
         if decay_order is None or decay_order <= 1:
             raise UnsupportedDecay("ABSOLUTE line mode needs decay_order > 1")
-        probes = [32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0]
-        c = _sample_tail_constant(fv, probes, decay_order)
+        probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
+        c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
         q = decay_order
 
         def tail_bound(r):
@@ -412,24 +447,15 @@ def integrate_line(
             return math.inf
 
     def segment_for(r_prev, r):
-        if r_prev is None:
-            return integrate_segment(
-                fv, -r, r, tol=seg_tol, integer_breakpoints=True, budget=budget
-            )
-        left = integrate_segment(
-            fv, -r, -r_prev, tol=seg_tol, integer_breakpoints=True, budget=budget
-        )
-        right = integrate_segment(
-            fv, r_prev, r, tol=seg_tol, integer_breakpoints=True, budget=budget
-        )
-        return QuadratureResult(
-            left.value + right.value,
-            left.err + right.err,
-            left.panels + right.panels,
-            left.evals + right.evals,
+        spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
+        return _total(
+            [
+                integrate_segment(fv, lo, hi, tol=seg_tol, integer_breakpoints=True, budget=budget)
+                for lo, hi in spans
+            ]
         )
 
-    return _improper_1d(fv, segment_for, 16, max_radius, tol, tail_bound, budget)
+    return _improper(segment_for, 16, max_radius, tol, tail_bound, 64 * panel_budget(budget))
 
 
 def integrate_ray(
@@ -458,8 +484,8 @@ def integrate_ray(
             return c * math.exp(-exp_rate * (r - start)) / exp_rate
 
     elif decay_order is not None and decay_order > 1:
-        probes = [start + 32.0, start + 128.0, start + 512.0]
-        c = _sample_tail_constant(fv, probes, decay_order)
+        probes = start + np.array([32.0, 128.0, 512.0])
+        c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
         q = decay_order
 
         def tail_bound(r):
@@ -474,7 +500,7 @@ def integrate_ray(
             fv, lo, start + r, tol=seg_tol, integer_breakpoints=True, budget=budget
         )
 
-    return _improper_1d(fv, segment_for, 16, max_radius, tol, tail_bound, budget)
+    return _improper(segment_for, 16, max_radius, tol, tail_bound, 64 * panel_budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +513,14 @@ def _axis_panels(lo, hi, integer_breakpoints, max_width=1.0):
 
 
 def _tensor_nodes(edges, order_x, order_w):
-    """Per-axis nodes and weights for a sequence of panel edges."""
-    lows = edges[:-1]
-    highs = edges[1:]
+    """Nodes and weights of a panel rule on the edges along the last axis."""
+    lows = edges[..., :-1]
+    highs = edges[..., 1:]
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
-    nodes = (half[:, None] * order_x[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * order_w[None, :]).ravel()
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (half[..., None] * order_x + mid[..., None]).reshape(shape)
+    weights = (half[..., None] * order_w).reshape(shape)
     return nodes, weights
 
 
@@ -539,7 +566,6 @@ def integrate_rect(
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
     fv2 = vectorize2(f)
-    max_panels = panel_budget(budget)
 
     xs = _axis_panels(x_lo, x_hi, integer_breakpoints, max_width=max(1.0, (x_hi - x_lo) / 4))
     ys = _axis_panels(y_lo, y_hi, integer_breakpoints, max_width=max(1.0, (y_hi - y_lo) / 4))
@@ -549,66 +575,41 @@ def integrate_rect(
         for c, d in zip(ys, ys[1:])
     ]
 
-    evals = 0
+    def gl8_cells(ex, ey):
+        """GL8xGL8 on the panels between each cell's edges (rows of ex, ey)
+        in one integrand call on (cells, y, x) grids: integrals of f, |f|."""
+        xn, xw = _tensor_nodes(ex, _GL8_X, _GL8_W)
+        yn, yw = _tensor_nodes(ey, _GL8_X, _GL8_W)
+        vals = fv2(xn[:, None, :], yn[:, :, None])
+        return [(yw[:, None, :] @ v @ xw[:, :, None])[:, 0, 0] for v in (vals, np.abs(vals))]
 
     def eval_cells(batch):
-        nonlocal evals
-        # coarse 8x8 plus fine (2x2 split, 8x8 each) in one flattened call
-        slices = []
-        for (a, b, c, d) in batch:
-            for ex, ey in (
-                (np.array([a, b]), np.array([c, d])),
-                (np.array([a, 0.5 * (a + b), b]), np.array([c, 0.5 * (c + d), d])),
-            ):
-                xn, xw = _tensor_nodes(ex, _GL8_X, _GL8_W)
-                yn, yw = _tensor_nodes(ey, _GL8_X, _GL8_W)
-                slices.append((xn, xw, yn, yw))
         out = []
-        for i in range(0, len(batch)):
-            xn0, xw0, yn0, yw0 = slices[2 * i]
-            xn1, xw1, yn1, yw1 = slices[2 * i + 1]
-            v0 = fv2(xn0[None, :], yn0[:, None])
-            v1 = fv2(xn1[None, :], yn1[:, None])
-            coarse = complex(yw0 @ v0 @ xw0)
-            fine = complex(yw1 @ v1 @ xw1)
-            evals += xn0.size * yn0.size + xn1.size * yn1.size
-            out.append((fine, abs(fine - coarse)))
+        for i in range(0, len(batch), 64):  # 64 cells per call bound its size
+            a, b, c, d = np.asarray(batch[i : i + 64]).T
+            coarse, _ = gl8_cells(np.stack([a, b], -1), np.stack([c, d], -1))
+            fine, mass = gl8_cells(
+                np.stack([a, 0.5 * (a + b), b], -1), np.stack([c, 0.5 * (c + d), d], -1)
+            )
+            out.extend(zip(fine.tolist(), np.abs(fine - coarse).tolist(), mass.tolist()))
         return out
 
-    heap = []
-    uid = 0
-    value = 0j
-    err_sum = 0.0
-    for cell, (v, e) in zip(cells, eval_cells(cells)):
-        heapq.heappush(heap, (-e, uid, cell, v, e))
-        uid += 1
-        value += v
-        err_sum += e
-    n_cells = len(cells)
-
-    while err_sum > tol * (1.0 + abs(value)) + _EPS_FLOOR * (1.0 + abs(value)):
-        neg_e, _, (a, b, c, d), v, e = heap[0]
-        if -neg_e <= tol * (1.0 + abs(value)) / max(n_cells, 1):
-            break
+    def split(cell):
+        a, b, c, d = cell
         if min(b - a, d - c) < 1e-12:
-            break
-        if n_cells + 3 > max_panels:
-            best = QuadratureResult(value, err_sum, n_cells, evals)
-            raise NoConvergence("rectangle cell budget exhausted", best=best)
-        heapq.heappop(heap)
-        value -= v
-        err_sum -= e
+            return None
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        quads = [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
-        for cell, (cv, ce) in zip(quads, eval_cells(quads)):
-            heapq.heappush(heap, (-ce, uid, cell, cv, ce))
-            uid += 1
-            value += cv
-            err_sum += ce
-        n_cells += 3
+        return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
-    err = err_sum + _EPS_FLOOR * (1.0 + abs(value))
-    return QuadratureResult(value, err, n_cells, evals)
+    return _refine(
+        cells,
+        eval_cells,
+        split,
+        64 + 256,
+        tol,
+        panel_budget(budget),
+        f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +644,7 @@ def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl=None):
         err = abs(finer - fine)
         evals += n0 + n1 + n2
     n_panels = (len(x_edges) - 1) * (len(y_edges) - 1)
-    return base, err, n_panels, evals
+    return QuadratureResult(base, err, n_panels, evals)
 
 
 def integrate_half_strip(
@@ -683,8 +684,6 @@ def integrate_half_strip(
             float(pole(float(x), float(y))) for x in probe_x for y in probe_y
         )
         if dmin < 1e-6:
-            from .errors import PoleNearDomain
-
             raise PoleNearDomain(
                 f"half-strip boundary passes within {dmin:.2e} of an integrand pole"
             )
@@ -698,91 +697,40 @@ def integrate_half_strip(
         for dx, dy in ((0.0, r), (r, r / 2), (-r, r / 2)):
             px.append(hot_x + dx + phases)
             py.append(y_edge + sign * (dy + phases))
-    px = np.concatenate(px)
-    py = np.concatenate(py)
-    mags = np.abs(fv2(px, py))
-    rads = np.hypot(px - hot_x, py - y_edge)
-    scaled = mags * rads ** decay_order
-    group = 3 * phases.size  # probes per radius
-    if scaled[-group:].max() > 50.0 * (scaled[:group].max() + 1e-300) and mags[-group:].max() > 1e-13:
-        raise TailEstimateFailed("half-strip integrand shows no decay in sampling")
-    c = float(scaled.max())
+    px = np.stack(px).reshape(4, -1)  # one row per radius
+    py = np.stack(py).reshape(4, -1)
+    c = _tail_constant(np.abs(fv2(px, py)), np.hypot(px - hot_x, py - y_edge), decay_order)
     q = decay_order
 
     def tail_bound(r):
         # 2-D tail of C r^-q over the region beyond radius r
         return 2.0 * math.pi * c * r ** (2.0 - q) / (q - 2.0)
 
-    panels = 0
-    evals = 0
-    quad_err = 0.0
-    levels = []
-    value = 0j
-    r_prev = None
-    r = 8
     x_center = math.floor(hot_x) + 0.5
-    while True:
+
+    def y_span(d0, d1):
+        """The y-interval at distances d0..d1 from the edge, into the strip."""
+        return (y_edge + d0, y_edge + d1) if direction == "up" else (y_edge - d1, y_edge - d0)
+
+    def segment_for(r_prev, r):
         if r_prev is None:
             # the innermost rectangle contains the integrand peak: hand it
             # to the fully adaptive 2-D routine so its error is controlled,
             # and keep fixed-order cells for the smooth outer slabs only
-            if direction == "up":
-                ya, yb = y_edge, y_edge + r
-            else:
-                ya, yb = y_edge - r, y_edge
-            q0 = integrate_rect(
-                fv2,
-                x_center - r,
-                x_center + r,
-                ya,
-                yb,
-                tol=tol / 4,
-                budget=budget,
+            return integrate_rect(
+                fv2, x_center - r, x_center + r, *y_span(0.0, r), tol=tol / 4, budget=budget
             )
-            value += q0.value
-            quad_err += q0.err
-            panels += q0.panels
-            evals += q0.evals
-            levels.append(value)
-            plain_tail = tail_bound(r)
-            r_prev, r = r, 2 * r
-            continue
-        else:
-            rects = [
-                (x_center - r, x_center - r_prev, 0.0, float(r_prev)),
-                (x_center + r_prev, x_center + r, 0.0, float(r_prev)),
-                (x_center - r, x_center + r, float(r_prev), float(r)),
-            ]
         # slabs at distance >= 64 from the peak hold only slowly varying
         # integrand mass; a 4-point rule per unit cell is already exact to
         # roundoff there
-        gl = (_GL4_X, _GL4_W) if (r_prev is not None and r_prev >= 64) else None
-        for (xa, xb, d0, d1) in rects:
-            if direction == "up":
-                ya, yb = y_edge + d0, y_edge + d1
-            else:
-                ya, yb = y_edge - d1, y_edge - d0
-            v, e, np_, ne = _strip_rect(fv2, xa, xb, ya, yb, hot_x, y_edge + sign * 0.0, gl)
-            value += v
-            quad_err += e
-            panels += np_
-            evals += ne
-        levels.append(value)
-        plain_tail = tail_bound(r)
-        est, inc = _accelerate(levels)
-        scale = 1.0 + abs(est)
-        if plain_tail <= tol * scale / 4 and plain_tail <= inc:
-            return QuadratureResult(value, quad_err + plain_tail, panels, evals)
-        if len(levels) >= 4 and inc <= tol * scale / 4:
-            return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * scale, panels, evals)
-        # fixed-order unit cells are far cheaper than adaptive panels; the
-        # panel budget applies with a 64x allowance here
-        if r >= max_radius or panels > 64 * panel_budget(budget):
-            best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
-            if not math.isfinite(best_e):
-                best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
-            best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
-            raise NoConvergence(
-                f"half-strip not converged at radius {r} (tol {tol})", best=best
-            )
-        r_prev, r = r, 2 * r
+        gl = (_GL4_X, _GL4_W) if r_prev >= 64 else None
+        slabs = (
+            (x_center - r, x_center - r_prev, 0.0, r_prev),
+            (x_center + r_prev, x_center + r, 0.0, r_prev),
+            (x_center - r, x_center + r, r_prev, r),
+        )
+        return _total(
+            [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
+        )
+
+    return _improper(segment_for, 8, max_radius, tol, tail_bound, 64 * panel_budget(budget))

@@ -7,7 +7,8 @@ Two independent evaluation routes:
   defines the conditionally convergent cases k = 1, 2).  Rows are summed
   with +/-n pairing and Richardson acceleration; row pairs +/-m decay
   exponentially once the inner sums are accurate, so the outer sum
-  terminates quickly.
+  terminates quickly.  ``eisenstein_series`` is the same sum at a = 0
+  with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   along the two edges y0 +/- eps of the excluded band around the pole
@@ -107,9 +108,10 @@ def _row_sum(c: complex, w1: complex, k: int, tol: float):
     exactly) and the N-doubling partial sums are extrapolated; the paired
     tail has a smooth 1/N expansion, so this converges for every k >= 1.
     The pairs are centred on the row point nearest the pole; a finite
-    shift of the centre leaves the symmetric limit unchanged."""
+    shift of the centre leaves the symmetric limit unchanged.  A term at
+    c + n w1 = 0 is left out (the origin of G_k)."""
     c += round(-(c / w1).real) * w1
-    partial = complex(c ** (-k))
+    partial = complex(c ** (-k)) if c else 0j
     levels = []
     prev_n = 0
     n_hi = 256
@@ -124,22 +126,23 @@ def _row_sum(c: complex, w1: complex, k: int, tol: float):
     raise SlowConvergence(f"row sum at c = {c} did not converge to {tol}", best=partial)
 
 
-def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
-    """E_k(a, W) by Eisenstein summation: inner symmetric sums over n,
-    then the outer symmetric sum over m."""
-    w1, w2 = p.lat.w1, p.lat.w2
-    # the outer sum stays centred on m = 0 (for k = 1 the rows tend to the
-    # constants -/+ i pi / w1, so re-centring would change E_1), but it may
-    # not stop before it has passed the pole row
-    pole_row = abs(lattice_coordinates(p.lat, -p.a).y0)
+def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
+    """Sum of (a + w)^(-k) over the lattice points w, inner symmetric sums
+    over n first, then the outer symmetric sum over m.  Returns (value, err).
+
+    The outer sum stays centred on m = 0 (for k = 1 the rows tend to the
+    constants -/+ i pi / w1, so re-centring would change E_1), but it may
+    not stop before it has passed the pole row."""
+    w1, w2 = lat.w1, lat.w2
+    pole_row = abs(lattice_coordinates(lat, -a).y0)
     row_tol = tol / 64
-    value, err = _row_sum(p.a, w1, p.k, row_tol)
+    value, err = _row_sum(a, w1, k, row_tol)
     pair_tol = tol / 8
     small_streak = 0
     m = 1
     while m <= _ROW_M_CAP:
-        up, e_up = _row_sum(p.a + m * w2, w1, p.k, row_tol)
-        dn, e_dn = _row_sum(p.a - m * w2, w1, p.k, row_tol)
+        up, e_up = _row_sum(a + m * w2, w1, k, row_tol)
+        dn, e_dn = _row_sum(a - m * w2, w1, k, row_tol)
         pair = up + dn
         value += pair
         err += e_up + e_dn
@@ -149,14 +152,17 @@ def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
             small_streak += 1
             if small_streak >= 2 and m >= 4 and m > pole_row + 1:
                 err += 2 * abs(pair)
-                break
+                return value, err
         else:
             small_streak = 0
         m += 1
-    else:
-        raise SlowConvergence(
-            f"outer Eisenstein sum did not settle within {_ROW_M_CAP} rows"
-        )
+    raise SlowConvergence(f"outer Eisenstein sum did not settle within {_ROW_M_CAP} rows")
+
+
+def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
+    """E_k(a, W) by Eisenstein summation: inner symmetric sums over n,
+    then the outer symmetric sum over m."""
+    value, err = _eisenstein_sum(p.lat, p.a, p.k, tol)
     return WeilReport(value=value, method="direct", err=err)
 
 
@@ -164,46 +170,7 @@ def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
     """G_k(W): sum of w^(-k) over nonzero lattice points, k >= 3."""
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise UnsupportedDecay("eisenstein_series requires integer k >= 3")
-    w1, w2 = lat.w1, lat.w2
-    row_tol = tol / 64
-    if k % 2 == 1:
-        value = 0j  # the n <-> -n pairing cancels exactly on the m = 0 row
-        err = 0.0
-    else:
-        # m = 0 row without the origin: paired sum of (n w1)^(-k)
-        levels = []
-        partial = 0j
-        prev_n, n_hi = 0, 256
-        while True:
-            n = np.arange(prev_n + 1, n_hi + 1, dtype=float)
-            partial += complex(np.sum(2.0 * (n * w1) ** (-float(k))))
-            levels.append(partial)
-            est, inc = _accelerate(levels)
-            if inc <= row_tol:
-                value, err = est, inc
-                break
-            if n_hi > _ROW_N_CAP:
-                raise SlowConvergence("central row of G_k did not converge")
-            prev_n, n_hi = n_hi, 2 * n_hi
-    pair_tol = tol / 8
-    small_streak = 0
-    m = 1
-    while m <= _ROW_M_CAP:
-        up, e_up = _row_sum(m * w2, w1, k, row_tol)
-        dn, e_dn = _row_sum(-m * w2, w1, k, row_tol)
-        pair = up + dn
-        value += pair
-        err += e_up + e_dn
-        if abs(pair) < pair_tol:
-            small_streak += 1
-            if small_streak >= 2 and m >= 4:
-                break
-        else:
-            small_streak = 0
-        m += 1
-    else:
-        raise SlowConvergence(f"G_k outer sum did not settle within {_ROW_M_CAP} rows")
-    return value
+    return _eisenstein_sum(lat, 0j, k, tol)[0]
 
 
 def _choose_eps(y0: float, eps: float):
@@ -272,23 +239,12 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     def pole_distance(x, y):
         return abs(base(x, y))
 
-    q2 = integrate_half_strip(
-        strip_integrand,
-        y_up,
-        "up",
-        decay_order=float(k),
-        tol=part_tol,
-        hot_x=x0,
-        pole=pole_distance,
-    )
-    q3 = integrate_half_strip(
-        strip_integrand,
-        y_dn,
-        "down",
-        decay_order=float(k),
-        tol=part_tol,
-        hot_x=x0,
-        pole=pole_distance,
+    # J2 above the band, J3 below it
+    q2, q3 = (
+        integrate_half_strip(
+            strip_integrand, y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0, pole=pole_distance
+        )
+        for y_e, direction in ((y_up, "up"), (y_dn, "down"))
     )
 
     row_correction = 0j

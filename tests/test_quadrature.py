@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -46,6 +47,7 @@ class TestSegment:
         with pytest.raises(NoConvergence) as ei:
             integrate_segment(lambda x: np.sin(1000 * x), 0.0, 50.0, tol=1e-14, budget=2)
         assert ei.value.best is not None
+        assert cmath.isfinite(ei.value.best.value)
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("LATZETA_PANEL_BUDGET", "3")
@@ -103,6 +105,19 @@ class TestRect:
         )
         assert q.value == pytest.approx(math.pi, abs=1e-8)
 
+    def test_scalar_only_integrand(self):
+        # math.exp rejects the (cells, y, x) node grids, so every node goes
+        # through the scalar fallback
+        q = integrate_rect(lambda x, y: math.exp(-x - 2 * y), 0.0, 1.0, 0.0, 2.0, tol=1e-11)
+        assert q.value == pytest.approx((1 - math.exp(-1)) * (1 - math.exp(-4)) / 2, abs=1e-10)
+
+    def test_budget_exhaustion(self):
+        with pytest.raises(NoConvergence) as ei:
+            integrate_rect(lambda x, y: np.sin(40 * x * y), 0.0, 3.0, 0.0, 3.0, tol=1e-14, budget=20)
+        best = ei.value.best
+        assert cmath.isfinite(best.value)
+        assert best.panels <= 20
+
 
 class TestVectorize:
     def test_scalar_only_integrand_falls_back(self):
@@ -148,6 +163,13 @@ class TestHalfStrip:
             lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, "down", decay_order=4.0, tol=1e-8
         )
         assert q.value == pytest.approx(math.pi / 2, abs=1e-7)
+
+    def test_radius_exhaustion(self):
+        with pytest.raises(NoConvergence) as ei:
+            integrate_half_strip(
+                lambda x, y: (1.0 + x * x + y * y) ** -1.5, 0.0, "up", decay_order=3.0, tol=1e-12, max_radius=16
+            )
+        assert cmath.isfinite(ei.value.best.value)
 
     def test_rejects_slow_decay(self):
         with pytest.raises(UnsupportedDecay):

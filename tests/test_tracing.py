@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark's traced run: every layer function that
+``perfbench/spans.py`` wraps must still exist under its traced name."""
+
+import importlib.util
+from pathlib import Path
+
+import latzeta
+from latzeta import quadrature
+from latzeta.weil import WeilParams, weil_integral
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_weil_integral_records_layers():
+    tracer = _load_spans().Tracer()
+    original = quadrature.integrate_rect
+    with tracer:
+        weil_integral(WeilParams(latzeta.lattice_new(1.0, 1j), 0.3 + 0.2j, 8), tol=1e-6)
+    names = {span[2] for span in tracer.spans}
+    assert {"weil.j1", "weil.j2", "weil.j3", "quadrature.integrate_rect"} <= names
+    assert quadrature.integrate_rect is original
