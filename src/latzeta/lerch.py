@@ -122,13 +122,15 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
 
     if abs(z) < 1 - 1e-12:
         rate = -math.log(abs(z))
-        # truncation radius from the exponential tail bound
+        # truncation radius from the exponential tail bound: the integral
+        # of |z|^x beyond the radius R is |z|^R / rate
         radius = 16
         while radius < 1 << 20:
             bound = (
                 abs(z) ** radius
                 / (radius + a.real) ** sigma
                 * (1.0 + abs(log_z) + abs(s) / radius)
+                / rate
             )
             if bound < tol / 4:
                 break

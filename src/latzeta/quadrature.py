@@ -13,9 +13,12 @@ Two algorithms, each written once:
   at integer-aligned radii that double per level, the partial values are
   accelerated (Richardson or iterated Aitken), and a sampled algebraic
   tail bound stops the doubling too when the decay makes it sharp.  The
-  half-strip's first level is an adaptive rectangle, later levels are
-  fixed-order slabs.  ``LineMode.SYMMETRIC`` realizes the symmetric limit
-  lim_N int_{-N}^{N} for conditionally convergent integrands.
+  half-strip's first level is an adaptive rectangle of radius 4 around the
+  integrand peak; later levels are slabs with a fixed tensor rule per unit
+  cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
+  the cell nearest the peak.  ``LineMode.SYMMETRIC`` realizes the
+  symmetric limit lim_N int_{-N}^{N} for conditionally convergent
+  integrands.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -43,6 +46,8 @@ DEFAULT_PANEL_BUDGET = 1 << 16
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+#: segment nodes on [-1, 1]: GL16 on the panel, then on its two halves
+_PANEL_X = np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5])
 
 #: relative roundoff floor entering every reported error
 _EPS_FLOOR = 4e-16
@@ -275,29 +280,21 @@ def _cutpoints(a, b, breakpoints, integer_breakpoints, max_width=None):
     return pts
 
 
-def _panel_nodes(lo, hi):
-    """48 evaluation nodes per panel: whole-panel GL16 plus the two halves."""
-    mid = 0.5 * (lo + hi)
-    n0 = 0.5 * (hi - lo) * _GL16_X + 0.5 * (lo + hi)
-    n1 = 0.5 * (mid - lo) * _GL16_X + 0.5 * (lo + mid)
-    n2 = 0.5 * (hi - mid) * _GL16_X + 0.5 * (mid + hi)
-    return np.concatenate([n0, n1, n2])
-
-
 def _eval_panel_batch(fv, bounds):
-    """Evaluate panels in one vectorized call.
+    """GL16 on each panel and on its two halves, for up to 1024 panels per
+    integrand call, which bounds peak memory.
 
-    Returns per-panel (refined value, error estimate, sum of |values|)."""
-    nodes = np.concatenate([_panel_nodes(lo, hi) for lo, hi in bounds])
-    ys = fv(nodes)
+    Returns per-panel (refined value, error estimate, integral of |f|)."""
     out = []
-    for i, (lo, hi) in enumerate(bounds):
-        chunk = ys[48 * i : 48 * (i + 1)]
+    for i in range(0, len(bounds), 1024):
+        lo, hi = np.asarray(bounds[i : i + 1024], float).T
         h = 0.5 * (hi - lo)
-        coarse = h * np.dot(_GL16_W, chunk[:16])
-        fine = 0.5 * h * (np.dot(_GL16_W, chunk[16:32]) + np.dot(_GL16_W, chunk[32:48]))
-        absmass = 0.5 * h * float(np.dot(_GL16_W, np.abs(chunk[16:48]).reshape(2, 16).sum(axis=0)))
-        out.append((complex(fine), abs(fine - coarse), absmass))
+        nodes = h[:, None] * _PANEL_X + (lo + h)[:, None]
+        vals = fv(nodes.ravel()).reshape(-1, 3, 16)
+        coarse, left, right = h * (vals @ _GL16_W).T
+        fine = 0.5 * (left + right)
+        mass = 0.5 * h * (np.abs(vals[:, 1:]) @ _GL16_W).sum(axis=1)
+        out.extend(zip(fine.tolist(), np.abs(fine - coarse).tolist(), mass.tolist()))
     return out
 
 
@@ -524,28 +521,20 @@ def _tensor_nodes(edges, order_x, order_w):
     return nodes, weights
 
 
-def _rect_fixed(fv2, x_edges, y_edges, gl_x=_GL8_X, gl_w=_GL8_W):
-    """Tensor-product fixed-order integral over the panel grid.
+def _rect_fixed(fv2, x_edges, y_edges, gl):
+    """Tensor-product fixed-order integral over the panel grid, with the
+    rule ``gl`` = (nodes, weights) on [-1, 1] in each panel.
 
     Evaluated in row chunks to bound peak memory on large truncation
     rectangles."""
-    xn, xw = _tensor_nodes(np.asarray(x_edges, float), gl_x, gl_w)
-    yn, yw = _tensor_nodes(np.asarray(y_edges, float), gl_x, gl_w)
+    xn, xw = _tensor_nodes(np.asarray(x_edges, float), *gl)
+    yn, yw = _tensor_nodes(np.asarray(y_edges, float), *gl)
     total = 0j
     chunk = max(1, (1 << 21) // max(xn.size, 1))
     for i in range(0, yn.size, chunk):
         vals = fv2(xn[None, :], yn[i : i + chunk, None])
         total += complex(yw[i : i + chunk] @ vals @ xw)
     return total, xn.size * yn.size
-
-
-def _split_edges(edges, factor):
-    edges = np.asarray(edges, float)
-    out = [edges[0]]
-    for lo, hi in zip(edges, edges[1:]):
-        for j in range(1, factor + 1):
-            out.append(lo + (hi - lo) * j / factor)
-    return np.asarray(out)
 
 
 def integrate_rect(
@@ -616,35 +605,27 @@ def integrate_rect(
 # half-infinite strips
 
 
-def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl=None):
-    """Integral over one finite rectangle of a strip level.
+def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl):
+    """Integral over one slab of a strip level: the tensor rule ``gl`` on
+    every cell of the integer grid.
 
-    Far cells use fixed-order tensor panels on the integer grid; the
-    neighborhood of (hot_x, hot_y) (where the integrand peaks, next to the
-    excluded pole row) is recomputed on a 4x-split grid and the difference
-    doubles as the quadrature error estimate."""
-    gl_x, gl_w = gl if gl is not None else (_GL8_X, _GL8_W)
+    The rule error is estimated on the cell nearest (hot_x, hot_y), the
+    integrand peak: the rule there is compared with the rule on the cell's
+    2x2 split and |difference| is charged once per cell of the slab.  That
+    bounds the slab's error as long as the per-cell error falls with
+    distance from the peak, which holds for integrands that decay
+    algebraically away from it."""
     x_edges = _axis_panels(x_lo, x_hi, True)
     y_edges = _axis_panels(y_lo, y_hi, True)
-    base, n_base = _rect_fixed(fv2, x_edges, y_edges, gl_x, gl_w)
-    evals = n_base
-    err = 0.0
-    # near-field correction
-    nx_lo = max(x_lo, math.floor(hot_x) - 4)
-    nx_hi = min(x_hi, math.ceil(hot_x) + 4)
-    ny_lo = max(y_lo, hot_y - 4)
-    ny_hi = min(y_hi, hot_y + 4)
-    if nx_lo < nx_hi and ny_lo < ny_hi:
-        xe = _axis_panels(nx_lo, nx_hi, True)
-        ye = _axis_panels(ny_lo, ny_hi, True)
-        coarse, n0 = _rect_fixed(fv2, xe, ye, gl_x, gl_w)
-        fine, n1 = _rect_fixed(fv2, _split_edges(xe, 4), _split_edges(ye, 4))
-        finer, n2 = _rect_fixed(fv2, _split_edges(xe, 8), _split_edges(ye, 8))
-        base += finer - coarse
-        err = abs(finer - fine)
-        evals += n0 + n1 + n2
+    base, evals = _rect_fixed(fv2, x_edges, y_edges, gl)
+    i = int(np.clip(np.searchsorted(x_edges, hot_x) - 1, 0, len(x_edges) - 2))
+    j = int(np.clip(np.searchsorted(y_edges, hot_y) - 1, 0, len(y_edges) - 2))
+    (coarse, n_coarse), (fine, n_fine) = (
+        _rect_fixed(fv2, np.linspace(*x_edges[i : i + 2], n), np.linspace(*y_edges[j : j + 2], n), gl)
+        for n in (2, 3)
+    )
     n_panels = (len(x_edges) - 1) * (len(y_edges) - 1)
-    return QuadratureResult(base, err, n_panels, evals)
+    return QuadratureResult(base, abs(fine - coarse) * n_panels, n_panels, evals + n_coarse + n_fine)
 
 
 def integrate_half_strip(
@@ -666,8 +647,10 @@ def integrate_half_strip(
     doubles; the truncated values carry a smooth expansion in the inverse
     radius when the cuts are integer-aligned, so iterated Aitken
     extrapolation supplies the tail.  ``hot_x`` locates the integrand peak
-    along the edge (refined near-field); ``pole`` is an optional callable
-    (x, y) -> distance used to refuse regions within 1e-6 of a pole."""
+    along the edge: the first level, an adaptive rectangle, is centred on
+    it, and each slab's rule error is estimated at the cell nearest it.
+    ``pole`` is an optional callable (x, y) -> distance used to refuse
+    regions within 1e-6 of a pole."""
     if decay_order <= 2:
         raise UnsupportedDecay(
             f"half-strip integration needs decay_order > 2, got {decay_order}"
@@ -720,10 +703,9 @@ def integrate_half_strip(
             return integrate_rect(
                 fv2, x_center - r, x_center + r, *y_span(0.0, r), tol=tol / 4, budget=budget
             )
-        # slabs at distance >= 64 from the peak hold only slowly varying
-        # integrand mass; a 4-point rule per unit cell is already exact to
-        # roundoff there
-        gl = (_GL4_X, _GL4_W) if r_prev >= 64 else None
+        # slabs at distance >= 16 from the peak hold only slowly varying
+        # integrand mass; a 4-point rule per unit cell is enough there
+        gl = (_GL4_X, _GL4_W) if r_prev >= 16 else (_GL8_X, _GL8_W)
         slabs = (
             (x_center - r, x_center - r_prev, 0.0, r_prev),
             (x_center + r_prev, x_center + r, 0.0, r_prev),
@@ -733,4 +715,4 @@ def integrate_half_strip(
             [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
         )
 
-    return _improper(segment_for, 8, max_radius, tol, tail_bound, 64 * panel_budget(budget))
+    return _improper(segment_for, 4, max_radius, tol, tail_bound, 64 * panel_budget(budget))

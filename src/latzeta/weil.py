@@ -38,6 +38,7 @@ from .bernoulli import p1
 from .errors import PointOnLattice, PoleHit, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates
 from .quadrature import (
+    _EPS_FLOOR,
     LineMode,
     _accelerate,
     integrate_half_strip,
@@ -253,6 +254,9 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         # the pole sits on this row's line, so the row cannot go through the
         # 1-D integral identity; its lattice points are summed directly
         row_correction, row_err = _row_sum(a + missed_row * w2, w1, k, part_tol)
+        # the row holds the lattice point nearest the pole, so its sum can be
+        # large enough for roundoff to exceed the extrapolation increment
+        row_err += _EPS_FLOOR * abs(row_correction)
 
     value = q1.value + q2.value + q3.value + row_correction
     err = q1.err + q2.err + q3.err + row_err

@@ -94,3 +94,16 @@ class TestZetaSpecializations:
     def test_requires_res_gt_1(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(1.0, 1.0)
+
+
+class TestCoffeyNearUnitCircle:
+    """|z| -> 1 inside the disk: the exponential tail decays at rate
+    -ln|z| only, which the truncation radius must account for."""
+
+    @pytest.mark.parametrize("z,s", [(0.999, 2.0), (0.995, 2.0), (0.995, 3.0)])
+    def test_matches_mpmath(self, z, s):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-10
+        want = complex(mpmath.lerchphi(z, s, 1.0))
+        got = lerch_coffey(LerchParams(z, s, 1.0), tol=tol)
+        assert abs(got - want) <= tol * (1 + abs(want))

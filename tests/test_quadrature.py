@@ -1,12 +1,23 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence, UnsupportedDecay
+from latzeta.lattice import lattice_new
 from latzeta.quadrature import (
+    _GL4_W,
+    _GL4_X,
+    _GL8_W,
+    _GL8_X,
+    _GL16_W,
+    _GL16_X,
     LineMode,
+    _eval_panel_batch,
+    _strip_rect,
     integrate_half_strip,
     integrate_line,
     integrate_ray,
@@ -15,8 +26,20 @@ from latzeta.quadrature import (
     panel_budget,
     richardson_extrapolate,
     shanks_extrapolate,
+    vectorize1,
     vectorize2,
 )
+from latzeta.weil import WeilParams, weil_direct, weil_integral
+
+
+def weil_strip_integrand(w1, w2, a, k):
+    """The P1-weighted interior integrand of the Weil half-strips."""
+
+    def f(x, y):
+        b = a + x * w1 + y * w2
+        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
+
+    return f
 
 
 class TestSegment:
@@ -48,6 +71,31 @@ class TestSegment:
             integrate_segment(lambda x: np.sin(1000 * x), 0.0, 50.0, tol=1e-14, budget=2)
         assert ei.value.best is not None
         assert cmath.isfinite(ei.value.best.value)
+
+    def test_panel_batch_matches_per_panel_rule(self):
+        # 1500 panels: more than one integrand call of 1024 panels
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 20.0, 1500)
+        hi = lo + rng.uniform(0.05, 2.0, 1500)
+        fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
+        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())))
+        assert len(got) == 1500
+        for a, b, (value, err, mass) in zip(lo, hi, got):
+            mid, h = 0.5 * (a + b), 0.5 * (b - a)
+            halves = [fv(0.5 * h * _GL16_X + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
+            coarse = h * np.dot(_GL16_W, fv(h * _GL16_X + mid))
+            fine = 0.5 * h * sum(np.dot(_GL16_W, v) for v in halves)
+            want_mass = 0.5 * h * sum(np.dot(_GL16_W, np.abs(v)) for v in halves)
+            assert abs(value - fine) <= 1e-14 * abs(fine)
+            assert abs(err - abs(fine - coarse)) <= 1e-14 * abs(fine)
+            assert abs(mass - want_mass) <= 1e-14 * want_mass
+
+    def test_scalar_only_integrand_over_many_panels(self):
+        # 1200 integer panels; math.exp rejects the node arrays, so every
+        # batch goes through the scalar fallback
+        q = integrate_segment(lambda x: math.exp(-x / 400), 0.0, 1200.0, tol=1e-12, integer_breakpoints=True)
+        assert q.panels >= 1200
+        assert q.value == pytest.approx(400 * (1 - math.exp(-3)), rel=1e-12)
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("LATZETA_PANEL_BUDGET", "3")
@@ -174,6 +222,39 @@ class TestHalfStrip:
     def test_rejects_slow_decay(self):
         with pytest.raises(UnsupportedDecay):
             integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, 0.0, "up", decay_order=2.0)
+
+    def test_weil_strip_converges_by_radius_32(self):
+        # square lattice, a = 0.3 + 0.2i, k = 8: the strip above the band
+        # y in (-0.45, 0.05) around the pole row y0 = -0.2
+        f = weil_strip_integrand(1.0, 1j, 0.3 + 0.2j, 8)
+        q = integrate_half_strip(f, 0.05, "up", decay_order=8.0, tol=2.5e-9, hot_x=-0.3, max_radius=32)
+        assert cmath.isfinite(q.value)
+        assert q.err <= 2.5e-9 * (1 + abs(q.value))
+
+    def test_slab_err_bounds_rule_error(self):
+        # right-hand slabs of the levels r = 8 (GL8 cells) and r = 32 (GL4
+        # cells) of the strip above y = 0.05, peak at x = -0.3
+        fv2 = vectorize2(weil_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
+        for slab, gl in (
+            ((3.5, 7.5, 0.05, 4.05), (_GL8_X, _GL8_W)),
+            ((15.5, 31.5, 0.05, 16.05), (_GL4_X, _GL4_W)),
+        ):
+            q = _strip_rect(fv2, *slab, -0.3, 0.05, gl)
+            truth = integrate_rect(fv2, *slab, tol=1e-14).value
+            assert q.err > 0
+            assert abs(q.value - truth) <= q.err
+
+    def test_weil_err_bounds_true_error(self):
+        for w2, x, y, k in itertools.product(
+            (1j, cmath.exp(1j * math.pi / 3)), (0.0, 0.375, 0.875), (0.2, 0.5, 1.0), (3, 8)
+        ):
+            if x == 0.0 and y == 1.0:
+                continue  # a lattice point
+            p = WeilParams(lattice_new(1.0, w2), x + y * w2, k)
+            want = weil_direct(p, tol=1e-13).value
+            for tol in (1e-8, 1e-11):
+                q = weil_integral(p, tol=tol)
+                assert abs(q.value - want) <= q.err, (w2, x, y, k, tol)
 
 
 class TestExtrapolation:
