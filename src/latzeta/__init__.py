@@ -27,7 +27,6 @@ from .errors import (
     LatzetaError,
     NoConvergence,
     PointOnLattice,
-    PoleHit,
     PoleNearDomain,
     SlowConvergence,
     TailEstimateFailed,
@@ -59,7 +58,6 @@ from .weil import (
     eisenstein_series,
     weil_direct,
     weil_integral,
-    weil_integrand,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +94,6 @@ __all__ = [
     "riemann_zeta",
     "WeilParams",
     "WeilReport",
-    "weil_integrand",
     "weil_direct",
     "weil_integral",
     "eisenstein_series",
@@ -107,7 +104,6 @@ __all__ = [
     "ZeroGenerator",
     "DegenerateLattice",
     "PointOnLattice",
-    "PoleHit",
     "PoleNearDomain",
     "UnsupportedDecay",
     "ConvergenceError",

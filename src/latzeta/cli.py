@@ -14,9 +14,6 @@ Subcommands:
 Exit codes: 0 success, 1 failed verification, 2 domain error,
 3 convergence failure.  Every error prints a one-line JSON object
 ``{"error": <class>, "message": <text>}`` on stdout.
-
-The environment variable LATZETA_PANEL_BUDGET overrides the quadrature
-panel budget (see quadrature.panel_budget).
 """
 
 from __future__ import annotations
@@ -31,14 +28,17 @@ import numpy as np
 from .complexfmt import format_complex, parse_complex
 from .em2d import (
     BRUTE_FORCE_POINT_BUDGET,
-    Function2D,
     Rect,
     brute_force_sum_2d,
     em_sum_2d,
+    gauss_function,
     integer_range,
+    invcube_function,
+    poly_function,
+    wave_function,
 )
 from .errors import ConvergenceError, DomainError, PointOnLattice
-from .lattice import lattice_coordinates, lattice_new
+from .lattice import lattice_new
 from .lerch import LerchParams, lerch_coffey, lerch_series
 from .verify import SUITES, run_suite
 from .weil import WeilParams, weil_direct, weil_integral
@@ -50,6 +50,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
+
+#: built-in test functions of the em2d subcommand, with exact partials
+EM2D_FUNCTIONS = {
+    "poly": poly_function((0.0, 0.0, 0.0, 1.0, 0.0, 1.0)),
+    "wave": wave_function(1.0 / 3.0, 0.25),
+    "gauss": gauss_function(1.0 / 64.0),
+    "invcube": invcube_function(0.5 + 0.3j),
+}
 
 
 @dataclass(frozen=True)
@@ -145,12 +153,7 @@ def cmd_weil(args) -> int:
         out["integral"] = _report_dict(rep_i, args.breakdown)
     if args.method == "both":
         out["difference"] = abs(rep_d.value - rep_i.value)
-    if args.method == "direct":
-        out["value"] = rep_d.value
-    elif args.method == "integral":
-        out["value"] = rep_i.value
-    else:
-        out["value"] = rep_d.value
+    out["value"] = rep_i.value if args.method == "integral" else rep_d.value
     if args.csv:
         _emit_weil_csv(out, args)
     else:
@@ -233,55 +236,10 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _registry() -> dict[str, Function2D]:
-    """Built-in test functions with exact partial derivatives for the
-    em2d subcommand."""
-
-    def mk_poly():
-        return Function2D(
-            lambda x, y: x * x + y * y,
-            lambda x, y: 2.0 * x,
-            lambda x, y: 2.0 * y,
-            lambda x, y: 0.0 * x * y,
-        )
-
-    def mk_wave():
-        u, v = 1.0 / 3.0, 0.25
-        return Function2D(
-            lambda x, y: np.cos(u * x) * np.sin(v * y),
-            lambda x, y: -u * np.sin(u * x) * np.sin(v * y),
-            lambda x, y: v * np.cos(u * x) * np.cos(v * y),
-            lambda x, y: -u * v * np.sin(u * x) * np.cos(v * y),
-        )
-
-    def mk_gauss():
-        s = 1.0 / 64.0
-        g = lambda x, y: np.exp(-s * (x * x + y * y))
-        return Function2D(
-            g,
-            lambda x, y: -2.0 * s * x * g(x, y),
-            lambda x, y: -2.0 * s * y * g(x, y),
-            lambda x, y: 4.0 * s * s * x * y * g(x, y),
-        )
-
-    def mk_invcube():
-        a0 = 0.5 + 0.3j
-        b = lambda x, y: a0 + x + 1j * y
-        return Function2D(
-            lambda x, y: b(x, y) ** -3,
-            lambda x, y: -3.0 * b(x, y) ** -4,
-            lambda x, y: -3.0j * b(x, y) ** -4,
-            lambda x, y: 12.0j * b(x, y) ** -5,
-        )
-
-    return {"poly": mk_poly(), "wave": mk_wave(), "gauss": mk_gauss(), "invcube": mk_invcube()}
-
-
 def cmd_em2d(args) -> int:
-    reg = _registry()
-    if args.phi not in reg:
-        raise DomainError(f"unknown test function {args.phi!r}; choose from {sorted(reg)}")
-    f = reg[args.phi]
+    if args.phi not in EM2D_FUNCTIONS:
+        raise DomainError(f"unknown test function {args.phi!r}; choose from {sorted(EM2D_FUNCTIONS)}")
+    f = EM2D_FUNCTIONS[args.phi]
     r = Rect(args.alpha1, args.beta1, args.alpha2, args.beta2)
     br = em_sum_2d(f, r, tol=args.tol)
     out = {
@@ -348,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=cmd_grid)
 
     pe = sub.add_parser("em2d", help="run the 2-D summation identity on a test function")
-    pe.add_argument("--phi", required=True, help="registry name: poly, wave, gauss, invcube")
+    pe.add_argument("--phi", required=True, help="test function: " + ", ".join(EM2D_FUNCTIONS))
     pe.add_argument("--alpha1", type=float, required=True)
     pe.add_argument("--beta1", type=float, required=True)
     pe.add_argument("--alpha2", type=float, required=True)

@@ -49,6 +49,54 @@ class Function2D:
     d2phi_dxdy: Callable
 
 
+def poly_function(c) -> Function2D:
+    """c0 + c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2."""
+    return Function2D(
+        lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y,
+        lambda x, y: c[1] + 2 * c[3] * x + c[4] * y,
+        lambda x, y: c[2] + c[4] * x + 2 * c[5] * y,
+        lambda x, y: c[4] + 0.0 * x + 0.0 * y,
+    )
+
+
+def wave_function(u: float, v: float, s: float = 0.0) -> Function2D:
+    """cos(u x + s) sin(v y)."""
+    return Function2D(
+        lambda x, y: np.cos(u * x + s) * np.sin(v * y),
+        lambda x, y: -u * np.sin(u * x + s) * np.sin(v * y),
+        lambda x, y: v * np.cos(u * x + s) * np.cos(v * y),
+        lambda x, y: -u * v * np.sin(u * x + s) * np.cos(v * y),
+    )
+
+
+def gauss_function(s: float) -> Function2D:
+    """exp(-s (x^2 + y^2))."""
+
+    def g(x, y):
+        return np.exp(-s * (x * x + y * y))
+
+    return Function2D(
+        g,
+        lambda x, y: -2.0 * s * x * g(x, y),
+        lambda x, y: -2.0 * s * y * g(x, y),
+        lambda x, y: 4.0 * s * s * x * y * g(x, y),
+    )
+
+
+def invcube_function(a0: complex) -> Function2D:
+    """(a0 + x + i y)^-3, complex-valued."""
+
+    def b(x, y):
+        return a0 + x + 1j * y
+
+    return Function2D(
+        lambda x, y: b(x, y) ** -3,
+        lambda x, y: -3.0 * b(x, y) ** -4,
+        lambda x, y: -3.0j * b(x, y) ** -4,
+        lambda x, y: 12.0j * b(x, y) ** -5,
+    )
+
+
 @dataclass(frozen=True)
 class EmBreakdown:
     """The four right-hand-side terms of the 2-D summation identity."""

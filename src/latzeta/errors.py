@@ -27,10 +27,6 @@ class PointOnLattice(DomainError):
     """The evaluation point a lies on (or too close to) the lattice."""
 
 
-class PoleHit(DomainError):
-    """Integrand evaluated at (or too close to) its pole."""
-
-
 class PoleNearDomain(DomainError):
     """An integration region passes too close to the integrand's pole."""
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, SlowConvergence
-from .quadrature import integrate_ray, integrate_segment, vectorize1
+from .quadrature import integrate_ray, integrate_segment
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,11 +53,8 @@ _EPS_FLOOR = 4e-16
 
 
 def panel_budget(override=None) -> int:
-    """Effective panel budget; LATZETA_PANEL_BUDGET overrides the default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("LATZETA_PANEL_BUDGET")
-    return int(float(env)) if env else DEFAULT_PANEL_BUDGET
+    """Effective panel budget: the override, else DEFAULT_PANEL_BUDGET."""
+    return DEFAULT_PANEL_BUDGET if override is None else int(override)
 
 
 class LineMode(Enum):
@@ -459,37 +455,24 @@ def integrate_ray(
     f,
     start: float,
     decay_order: float | None = None,
-    exp_rate: float = 0.0,
     tol: float = 1e-8,
     budget=None,
     max_radius: int = 1 << 14,
 ) -> QuadratureResult:
     """Integrate f over [start, infinity).
 
-    Either an algebraic decay order (> 1) or an exponential rate
-    (|f| ~ e^{-rate * x}) must describe the tail; with exponential decay
-    the plain truncation bound alone usually terminates the doubling."""
+    Requires an algebraic decay order |f| ~ x^-decay_order with
+    decay_order > 1, validated by sampling; it sets the tail bound."""
+    if decay_order is None or decay_order <= 1:
+        raise UnsupportedDecay("integrate_ray needs decay_order > 1")
     fv = vectorize1(f)
     seg_tol = tol / 8
+    probes = start + np.array([32.0, 128.0, 512.0])
+    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
+    q = decay_order
 
-    if exp_rate > 0:
-        probes = [start + 8.0, start + 16.0, start + 32.0]
-        mags = np.abs(fv(np.asarray(probes)))
-        c = float(np.max(mags * np.exp(exp_rate * (np.asarray(probes) - start)))) if mags.size else 0.0
-
-        def tail_bound(r):
-            return c * math.exp(-exp_rate * (r - start)) / exp_rate
-
-    elif decay_order is not None and decay_order > 1:
-        probes = start + np.array([32.0, 128.0, 512.0])
-        c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
-        q = decay_order
-
-        def tail_bound(r):
-            return c * r ** (1.0 - q) / (q - 1.0)
-
-    else:
-        raise UnsupportedDecay("integrate_ray needs decay_order > 1 or exp_rate > 0")
+    def tail_bound(r):
+        return c * r ** (1.0 - q) / (q - 1.0)
 
     def segment_for(r_prev, r):
         lo = start if r_prev is None else start + r_prev
@@ -502,11 +485,6 @@ def integrate_ray(
 
 # ---------------------------------------------------------------------------
 # 2-D rectangles
-
-
-def _axis_panels(lo, hi, integer_breakpoints, max_width=1.0):
-    pts = _cutpoints(lo, hi, (), integer_breakpoints, max_width=max_width)
-    return np.asarray(pts)
 
 
 def _tensor_nodes(edges, order_x, order_w):
@@ -544,7 +522,6 @@ def integrate_rect(
     y_lo: float,
     y_hi: float,
     tol: float = 1e-10,
-    integer_breakpoints: bool = True,
     budget=None,
 ) -> QuadratureResult:
     """Adaptive tensor-product integration over a finite rectangle.
@@ -556,8 +533,8 @@ def integrate_rect(
         raise ValueError("rectangle bounds must be increasing")
     fv2 = vectorize2(f)
 
-    xs = _axis_panels(x_lo, x_hi, integer_breakpoints, max_width=max(1.0, (x_hi - x_lo) / 4))
-    ys = _axis_panels(y_lo, y_hi, integer_breakpoints, max_width=max(1.0, (y_hi - y_lo) / 4))
+    xs = _cutpoints(x_lo, x_hi, (), True, max_width=max(1.0, (x_hi - x_lo) / 4))
+    ys = _cutpoints(y_lo, y_hi, (), True, max_width=max(1.0, (y_hi - y_lo) / 4))
     cells = [
         (float(a), float(b), float(c), float(d))
         for a, b in zip(xs, xs[1:])
@@ -615,8 +592,8 @@ def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl):
     bounds the slab's error as long as the per-cell error falls with
     distance from the peak, which holds for integrands that decay
     algebraically away from it."""
-    x_edges = _axis_panels(x_lo, x_hi, True)
-    y_edges = _axis_panels(y_lo, y_hi, True)
+    x_edges = _cutpoints(x_lo, x_hi, (), True)
+    y_edges = _cutpoints(y_lo, y_hi, (), True)
     base, evals = _rect_fixed(fv2, x_edges, y_edges, gl)
     i = int(np.clip(np.searchsorted(x_edges, hot_x) - 1, 0, len(x_edges) - 2))
     j = int(np.clip(np.searchsorted(y_edges, hot_y) - 1, 0, len(y_edges) - 2))

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em2d import Function2D, Rect, brute_force_sum_2d, em_sum_1d, em_sum_2d
+from .em2d import (
+    Rect,
+    brute_force_sum_2d,
+    em_sum_1d,
+    em_sum_2d,
+    invcube_function,
+    poly_function,
+    wave_function,
+)
 from .lattice import lattice_new
 from .lerch import LerchParams, lerch_coffey, lerch_series
 from .weil import WeilParams, eisenstein_series, weil_direct, weil_integral
@@ -32,46 +40,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.error <= self.tol
-
-
-def _seeded_poly_function(rng: np.random.Generator) -> Function2D:
-    """A random low-degree polynomial with exact partial derivatives."""
-    c = rng.uniform(-2.0, 2.0, size=6)  # 1, x, y, x^2, x*y, y^2
-
-    def phi(x, y):
-        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
-
-    def fx(x, y):
-        return c[1] + 2 * c[3] * x + c[4] * y
-
-    def fy(x, y):
-        return c[2] + c[4] * x + 2 * c[5] * y
-
-    def fxy(x, y):
-        return c[4] + 0.0 * x + 0.0 * y
-
-    return Function2D(phi, fx, fy, fxy)
-
-
-def _seeded_wave_function(rng: np.random.Generator) -> Function2D:
-    """A random smooth oscillatory function with exact partials."""
-    u = rng.uniform(0.2, 0.8)
-    v = rng.uniform(0.2, 0.8)
-    s = rng.uniform(-1.0, 1.0)
-
-    def phi(x, y):
-        return np.cos(u * x + s) * np.sin(v * y)
-
-    def fx(x, y):
-        return -u * np.sin(u * x + s) * np.sin(v * y)
-
-    def fy(x, y):
-        return v * np.cos(u * x + s) * np.cos(v * y)
-
-    def fxy(x, y):
-        return -u * v * np.sin(u * x + s) * np.cos(v * y)
-
-    return Function2D(phi, fx, fy, fxy)
 
 
 def verify_em2d(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
@@ -93,8 +61,12 @@ def verify_em2d(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     out.append(CheckResult("em2d", "1d-identity-vs-direct-sum", abs(got - want), tol))
 
     # 2-D identity against brute force for seeded polynomial and wave
-    for label, maker in (("poly", _seeded_poly_function), ("wave", _seeded_wave_function)):
-        f = maker(rng)
+    makers = (
+        ("poly", lambda: poly_function(rng.uniform(-2.0, 2.0, size=6))),
+        ("wave", lambda: wave_function(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(-1.0, 1.0))),
+    )
+    for label, make in makers:
+        f = make()
         r = Rect(
             rng.uniform(-2.0, 0.0),
             rng.uniform(4.0, 7.0),
@@ -109,20 +81,10 @@ def verify_em2d(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
         )
 
     # 2-D identity on a complex integrand with rapid decay
-    a0 = complex(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
-
-    def cphi(x, y):
-        return (a0 + x + 1j * y) ** -3
-
-    f = Function2D(
-        cphi,
-        lambda x, y: -3 * (a0 + x + 1j * y) ** -4,
-        lambda x, y: -3j * (a0 + x + 1j * y) ** -4,
-        lambda x, y: 12j * (a0 + x + 1j * y) ** -5,
-    )
+    f = invcube_function(complex(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)))
     r = Rect(2.0, 9.0, 2.0, 9.0)
     br = em_sum_2d(f, r, tol=tol / 10)
-    want = brute_force_sum_2d(cphi, r)
+    want = brute_force_sum_2d(f.phi, r)
     out.append(CheckResult("em2d", "2d-identity-complex-vs-brute-force", abs(br.total - want), tol))
     return out
 

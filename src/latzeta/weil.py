@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import p1
-from .errors import PointOnLattice, PoleHit, SlowConvergence, UnsupportedDecay
-from .lattice import Lattice, lattice_coordinates
+from .errors import PointOnLattice, SlowConvergence, UnsupportedDecay
+from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
 from .quadrature import (
     _EPS_FLOOR,
     LineMode,
@@ -63,11 +63,7 @@ class WeilParams:
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
-        c = lattice_coordinates(self.lat, -self.a)
-        if (
-            abs(c.x0 - round(c.x0)) <= LATTICE_POINT_TOL
-            and abs(c.y0 - round(c.y0)) <= LATTICE_POINT_TOL
-        ):
+        if nearest_lattice_distance_in_coords(self.lat, -self.a) <= LATTICE_POINT_TOL:
             raise PointOnLattice(f"a = {self.a} lies on the lattice")
 
 
@@ -81,25 +77,6 @@ class WeilReport:
     j3: complex = 0j
     eps_used: float = 0.0
     row_correction: complex = 0j
-
-
-def weil_integrand(p: WeilParams, x: float, y: float):
-    """Closed-form integrand values at (x, y): the function
-    1/(a + x w1 + y w2)^k and its first and mixed partials.
-
-    Integer powers are taken on the complex base directly (no logarithms,
-    hence no branch ambiguity)."""
-    w1, w2, k = p.lat.w1, p.lat.w2, p.k
-    base = p.a + x * w1 + y * w2
-    if abs(base) <= 1e-12:
-        raise PoleHit(f"evaluation at (x, y) = ({x}, {y}) hits the pole")
-    inv_k = base ** (-k)
-    inv_k1 = base ** (-(k + 1))
-    f = inv_k
-    df_dx = -k * w1 * inv_k1
-    df_dy = -k * w2 * inv_k1
-    d2f_dxdy = k * (k + 1) * w1 * w2 * base ** (-(k + 2))
-    return f, df_dx, df_dy, d2f_dxdy
 
 
 def _row_sum(c: complex, w1: complex, k: int, tol: float):
@@ -138,6 +115,7 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
     pole_row = abs(lattice_coordinates(lat, -a).y0)
     row_tol = tol / 64
     value, err = _row_sum(a, w1, k, row_tol)
+    row_mass = abs(value)
     pair_tol = tol / 8
     small_streak = 0
     m = 1
@@ -147,12 +125,14 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
         pair = up + dn
         value += pair
         err += e_up + e_dn
+        row_mass += abs(up) + abs(dn)
         # outer row pairs decay exponentially; two consecutive small pairs
         # bound the remaining tail comfortably
         if abs(pair) < pair_tol:
             small_streak += 1
             if small_streak >= 2 and m >= 4 and m > pole_row + 1:
-                err += 2 * abs(pair)
+                # the rows' roundoff can exceed their extrapolation increments
+                err += 2 * abs(pair) + _EPS_FLOOR * row_mass
                 return value, err
         else:
             small_streak = 0
@@ -172,6 +152,19 @@ def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise UnsupportedDecay("eisenstein_series requires integer k >= 3")
     return _eisenstein_sum(lat, 0j, k, tol)[0]
+
+
+def _strip_integrand(w1: complex, w2: complex, a: complex, k: int):
+    """The half-strip integrand of J2 and J3, with b = a + x w1 + y w2:
+    -k w1 b^-(k+1) P1(x) + k(k+1) w1 w2 b^-(k+2) P1(x) P1(y).
+    The b^-k and -k w2 b^-(k+1) P1(y) terms are left out: each integrates
+    to 0 along x on every row, hence (Fubini) over the strip."""
+
+    def f(x, y):
+        b = a + x * w1 + y * w2
+        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
+
+    return f
 
 
 def _choose_eps(y0: float, eps: float):
@@ -230,20 +223,13 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         edge_integrand, LineMode.ABSOLUTE, decay_order=float(k), tol=part_tol
     )
 
-    def strip_integrand(x, y):
-        """-k w1 b^-(k+1) P1(x) + k(k+1) w1 w2 b^-(k+2) P1(x) P1(y).
-        The b^-k and -k w2 b^-(k+1) P1(y) terms are left out: each
-        integrates to 0 along x on every row, hence (Fubini) over the strip."""
-        b = base(x, y)
-        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
-
     def pole_distance(x, y):
         return abs(base(x, y))
 
     # J2 above the band, J3 below it
     q2, q3 = (
         integrate_half_strip(
-            strip_integrand, y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0, pole=pole_distance
+            _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0, pole=pole_distance
         )
         for y_e, direction in ((y_up, "up"), (y_dn, "down"))
     )

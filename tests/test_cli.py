@@ -5,6 +5,7 @@ import json
 import pytest
 
 from latzeta.cli import main
+from latzeta.complexfmt import parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +46,7 @@ class TestWeil:
         assert json.loads(out)["error"] == "PointOnLattice"
 
     def test_budget_env_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATZETA_PANEL_BUDGET", "4")
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 4)
         code, out = run_cli(
             capsys,
             "weil", "--w1", "1", "--w2", "i", "--a", "0.3+0.2i", "--k", "4",
@@ -158,6 +159,18 @@ class TestEm2dCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["difference"] < 1e-8
+
+    @pytest.mark.parametrize("phi", ["poly", "wave", "gauss", "invcube"])
+    def test_registry_matches_brute_force(self, capsys, phi):
+        code, out = run_cli(
+            capsys,
+            "em2d", "--phi", phi,
+            "--alpha1", "0", "--beta1", "4", "--alpha2", "-1", "--beta2", "3.5",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        bf = parse_complex(doc["brute_force"])
+        assert doc["difference"] <= 1e-8 * (1 + abs(bf))
 
     def test_unknown_function(self, capsys):
         code, out = run_cli(

@@ -7,19 +7,18 @@ from latzeta.em2d import (
     brute_force_sum_2d,
     em_sum_1d,
     em_sum_2d,
+    gauss_function,
     integer_range,
+    invcube_function,
+    poly_function,
     validate_partials,
+    wave_function,
 )
 from latzeta.errors import BudgetExceeded
 
 
 def quadratic_radial():
-    return Function2D(
-        lambda x, y: x * x + y * y,
-        lambda x, y: 2.0 * x,
-        lambda x, y: 2.0 * y,
-        lambda x, y: 0.0 * x,
-    )
+    return poly_function((0.0, 0.0, 0.0, 1.0, 0.0, 1.0))
 
 
 class TestIntegerRange:
@@ -68,20 +67,10 @@ class TestEm2d:
         assert br.total == br.i1 + br.i2 + br.i3 + br.i4
 
     def test_complex_decaying(self):
-        a0 = 0.4 + 0.6j
-
-        def phi(x, y):
-            return (a0 + x + 1j * y) ** -3
-
-        f = Function2D(
-            phi,
-            lambda x, y: -3 * (a0 + x + 1j * y) ** -4,
-            lambda x, y: -3j * (a0 + x + 1j * y) ** -4,
-            lambda x, y: 12j * (a0 + x + 1j * y) ** -5,
-        )
+        f = invcube_function(0.4 + 0.6j)
         r = Rect(1.0, 8.0, 1.0, 8.0)
         br = em_sum_2d(f, r)
-        want = brute_force_sum_2d(phi, r)
+        want = brute_force_sum_2d(f.phi, r)
         assert abs(br.total - want) <= 1e-9
 
     def test_non_integer_rect(self):
@@ -99,7 +88,14 @@ class TestEm2d:
 class TestValidatePartials:
     def test_accepts_correct_partials(self):
         rng = np.random.default_rng(0)
-        validate_partials(quadratic_radial(), Rect(0.0, 3.0, 0.0, 3.0), rng)
+        for f in (
+            quadratic_radial(),
+            poly_function((0.5, -1.0, 0.25, 1.5, -0.75, 2.0)),
+            wave_function(0.6, 0.3, 0.7),
+            gauss_function(0.05),
+            invcube_function(0.4 + 0.6j),
+        ):
+            validate_partials(f, Rect(0.0, 3.0, 0.0, 3.0), rng)
 
     def test_rejects_wrong_partials(self):
         f = Function2D(

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.quadrature import (
@@ -17,6 +16,7 @@ from latzeta.quadrature import (
     _GL16_X,
     LineMode,
     _eval_panel_batch,
+    DEFAULT_PANEL_BUDGET,
     _strip_rect,
     integrate_half_strip,
     integrate_line,
@@ -29,17 +29,7 @@ from latzeta.quadrature import (
     vectorize1,
     vectorize2,
 )
-from latzeta.weil import WeilParams, weil_direct, weil_integral
-
-
-def weil_strip_integrand(w1, w2, a, k):
-    """The P1-weighted interior integrand of the Weil half-strips."""
-
-    def f(x, y):
-        b = a + x * w1 + y * w2
-        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
-
-    return f
+from latzeta.weil import WeilParams, _strip_integrand, weil_direct, weil_integral
 
 
 class TestSegment:
@@ -97,11 +87,9 @@ class TestSegment:
         assert q.panels >= 1200
         assert q.value == pytest.approx(400 * (1 - math.exp(-3)), rel=1e-12)
 
-    def test_env_budget_override(self, monkeypatch):
-        monkeypatch.setenv("LATZETA_PANEL_BUDGET", "3")
-        assert panel_budget(None) == 3
-        monkeypatch.delenv("LATZETA_PANEL_BUDGET")
+    def test_env_budget_override(self):
         assert panel_budget(7) == 7
+        assert panel_budget(None) == DEFAULT_PANEL_BUDGET
 
 
 class TestLine:
@@ -125,10 +113,6 @@ class TestLine:
 
 
 class TestRay:
-    def test_exponential(self):
-        q = integrate_ray(lambda x: np.exp(-x), 0.0, exp_rate=1.0, tol=1e-11)
-        assert q.value == pytest.approx(1.0, abs=1e-9)
-
     def test_algebraic(self):
         q = integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=1e-10)
         assert q.value == pytest.approx(1.0, abs=1e-8)
@@ -226,7 +210,7 @@ class TestHalfStrip:
     def test_weil_strip_converges_by_radius_32(self):
         # square lattice, a = 0.3 + 0.2i, k = 8: the strip above the band
         # y in (-0.45, 0.05) around the pole row y0 = -0.2
-        f = weil_strip_integrand(1.0, 1j, 0.3 + 0.2j, 8)
+        f = _strip_integrand(1.0, 1j, 0.3 + 0.2j, 8)
         q = integrate_half_strip(f, 0.05, "up", decay_order=8.0, tol=2.5e-9, hot_x=-0.3, max_radius=32)
         assert cmath.isfinite(q.value)
         assert q.err <= 2.5e-9 * (1 + abs(q.value))
@@ -234,7 +218,7 @@ class TestHalfStrip:
     def test_slab_err_bounds_rule_error(self):
         # right-hand slabs of the levels r = 8 (GL8 cells) and r = 32 (GL4
         # cells) of the strip above y = 0.05, peak at x = -0.3
-        fv2 = vectorize2(weil_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
+        fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
         for slab, gl in (
             ((3.5, 7.5, 0.05, 4.05), (_GL8_X, _GL8_W)),
             ((15.5, 31.5, 0.05, 16.05), (_GL4_X, _GL4_W)),

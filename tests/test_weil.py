@@ -1,17 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from latzeta.errors import PointOnLattice, PoleHit, UnsupportedDecay
+from latzeta.errors import PointOnLattice, UnsupportedDecay
 from latzeta.lattice import lattice_new
-from latzeta.weil import (
-    WeilParams,
-    eisenstein_series,
-    weil_direct,
-    weil_integral,
-    weil_integrand,
-)
+from latzeta.weil import WeilParams, eisenstein_series, weil_direct, weil_integral
 
 SQUARE = lattice_new(1.0, 1j)
 HEX = lattice_new(1.0, cmath.exp(1j * cmath.pi / 3))
@@ -28,29 +23,6 @@ class TestParams:
             WeilParams(SQUARE, 0.3 + 0.2j, 0)
         with pytest.raises(ValueError):
             WeilParams(SQUARE, 0.3 + 0.2j, -1)
-
-
-class TestIntegrand:
-    def test_values_against_finite_differences(self):
-        p = WeilParams(SQUARE, 0.3 + 0.2j, 4)
-        h = 1e-6
-        x, y = 0.7, 1.3
-        f, fx, fy, fxy = weil_integrand(p, x, y)
-
-        def F(xx, yy):
-            return weil_integrand(p, xx, yy)[0]
-
-        assert fx == pytest.approx((F(x + h, y) - F(x - h, y)) / (2 * h), rel=1e-6)
-        assert fy == pytest.approx((F(x, y + h) - F(x, y - h)) / (2 * h), rel=1e-6)
-        fd_xy = (F(x + h, y + h) - F(x + h, y - h) - F(x - h, y + h) + F(x - h, y - h)) / (
-            4 * h * h
-        )
-        assert fxy == pytest.approx(fd_xy, rel=1e-4)
-
-    def test_pole_hit(self):
-        p = WeilParams(SQUARE, 0.3 + 0.2j, 4)
-        with pytest.raises(PoleHit):
-            weil_integrand(p, -0.3, -0.2)
 
 
 class TestDirect:
@@ -85,6 +57,12 @@ class TestDirect:
         # full Eisenstein limit; here we only check the reported err
         rep = weil_direct(WeilParams(SQUARE, 0.3 + 0.2j, 1), tol=1e-10)
         assert rep.err < 1e-8
+
+    def test_err_covers_roundoff(self):
+        # |E_8| is about 1.7e7 here, so one ulp of the value (3.7e-9) is far
+        # above tol and above every row's extrapolation increment
+        rep = weil_direct(WeilParams(SQUARE, 0.875 + 1j, 8), tol=1e-13)
+        assert rep.err >= np.spacing(abs(rep.value))
 
 
 class TestIntegral:
