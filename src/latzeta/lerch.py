@@ -12,6 +12,10 @@ with z^x = exp(x Log z) on the principal branch.  The integral path is
 deliberately restricted to Re(a) > 0 and z off the cut (-inf, 0] (and to
 z = 1 exactly on the unit circle) so that all branches are unambiguous
 and the two methods are directly comparable.
+
+At z = 1 (Hurwitz zeta) ln z = 0.  The integral route then takes the plain
+integral in closed form and integrates only the P1-weighted ray; the series
+route adds an Euler-MacLaurin tail (DLMF 2.10.1) and uses no quadrature.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .quadrature import integrate_ray, integrate_segment
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
+# B_2, B_4, ..., B_20 (DLMF Table 24.2.1)
+_BERNOULLI_2J = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+    -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
+)
 
 
 @dataclass(frozen=True)
@@ -67,26 +76,22 @@ class LerchParams:
 def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     """Partial sums of the defining series until a tail bound is below tol.
 
-    |z| < 1 uses the geometric tail bound; |z| = 1 uses comparison with
-    the tail integral of (x - |a|)^(-Re s)."""
+    |z| < 1 uses the geometric tail bound; |z| = 1, z != 1 uses comparison
+    with the tail integral of (x - |a|)^(-Re s).  z = 1 sums N terms and
+    adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
     z, s, a = p.z, p.s, p.a
+    if z == 1:
+        return _hurwitz_em(s, a, tol)
     r = abs(z)
     if r == 0:
         return a ** (-s)  # 0^0 == 1: only the n = 0 term survives
     sigma = s.real
-    # real parameters at z = 1 take the pure-real power path: it is several
-    # times faster, which matters when the integral-comparison bound needs
-    # ~1e8 terms
-    real_path = z == 1 and s.imag == 0 and a.imag == 0
     total = 0j
     n0 = 0
     while n0 < SERIES_TERM_BUDGET:
         hi = min(n0 + _CHUNK, SERIES_TERM_BUDGET)
         n = np.arange(n0, hi, dtype=float)
-        if real_path:
-            total += complex(np.sum((a.real + n) ** (-sigma)))
-        else:
-            total += complex(np.sum(z**n * (a + n) ** (-s)))
+        total += complex(np.sum(z**n * (a + n) ** (-s)))
         n0 = hi
         last = n0 - 1
         if r < 1 - 1e-12:
@@ -102,13 +107,53 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     )
 
 
+def _hurwitz_em(s: complex, a: complex, tol: float) -> complex:
+    """sum_{n>=0} (n+a)^-s for Re s > 1: the first N terms directly, then the
+    Euler-MacLaurin tail at N (DLMF 2.10.1) of f(x) = (x+a)^-s,
+
+        (N+a)^(1-s)/(s-1) + f(N)/2 - sum_{j<p} B_2j/(2j)! f^(2j-1)(N),
+
+    with f^(m)(x) = (-1)^m (s)_m (x+a)^(-s-m).  Since the periodic
+    |B~_2p| <= |B_2p| (DLMF 24.9.1, 24.17), the remainder after p - 1
+    corrections is at most 2 |B_2p|/(2p)! int_N^inf |f^(2p)|; the loop
+    stops once that is below tol.  For x >= N, |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
+    N + Re a >= |s| + 12 keeps the corrections decreasing."""
+    sigma = s.real
+    n = max(0, math.ceil(abs(s) - a.real)) + 12
+    b = a + n
+    fb = b ** (-s)
+    total = sum((a + k) ** (-s) for k in range(n)) + b * fb / (s - 1.0) + 0.5 * fb
+    growth = math.exp(abs(s.imag * cmath.phase(b)))
+    poch = s  # (s)_(2j-1)
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
+        m = 2 * j
+        scale = b2j / math.factorial(m)
+        poch_m = poch * (s + m - 1)  # (s)_2j
+        bound = 2 * abs(scale * poch_m) * growth * (n + a.real) ** (1 - sigma - m) / (sigma + m - 1)
+        if bound < tol:
+            return total
+        total += scale * poch * fb * b ** (1 - m)
+        poch = poch_m * (s + m)
+    raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > tol {tol}", best=total)
+
+
 def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
-    """Coffey's integral representation on the principal branches."""
+    """Coffey's integral representation on the principal branches.
+
+    |z| < 1 truncates both integrals where the exponential tail bound
+    falls below tol.  At z = 1 the plain integral is the exact
+    (1+a)^(1-s)/(s-1), and only the weighted ray -s (x+a)^(-s-1) P1(x),
+    of decay order Re s + 1, goes to quadrature."""
     p.require_integral_path()
     z, s, a = p.z, p.s, p.a
     head = a ** (-s) + z / (2.0 * (a + 1.0) ** s)
-    log_z = cmath.log(z)
     sigma = s.real
+    if z == 1:
+        q = integrate_ray(
+            lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=sigma + 1.0, tol=tol / 2
+        )
+        return head + (1.0 + a) ** (1.0 - s) / (s - 1.0) + q.value
+    log_z = cmath.log(z)
 
     def zpow(x):
         return np.exp(np.asarray(x, float) * log_z)
@@ -120,27 +165,22 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         zx = zpow(x)
         return (zx * log_z * (x + a) ** (-s) - s * zx * (x + a) ** (-s - 1.0)) * p1(x)
 
-    if abs(z) < 1 - 1e-12:
-        rate = -math.log(abs(z))
-        # truncation radius from the exponential tail bound: the integral
-        # of |z|^x beyond the radius R is |z|^R / rate
-        radius = 16
-        while radius < 1 << 20:
-            bound = (
-                abs(z) ** radius
-                / (radius + a.real) ** sigma
-                * (1.0 + abs(log_z) + abs(s) / radius)
-                / rate
-            )
-            if bound < tol / 4:
-                break
-            radius *= 2
-        q1 = integrate_segment(plain, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
-        q2 = integrate_segment(weighted, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
-        return head + q1.value + q2.value
-    # z = 1: algebraic decay x^(-sigma) and x^(-sigma-1)
-    q1 = integrate_ray(plain, 1.0, decay_order=sigma, tol=tol / 2)
-    q2 = integrate_ray(weighted, 1.0, decay_order=sigma + 1.0, tol=tol / 2)
+    rate = -math.log(abs(z))
+    # truncation radius from the exponential tail bound: the integral
+    # of |z|^x beyond the radius R is |z|^R / rate
+    radius = 16
+    while radius < 1 << 20:
+        bound = (
+            abs(z) ** radius
+            / (radius + a.real) ** sigma
+            * (1.0 + abs(log_z) + abs(s) / radius)
+            / rate
+        )
+        if bound < tol / 4:
+            break
+        radius *= 2
+    q1 = integrate_segment(plain, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
+    q2 = integrate_segment(weighted, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
     return head + q1.value + q2.value
 
 

@@ -152,6 +152,12 @@ def verify_lerch(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
         LerchParams(z, s, a + 1.0), tol=inner_tol
     )
     out.append(CheckResult("lerch", "contiguous-ladder", abs(lhs - a ** -s), tol))
+
+    # z = 1 near the pole at s = 1: Euler-MacLaurin tail vs integral
+    p = LerchParams(1.0, rng.uniform(1.05, 1.5), rng.uniform(0.5, 3.0))
+    s_val = lerch_series(p, tol=inner_tol)
+    c_val = lerch_coffey(p, tol=inner_tol)
+    out.append(CheckResult("lerch", "series-vs-integral-z1", abs(s_val - c_val) / (1.0 + abs(s_val)), tol))
     return out
 
 

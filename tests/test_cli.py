@@ -77,6 +77,13 @@ class TestLerch:
         doc = json.loads(out)
         assert doc["value"].startswith("1.6449340668")
 
+    def test_unit_circle_near_one(self, capsys):
+        code, out = run_cli(
+            capsys, "lerch", "--z", "1", "--s", "1.1", "--a", "0.5", "--method", "both"
+        )
+        assert code == 0
+        assert json.loads(out)["difference"] < 1e-8
+
     def test_domain_error(self, capsys):
         code, out = run_cli(capsys, "lerch", "--z", "1", "--s", "0.5", "--a", "1")
         assert code == 2

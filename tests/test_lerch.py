@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import latzeta.lerch
 from latzeta.errors import DomainError
 from latzeta.lerch import (
     LerchParams,
@@ -107,3 +109,52 @@ class TestCoffeyNearUnitCircle:
         want = complex(mpmath.lerchphi(z, s, 1.0))
         got = lerch_coffey(LerchParams(z, s, 1.0), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
+
+
+ROUTES = {"series": lerch_series, "coffey": lerch_coffey}
+
+
+class TestUnitCircle:
+    """z = 1 (Hurwitz zeta) through both routes against mpmath.zeta, down to
+    Re s near 1 where the tails decay slowest."""
+
+    @staticmethod
+    def _check(got, s, a, tol):
+        mpmath = pytest.importorskip("mpmath")
+        ref = complex(mpmath.zeta(s, a))
+        assert abs(got - ref) <= tol * (1 + abs(ref))
+
+    def test_series_zeta2_tol_1e8(self):
+        self._check(lerch_series(LerchParams(1, 2, 1), tol=1e-8), 2, 1, 1e-8)
+
+    def test_hurwitz_s_1_1(self):
+        self._check(hurwitz_zeta(1.1, 0.5), 1.1, 0.5, 1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.3])
+    @pytest.mark.parametrize("s", [1.05, 1.1, 1.2, 1.518, 2.0, 2.5 + 0.5j])
+    def test_grid(self, s, a, route, tol):
+        self._check(ROUTES[route](LerchParams(1, s, a), tol=tol), s, a, tol)
+
+    def test_series_uses_no_quadrature(self, monkeypatch):
+        # the series route must stay independent of the integral route
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature called from lerch_series")
+
+        monkeypatch.setattr(latzeta.lerch, "integrate_ray", fail)
+        monkeypatch.setattr(latzeta.lerch, "integrate_segment", fail)
+        self._check(lerch_series(LerchParams(1, 1.1, 0.5)), 1.1, 0.5, 1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        s=st.floats(1.05, 6.0),
+        a=st.floats(0.2, 4.0),
+        route=st.sampled_from(sorted(ROUTES)),
+    )
+    def test_hurwitz_shift(self, s, a, route):
+        # zeta(s, a) - zeta(s, a+1) = a^-s
+        tol = 1e-10
+        f = ROUTES[route]
+        lo, hi = f(LerchParams(1, s, a), tol=tol), f(LerchParams(1, s, a + 1), tol=tol)
+        assert abs(lo - hi - a**-s) <= tol * (2 + abs(lo) + abs(hi))
