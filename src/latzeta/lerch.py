@@ -76,9 +76,13 @@ class LerchParams:
 def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     """Partial sums of the defining series until a tail bound is below tol.
 
-    |z| < 1 uses the geometric tail bound; |z| = 1, z != 1 uses comparison
-    with the tail integral of (x - |a|)^(-Re s).  z = 1 sums N terms and
-    adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
+    |z| < 1 uses the geometric tail bound.  |z| = 1, z != 1 uses summation
+    by parts (Dirichlet's test): with f(n) = (n+a)^-s and partial sums of
+    z^n bounded by 2/|1-z|, the tail from N is at most
+    2/|1-z| (|f(N)| + sum_{n>=N} |f(n+1) - f(n)|), and the sum is at most
+    |s| int_N^inf |x+a|^(-Re s-1) e^(|Im s| |arg(x+a)|) dx
+    <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  z = 1 sums N
+    terms and adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
     z, s, a = p.z, p.s, p.a
     if z == 1:
         return _hurwitz_em(s, a, tol)
@@ -97,9 +101,12 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
         if r < 1 - 1e-12:
             denom = max(abs(a + last), 1e-9)
             tail = r ** (last + 1) / ((1.0 - r) * denom**sigma)
+        elif n0 + a.real <= 0:
+            tail = math.inf
         else:
-            edge = last + 1 - abs(a)
-            tail = math.inf if edge <= 1 else edge ** (1.0 - sigma) / (sigma - 1.0)
+            b = a + n0
+            variation = abs(s) * math.exp(abs(s.imag * cmath.phase(b))) * (n0 + a.real) ** -sigma / sigma
+            tail = 2.0 / abs(1.0 - z) * (abs(b ** (-s)) + variation)
         if tail < tol:
             return total
     raise SlowConvergence(

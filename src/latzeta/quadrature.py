@@ -16,7 +16,9 @@ Two algorithms, each written once:
   half-strip's first level is an adaptive rectangle of radius 4 around the
   integrand peak; later levels are slabs with a fixed tensor rule per unit
   cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
-  the cell nearest the peak.  ``LineMode.SYMMETRIC`` realizes the
+  the cell nearest the peak: the rule there against the rule on the
+  cell's 2x2 split, both from precomputed unit-cell offsets in one
+  integrand call.  ``LineMode.SYMMETRIC`` realizes the
   symmetric limit lim_N int_{-N}^{N} for conditionally convergent
   integrands.
 
@@ -582,27 +584,43 @@ def integrate_rect(
 # half-infinite strips
 
 
+def _split_check(x, w):
+    """Offsets (u, v) in the unit cell and signed weights c such that, on a
+    cell with corner (x0, y0) and sides hx, hy,
+    hx * hy * (f(x0 + hx u, y0 + hy v) @ c) is the tensor rule (x, w) on
+    the cell minus the same rule on the cell's 2x2 split."""
+    (u1, w1), (u2, w2) = (_tensor_nodes(np.linspace(0.0, 1.0, n), x, w) for n in (2, 3))
+    u = np.concatenate([np.tile(u1, u1.size), np.tile(u2, u2.size)])
+    v = np.concatenate([np.repeat(u1, u1.size), np.repeat(u2, u2.size)])
+    c = np.concatenate([np.outer(w1, w1).ravel(), -np.outer(w2, w2).ravel()])
+    return u, v, c
+
+
+#: the split checks of the slab rules, by rule order
+_SPLIT_CHECKS = {len(x): _split_check(x, w) for x, w in ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))}
+
+
 def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl):
-    """Integral over one slab of a strip level: the tensor rule ``gl`` on
-    every cell of the integer grid.
+    """Integral over one slab of a strip level: the tensor rule ``gl``, GL8
+    or GL4 (nodes, weights) on [-1, 1], on every cell of the integer grid.
 
     The rule error is estimated on the cell nearest (hot_x, hot_y), the
     integrand peak: the rule there is compared with the rule on the cell's
-    2x2 split and |difference| is charged once per cell of the slab.  That
-    bounds the slab's error as long as the per-cell error falls with
-    distance from the peak, which holds for integrands that decay
-    algebraically away from it."""
+    2x2 split, both in one integrand call, and |difference| is charged once
+    per cell of the slab.  That bounds the slab's error as long as the
+    per-cell error falls with distance from the peak, which holds for
+    integrands that decay algebraically away from it."""
     x_edges = _cutpoints(x_lo, x_hi, (), True)
     y_edges = _cutpoints(y_lo, y_hi, (), True)
     base, evals = _rect_fixed(fv2, x_edges, y_edges, gl)
     i = int(np.clip(np.searchsorted(x_edges, hot_x) - 1, 0, len(x_edges) - 2))
     j = int(np.clip(np.searchsorted(y_edges, hot_y) - 1, 0, len(y_edges) - 2))
-    (coarse, n_coarse), (fine, n_fine) = (
-        _rect_fixed(fv2, np.linspace(*x_edges[i : i + 2], n), np.linspace(*y_edges[j : j + 2], n), gl)
-        for n in (2, 3)
-    )
+    x0, hx = x_edges[i], x_edges[i + 1] - x_edges[i]
+    y0, hy = y_edges[j], y_edges[j + 1] - y_edges[j]
+    u, v, c = _SPLIT_CHECKS[len(gl[0])]
+    diff = hx * hy * complex(fv2(x0 + hx * u, y0 + hy * v) @ c)
     n_panels = (len(x_edges) - 1) * (len(y_edges) - 1)
-    return QuadratureResult(base, abs(fine - coarse) * n_panels, n_panels, evals + n_coarse + n_fine)
+    return QuadratureResult(base, abs(diff) * n_panels, n_panels, evals + c.size)
 
 
 def integrate_half_strip(

@@ -18,7 +18,10 @@ Two independent evaluation routes:
   int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
   integrates to exactly 0 and is left out of the integrands.  What is
   left decays like |b|^-(k+1), faster than the decay order k passed to
-  the quadrature, which therefore stays a valid bound.
+  the quadrature, which therefore stays a valid bound.  The integrands
+  take one reciprocal 1/b per point and build its integer powers from
+  products (``_ipow``), updating arrays in place: numpy's complex ``**``
+  goes through cpow, which cost most of the integrand's time.
 
 (x0, y0) are the lattice coordinates of -a; when y0 falls on an integer
 row no band of width < 1 can exclude that row from both strips, so the
@@ -154,6 +157,20 @@ def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
     return _eisenstein_sum(lat, 0j, k, tol)[0]
 
 
+def _ipow(r, n: int):
+    """r**n for an integer n >= 2 by binary powering from the top bit of n:
+    one new array, then squarings and products by r in place."""
+    bits = bin(n)[3:]  # the bits below the leading 1
+    out = r * r
+    if bits[0] == "1":
+        out *= r
+    for bit in bits[1:]:
+        out *= out
+        if bit == "1":
+            out *= r
+    return out
+
+
 def _strip_integrand(w1: complex, w2: complex, a: complex, k: int):
     """The half-strip integrand of J2 and J3, with b = a + x w1 + y w2:
     -k w1 b^-(k+1) P1(x) + k(k+1) w1 w2 b^-(k+2) P1(x) P1(y).
@@ -161,8 +178,29 @@ def _strip_integrand(w1: complex, w2: complex, a: complex, k: int):
     to 0 along x on every row, hence (Fubini) over the strip."""
 
     def f(x, y):
-        b = a + x * w1 + y * w2
-        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
+        # g is updated in place, so at most three grids are alive at once
+        r = 1 / (a + x * w1 + y * w2)
+        g = (k + 1) * w2 * p1(y) * r
+        g -= 1
+        g *= _ipow(r, k + 1)
+        g *= k * w1 * p1(x)
+        return g
+
+    return f
+
+
+def _edge_integrand(w1: complex, w2: complex, a: complex, k: int, y_dn: float, y_up: float):
+    """The line integrand of J1, the P1(x)-weighted derivative terms of the
+    band edges y_dn < y_up, with b = a + x w1 + y w2:
+    k w1 P1(x) (P1(y_dn) b(x, y_dn)^-(k+1) - P1(y_up) b(x, y_up)^-(k+1)).
+    The edges' b^-k P1(y) terms integrate to 0 over the line."""
+    c_dn, c_up = a + y_dn * w2, a + y_up * w2
+    p1_dn, p1_up = p1(y_dn), p1(y_up)
+
+    def f(x):
+        return k * w1 * p1(x) * (
+            p1_dn * _ipow(1 / (c_dn + x * w1), k + 1) - p1_up * _ipow(1 / (c_up + x * w1), k + 1)
+        )
 
     return f
 
@@ -203,28 +241,14 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     y_dn = y0 - eps_used
     part_tol = tol / 4
 
-    def base(x, y):
-        return a + x * w1 + y * w2
-
     # decay_order stays k below: it is a valid (conservative) bound for the
     # remaining terms, which decay like |b|^-(k+1)
-    p1_up = p1(y_up)
-    p1_dn = p1(y_dn)
-
-    def edge_integrand(x):
-        """The P1(x)-weighted derivative terms of the edges y0 +/- eps.
-        The edges' b^-k P1(y0 +/- eps) terms integrate to 0 over the line."""
-        return (
-            k * w1 * p1(x)
-            * (p1_dn * base(x, y_dn) ** (-(k + 1)) - p1_up * base(x, y_up) ** (-(k + 1)))
-        )
-
     q1 = integrate_line(
-        edge_integrand, LineMode.ABSOLUTE, decay_order=float(k), tol=part_tol
+        _edge_integrand(w1, w2, a, k, y_dn, y_up), LineMode.ABSOLUTE, decay_order=float(k), tol=part_tol
     )
 
     def pole_distance(x, y):
-        return abs(base(x, y))
+        return abs(a + x * w1 + y * w2)
 
     # J2 above the band, J3 below it
     q2, q3 = (

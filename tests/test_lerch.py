@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -109,6 +110,28 @@ class TestCoffeyNearUnitCircle:
         want = complex(mpmath.lerchphi(z, s, 1.0))
         got = lerch_coffey(LerchParams(z, s, 1.0), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
+
+
+class TestSeriesOnUnitCircle:
+    """|z| = 1, z != 1: the partial sums of z^n stay bounded, so the series
+    tail is bounded by summation by parts long before absolute comparison
+    would allow a stop."""
+
+    @pytest.mark.parametrize(
+        "z,s,a,tol",
+        [
+            (-1, 2, 1, 1e-8),
+            (1j, 2, 1, 1e-8),
+            (-1, 2, 1, 1e-12),
+            (cmath.exp(2j), 3, 0.7, 1e-10),
+            (-1j, 1.5 + 2j, 0.5 + 0.5j, 1e-8),
+        ],
+    )
+    def test_matches_mpmath(self, z, s, a, tol):
+        mpmath = pytest.importorskip("mpmath")
+        ref = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_series(LerchParams(z, s, a), tol=tol)
+        assert abs(got - ref) <= tol * (1 + abs(ref))
 
 
 ROUTES = {"series": lerch_series, "coffey": lerch_coffey}

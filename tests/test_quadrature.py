@@ -17,6 +17,8 @@ from latzeta.quadrature import (
     LineMode,
     _eval_panel_batch,
     DEFAULT_PANEL_BUDGET,
+    _cutpoints,
+    _rect_fixed,
     _strip_rect,
     integrate_half_strip,
     integrate_line,
@@ -227,6 +229,48 @@ class TestHalfStrip:
             truth = integrate_rect(fv2, *slab, tol=1e-14).value
             assert q.err > 0
             assert abs(q.value - truth) <= q.err
+
+    # the slabs of test_slab_err_bounds_rule_error, each with a sharp peak
+    # inside its hot cell, so that the rule error dwarfs the roundoff of
+    # the difference coarse - fine
+    SLABS = (
+        ((3.5, 7.5, 0.05, 4.05), (_GL8_X, _GL8_W)),
+        ((-7.5, 8.5, 4.05, 8.05), (_GL8_X, _GL8_W)),
+        ((15.5, 31.5, 0.05, 16.05), (_GL4_X, _GL4_W)),
+    )
+
+    @staticmethod
+    def _peaked(slab):
+        px, py = 0.5 * (slab[0] + slab[1]) + 0.2, slab[2] + 0.3
+        return px, py, vectorize2(lambda x, y: (1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04))
+
+    def test_slab_err_matches_two_call_estimate(self):
+        for slab, gl in self.SLABS:
+            px, py, fv2 = self._peaked(slab)
+            x_edges = _cutpoints(slab[0], slab[1], (), True)
+            y_edges = _cutpoints(slab[2], slab[3], (), True)
+            i = int(np.searchsorted(x_edges, px)) - 1
+            j = int(np.searchsorted(y_edges, py)) - 1
+            coarse, fine = (
+                _rect_fixed(fv2, np.linspace(*x_edges[i : i + 2], n), np.linspace(*y_edges[j : j + 2], n), gl)[0]
+                for n in (2, 3)
+            )
+            want = abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
+            assert _strip_rect(fv2, *slab, px, py, gl).err == pytest.approx(want, rel=1e-12)
+
+    def test_slab_makes_two_integrand_calls(self):
+        # one call for the rule on the whole slab, one for its error estimate
+        for slab, gl in self.SLABS:
+            px, py, fv2 = self._peaked(slab)
+            calls = []
+
+            def counted(x, y):
+                calls.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+                return fv2(x, y)
+
+            q = _strip_rect(counted, *slab, px, py, gl)
+            assert len(calls) == 2
+            assert q.evals == sum(math.prod(shape) for shape in calls)
 
     def test_weil_err_bounds_true_error(self):
         for w2, x, y, k in itertools.product(

@@ -6,7 +6,15 @@ import pytest
 
 from latzeta.errors import PointOnLattice, UnsupportedDecay
 from latzeta.lattice import lattice_new
-from latzeta.weil import WeilParams, eisenstein_series, weil_direct, weil_integral
+from latzeta.bernoulli import p1
+from latzeta.weil import (
+    WeilParams,
+    _edge_integrand,
+    _strip_integrand,
+    eisenstein_series,
+    weil_direct,
+    weil_integral,
+)
 
 SQUARE = lattice_new(1.0, 1j)
 HEX = lattice_new(1.0, cmath.exp(1j * cmath.pi / 3))
@@ -110,6 +118,50 @@ class TestIntegral:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             weil_integral(WeilParams(SQUARE, 0.3 + 0.2j, 4), eps=0.7)
+
+
+class TestIntegrands:
+    """The strip and edge integrands build b^-(k+1) from products of 1/b;
+    they must agree with the plain complex-power formulas."""
+
+    W1, W2, A = 1.0, 0.3 + 1.1j, 0.37 - 0.21j
+    Y_DN, Y_UP = -0.05, 0.45  # band edges around the pole row y0 = 0.19
+
+    def _strip_plain(self, k, x, y):
+        w1, w2, a = self.W1, self.W2, self.A
+        b = a + x * w1 + y * w2
+        return k * w1 * p1(x) * b ** (-(k + 1)) * ((k + 1) * w2 * p1(y) / b - 1)
+
+    def _edge_plain(self, k, x):
+        w1, w2, a = self.W1, self.W2, self.A
+        return k * w1 * p1(x) * (
+            p1(self.Y_DN) * (a + x * w1 + self.Y_DN * w2) ** (-(k + 1))
+            - p1(self.Y_UP) * (a + x * w1 + self.Y_UP * w2) ** (-(k + 1))
+        )
+
+    @staticmethod
+    def _close(got, want):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 20])
+    def test_strip_matches_plain_powers(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.uniform(-40.0, 40.0, (1, 64))
+        y = rng.uniform(0.45, 40.0, (48, 1))
+        f = _strip_integrand(self.W1, self.W2, self.A, k)
+        self._close(f(x, y), self._strip_plain(k, x, y))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 20])
+    def test_edge_matches_plain_powers(self, k):
+        x = np.random.default_rng(100 + k).uniform(-40.0, 40.0, 256)
+        f = _edge_integrand(self.W1, self.W2, self.A, k, self.Y_DN, self.Y_UP)
+        self._close(f(x), self._edge_plain(k, x))
+
+    def test_scalar_calls(self):
+        f = _strip_integrand(self.W1, self.W2, self.A, 5)
+        self._close(f(1.3, 0.7), self._strip_plain(5, 1.3, 0.7))
+        g = _edge_integrand(self.W1, self.W2, self.A, 5, self.Y_DN, self.Y_UP)
+        self._close(g(-2.6), self._edge_plain(5, -2.6))
 
 
 class TestEisenstein:
