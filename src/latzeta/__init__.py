@@ -42,14 +42,12 @@ from .lattice import (
 )
 from .lerch import LerchParams, hurwitz_zeta, lerch_coffey, lerch_series, riemann_zeta
 from .quadrature import (
-    LineMode,
     QuadratureResult,
     integrate_half_strip,
     integrate_line,
     integrate_ray,
     integrate_rect,
     integrate_segment,
-    panel_budget,
 )
 from .verify import CheckResult, run_suite
 from .weil import (
@@ -73,13 +71,11 @@ __all__ = [
     "lattice_coordinates",
     "nearest_lattice_distance_in_coords",
     "QuadratureResult",
-    "LineMode",
     "integrate_segment",
     "integrate_line",
     "integrate_ray",
     "integrate_rect",
     "integrate_half_strip",
-    "panel_budget",
     "Rect",
     "Function2D",
     "EmBreakdown",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import BudgetExceeded
-from .quadrature import integrate_rect, integrate_segment, vectorize1, vectorize2
+from .quadrature import check_tol, integrate_rect, integrate_segment, vectorize1, vectorize2
 
 BRUTE_FORCE_POINT_BUDGET = 10**7
 
@@ -145,34 +145,27 @@ def validate_partials(
                 )
 
 
-def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10, budget=None) -> complex:
+def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10) -> complex:
     """Sum of phi(n) over integers n in (alpha, beta] via the first-order
     Euler-MacLaurin identity: integral of phi, integral of phi' * P1, and
     the two boundary terms."""
     if not alpha < beta:
         raise ValueError("need alpha < beta")
+    check_tol(tol)
     phiv = vectorize1(phi)
     dphiv = vectorize1(dphi)
-    main = integrate_segment(
-        phiv, alpha, beta, tol=tol / 2, integer_breakpoints=True, budget=budget
-    )
-    corr = integrate_segment(
-        lambda x: dphiv(x) * p1(x),
-        alpha,
-        beta,
-        tol=tol / 2,
-        integer_breakpoints=True,
-        budget=budget,
-    )
+    main = integrate_segment(phiv, alpha, beta, tol=tol / 2)
+    corr = integrate_segment(lambda x: dphiv(x) * p1(x), alpha, beta, tol=tol / 2)
     boundary = p1(alpha) * complex(phiv(np.array([alpha]))[0]) - p1(beta) * complex(
         phiv(np.array([beta]))[0]
     )
     return main.value + corr.value + boundary
 
 
-def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9, budget=None) -> EmBreakdown:
+def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:
     """Double sum of phi over integer pairs in (alpha1, beta1] x
     (alpha2, beta2] via the two-dimensional summation identity."""
+    check_tol(tol)
     phi = vectorize2(f.phi)
     fx = vectorize2(f.dphi_dx)
     fy = vectorize2(f.dphi_dy)
@@ -188,7 +181,7 @@ def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9, budget=None) -> EmBreak
             + fxy(x, y) * p1(x) * p1(y)
         )
 
-    q1 = integrate_rect(interior, a1, b1, a2, b2, tol=term_tol, budget=budget)
+    q1 = integrate_rect(interior, a1, b1, a2, b2, tol=term_tol)
 
     p1a1, p1b1 = p1(a1), p1(b1)
     p1a2, p1b2 = p1(a2), p1(b2)
@@ -202,9 +195,7 @@ def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9, budget=None) -> EmBreak
             - fy(np.full_like(y, b1), y) * p1(y) * p1b1
         )
 
-    q2 = integrate_segment(
-        x_boundary, a2, b2, tol=term_tol, integer_breakpoints=True, budget=budget
-    )
+    q2 = integrate_segment(x_boundary, a2, b2, tol=term_tol)
 
     def y_boundary(x):
         x = np.asarray(x, float)
@@ -215,9 +206,7 @@ def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9, budget=None) -> EmBreak
             - fx(x, np.full_like(x, b2)) * p1(x) * p1b2
         )
 
-    q3 = integrate_segment(
-        y_boundary, a1, b1, tol=term_tol, integer_breakpoints=True, budget=budget
-    )
+    q3 = integrate_segment(y_boundary, a1, b1, tol=term_tol)
 
     def corner(x, y):
         return complex(phi(np.array([x]), np.array([y]))[0])

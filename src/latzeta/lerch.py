@@ -28,7 +28,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, SlowConvergence
-from .quadrature import integrate_ray, integrate_segment
+from .quadrature import check_tol, integrate_ray, integrate_segment
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -76,13 +76,20 @@ class LerchParams:
 def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     """Partial sums of the defining series until a tail bound is below tol.
 
-    |z| < 1 uses the geometric tail bound.  |z| = 1, z != 1 uses summation
-    by parts (Dirichlet's test): with f(n) = (n+a)^-s and partial sums of
-    z^n bounded by 2/|1-z|, the tail from N is at most
+    Terms are summed in chunks that double from 64 to _CHUNK.  Let N be
+    the first unsummed index, b = a + N and N + Re a > 0.  For n >= N,
+    |arg(a+n)| <= |arg b| and |a+n+1|/|a+n| <= 1 + 1/(N + Re a), so
+    |z^n (a+n)^-s| <= r^N |b|^-Re s e^(|Im s| |arg b|) rho^(n-N) with
+    r = |z| and rho = r (1 + 1/(N + Re a))^max(0, -Re s).  For |z| < 1 and
+    rho < 1 the tail is therefore at most
+    r^N |b|^-Re s e^(|Im s| |arg b|) / (1 - rho).  |z| = 1, z != 1 uses
+    summation by parts (Dirichlet's test): with f(n) = (n+a)^-s and partial
+    sums of z^n bounded by 2/|1-z|, the tail from N is at most
     2/|1-z| (|f(N)| + sum_{n>=N} |f(n+1) - f(n)|), and the sum is at most
     |s| int_N^inf |x+a|^(-Re s-1) e^(|Im s| |arg(x+a)|) dx
     <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  z = 1 sums N
     terms and adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
+    check_tol(tol)
     z, s, a = p.z, p.s, p.a
     if z == 1:
         return _hurwitz_em(s, a, tol)
@@ -92,20 +99,22 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     sigma = s.real
     total = 0j
     n0 = 0
+    chunk = 64
     while n0 < SERIES_TERM_BUDGET:
-        hi = min(n0 + _CHUNK, SERIES_TERM_BUDGET)
+        hi = min(n0 + chunk, SERIES_TERM_BUDGET)
         n = np.arange(n0, hi, dtype=float)
         total += complex(np.sum(z**n * (a + n) ** (-s)))
         n0 = hi
-        last = n0 - 1
-        if r < 1 - 1e-12:
-            denom = max(abs(a + last), 1e-9)
-            tail = r ** (last + 1) / ((1.0 - r) * denom**sigma)
-        elif n0 + a.real <= 0:
+        chunk = min(2 * chunk, _CHUNK)
+        b = a + n0
+        growth = math.exp(abs(s.imag * cmath.phase(b)))
+        if n0 + a.real <= 0:
             tail = math.inf
+        elif r < 1 - 1e-12:
+            rho = r * (1.0 + 1.0 / (n0 + a.real)) ** max(0.0, -sigma)
+            tail = r**n0 * abs(b) ** -sigma * growth / (1.0 - rho) if rho < 1 else math.inf
         else:
-            b = a + n0
-            variation = abs(s) * math.exp(abs(s.imag * cmath.phase(b))) * (n0 + a.real) ** -sigma / sigma
+            variation = abs(s) * growth * (n0 + a.real) ** -sigma / sigma
             tail = 2.0 / abs(1.0 - z) * (abs(b ** (-s)) + variation)
         if tail < tol:
             return total
@@ -148,10 +157,13 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     """Coffey's integral representation on the principal branches.
 
     |z| < 1 truncates both integrals where the exponential tail bound
-    falls below tol.  At z = 1 the plain integral is the exact
-    (1+a)^(1-s)/(s-1), and only the weighted ray -s (x+a)^(-s-1) P1(x),
-    of decay order Re s + 1, goes to quadrature."""
+    falls below tol/4; when that needs a radius beyond 2^20, it raises
+    SlowConvergence with the value at 2^20 as ``.best``.  At z = 1 the
+    plain integral is the exact (1+a)^(1-s)/(s-1), and only the weighted
+    ray -s (x+a)^(-s-1) P1(x), of decay order Re s + 1, goes to
+    quadrature."""
     p.require_integral_path()
+    check_tol(tol)
     z, s, a = p.z, p.s, p.a
     head = a ** (-s) + z / (2.0 * (a + 1.0) ** s)
     sigma = s.real
@@ -176,19 +188,21 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     # truncation radius from the exponential tail bound: the integral
     # of |z|^x beyond the radius R is |z|^R / rate
     radius = 16
-    while radius < 1 << 20:
-        bound = (
-            abs(z) ** radius
-            / (radius + a.real) ** sigma
-            * (1.0 + abs(log_z) + abs(s) / radius)
-            / rate
-        )
-        if bound < tol / 4:
-            break
+    while (
+        bound := abs(z) ** radius
+        / (radius + a.real) ** sigma
+        * (1.0 + abs(log_z) + abs(s) / radius)
+        / rate
+    ) >= tol / 4 and radius < 1 << 20:
         radius *= 2
-    q1 = integrate_segment(plain, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
-    q2 = integrate_segment(weighted, 1.0, 1.0 + radius, tol=tol / 4, integer_breakpoints=True)
-    return head + q1.value + q2.value
+    q1 = integrate_segment(plain, 1.0, 1.0 + radius, tol=tol / 4)
+    q2 = integrate_segment(weighted, 1.0, 1.0 + radius, tol=tol / 4)
+    value = head + q1.value + q2.value
+    if bound >= tol / 4:
+        raise SlowConvergence(
+            f"tail bound {bound:.3g} at truncation radius {radius} exceeds tol/4 = {tol / 4:.3g}", best=value
+        )
+    return value
 
 
 def hurwitz_zeta(s: complex, a: complex, tol: float = 1e-10) -> complex:

@@ -3,11 +3,12 @@
 Two algorithms, each written once:
 
 * ``_refine``, adaptive max-heap refinement on a finite domain, cut at
-  caller breakpoints and at integers (the periodized Bernoulli weight P1
-  is non-smooth exactly there).  Each pass splits up to 64 of the worst
-  items and evaluates their children in one batch.  ``integrate_segment``
-  compares GL16 on a panel with GL16 on its halves, ``integrate_rect``
-  GL8xGL8 on a cell with GL8xGL8 on its 2x2 split.
+  integers (the periodized Bernoulli weight P1 is non-smooth exactly
+  there).  Each pass splits up to 64 of the worst items and evaluates
+  their children in one batch.  ``integrate_segment`` compares GL16 on a
+  panel with GL16 on its halves, ``integrate_rect`` GL8xGL8 on a cell
+  with GL8xGL8 on its 2x2 split.  Both raise NoConvergence once the
+  panels would exceed ``DEFAULT_PANEL_BUDGET``.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
@@ -18,9 +19,7 @@ Two algorithms, each written once:
   cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
   the cell nearest the peak: the rule there against the rule on the
   cell's 2x2 split, both from precomputed unit-cell offsets in one
-  integrand call.  ``LineMode.SYMMETRIC`` realizes the
-  symmetric limit lim_N int_{-N}^{N} for conditionally convergent
-  integrands.
+  integrand call.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -31,7 +30,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from .errors import (
     UnsupportedDecay,
 )
 
+#: panels one adaptive segment or rectangle may hold, read at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
@@ -54,14 +53,11 @@ _PANEL_X = np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5])
 _EPS_FLOOR = 4e-16
 
 
-def panel_budget(override=None) -> int:
-    """Effective panel budget: the override, else DEFAULT_PANEL_BUDGET."""
-    return DEFAULT_PANEL_BUDGET if override is None else int(override)
-
-
-class LineMode(Enum):
-    ABSOLUTE = "absolute"
-    SYMMETRIC = "symmetric"
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite: zero, negative
+    or NaN can never be met and would only run a budget out."""
+    if not (0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -254,18 +250,15 @@ def _refine(items, evaluate, split, cost, tol, max_panels, what):
 # finite segments
 
 
-def _cutpoints(a, b, breakpoints, integer_breakpoints, max_width=None):
+def _cutpoints(a, b, max_width=None):
+    """The ends of [a, b] and the integers inside it, sorted; with
+    ``max_width``, each piece is split evenly to at most that width."""
     cuts = {float(a), float(b)}
-    for p in breakpoints:
-        p = float(p)
-        if a < p < b:
-            cuts.add(p)
-    if integer_breakpoints:
-        n0 = math.floor(a) + 1
-        n1 = math.ceil(b) - 1
-        # guard against pathological spans; the adaptive stage can still split
-        if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET:
-            cuts.update(float(n) for n in range(n0, n1 + 1))
+    n0 = math.floor(a) + 1
+    n1 = math.ceil(b) - 1
+    # guard against pathological spans; the adaptive stage can still split
+    if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET:
+        cuts.update(float(n) for n in range(n0, n1 + 1))
     pts = sorted(cuts)
     if max_width is not None:
         refined = [pts[0]]
@@ -296,25 +289,17 @@ def _eval_panel_batch(fv, bounds):
     return out
 
 
-def integrate_segment(
-    f,
-    a: float,
-    b: float,
-    breakpoints=(),
-    tol: float = 1e-10,
-    integer_breakpoints: bool = False,
-    budget=None,
-) -> QuadratureResult:
+def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
     """Adaptively integrate f over [a, b].
 
-    Panels are pre-split at every breakpoint (and at every integer when
-    requested) and then bisected where the Richardson estimate is largest
-    until the summed estimate satisfies err <= tol * (1 + |value|).
+    Panels are pre-split at every integer, where a P1-weighted integrand
+    has its kinks, and then bisected where the Richardson estimate is
+    largest until the summed estimate satisfies err <= tol * (1 + |value|).
+    Raises NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
     """
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if a == b:
         return QuadratureResult(0j, 0.0, 0, 0)
     fv = vectorize1(f)
@@ -326,14 +311,14 @@ def integrate_segment(
         mid = 0.5 * (lo + hi)
         return [(lo, mid), (mid, hi)]
 
-    pts = _cutpoints(a, b, breakpoints, integer_breakpoints)
+    pts = _cutpoints(a, b)
     return _refine(
         list(zip(pts, pts[1:])),
         lambda panels: _eval_panel_batch(fv, panels),
         split,
         48,
         tol,
-        panel_budget(budget),
+        DEFAULT_PANEL_BUDGET,
         f"segment [{a}, {b}]",
     )
 
@@ -409,63 +394,37 @@ def _total(parts):
     )
 
 
-def integrate_line(
-    f,
-    mode: LineMode,
-    decay_order: float | None = None,
-    tol: float = 1e-8,
-    budget=None,
-    max_radius: int = 1 << 13,
-) -> QuadratureResult:
-    """Integrate f over the whole real line.
+def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
+    """Integrate f over the whole real line, an absolutely convergent
+    integral.
 
-    ABSOLUTE mode requires decay_order > 1 and validates it by sampling;
-    SYMMETRIC mode evaluates the symmetric partial integrals at doubling
-    radii and extrapolates (the defining convention for conditionally
-    convergent integrands)."""
+    Requires an algebraic decay order |f| ~ |x|^-decay_order with
+    decay_order > 1, validated by sampling on both sides; it sets the tail
+    bound."""
+    if decay_order <= 1:
+        raise UnsupportedDecay("integrate_line needs decay_order > 1")
     fv = vectorize1(f)
     seg_tol = tol / 8
+    probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
+    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
+    q = decay_order
 
-    if mode is LineMode.ABSOLUTE:
-        if decay_order is None or decay_order <= 1:
-            raise UnsupportedDecay("ABSOLUTE line mode needs decay_order > 1")
-        probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
-        c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
-        q = decay_order
-
-        def tail_bound(r):
-            return 2.0 * c * r ** (1.0 - q) / (q - 1.0)
-
-    else:
-
-        def tail_bound(r):
-            return math.inf
+    def tail_bound(r):
+        return 2.0 * c * r ** (1.0 - q) / (q - 1.0)
 
     def segment_for(r_prev, r):
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        return _total(
-            [
-                integrate_segment(fv, lo, hi, tol=seg_tol, integer_breakpoints=True, budget=budget)
-                for lo, hi in spans
-            ]
-        )
+        return _total([integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans])
 
-    return _improper(segment_for, 16, max_radius, tol, tail_bound, 64 * panel_budget(budget))
+    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
 
 
-def integrate_ray(
-    f,
-    start: float,
-    decay_order: float | None = None,
-    tol: float = 1e-8,
-    budget=None,
-    max_radius: int = 1 << 14,
-) -> QuadratureResult:
+def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
     """Integrate f over [start, infinity).
 
     Requires an algebraic decay order |f| ~ x^-decay_order with
     decay_order > 1, validated by sampling; it sets the tail bound."""
-    if decay_order is None or decay_order <= 1:
+    if decay_order <= 1:
         raise UnsupportedDecay("integrate_ray needs decay_order > 1")
     fv = vectorize1(f)
     seg_tol = tol / 8
@@ -478,11 +437,9 @@ def integrate_ray(
 
     def segment_for(r_prev, r):
         lo = start if r_prev is None else start + r_prev
-        return integrate_segment(
-            fv, lo, start + r, tol=seg_tol, integer_breakpoints=True, budget=budget
-        )
+        return integrate_segment(fv, lo, start + r, tol=seg_tol)
 
-    return _improper(segment_for, 16, max_radius, tol, tail_bound, 64 * panel_budget(budget))
+    return _improper(segment_for, 16, 1 << 14, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +481,6 @@ def integrate_rect(
     y_lo: float,
     y_hi: float,
     tol: float = 1e-10,
-    budget=None,
 ) -> QuadratureResult:
     """Adaptive tensor-product integration over a finite rectangle.
 
@@ -533,10 +489,11 @@ def integrate_rect(
     summed estimate meets tol."""
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
+    check_tol(tol)
     fv2 = vectorize2(f)
 
-    xs = _cutpoints(x_lo, x_hi, (), True, max_width=max(1.0, (x_hi - x_lo) / 4))
-    ys = _cutpoints(y_lo, y_hi, (), True, max_width=max(1.0, (y_hi - y_lo) / 4))
+    xs = _cutpoints(x_lo, x_hi, max_width=max(1.0, (x_hi - x_lo) / 4))
+    ys = _cutpoints(y_lo, y_hi, max_width=max(1.0, (y_hi - y_lo) / 4))
     cells = [
         (float(a), float(b), float(c), float(d))
         for a, b in zip(xs, xs[1:])
@@ -575,7 +532,7 @@ def integrate_rect(
         split,
         64 + 256,
         tol,
-        panel_budget(budget),
+        DEFAULT_PANEL_BUDGET,
         f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]",
     )
 
@@ -610,8 +567,8 @@ def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl):
     per cell of the slab.  That bounds the slab's error as long as the
     per-cell error falls with distance from the peak, which holds for
     integrands that decay algebraically away from it."""
-    x_edges = _cutpoints(x_lo, x_hi, (), True)
-    y_edges = _cutpoints(y_lo, y_hi, (), True)
+    x_edges = _cutpoints(x_lo, x_hi)
+    y_edges = _cutpoints(y_lo, y_hi)
     base, evals = _rect_fixed(fv2, x_edges, y_edges, gl)
     i = int(np.clip(np.searchsorted(x_edges, hot_x) - 1, 0, len(x_edges) - 2))
     j = int(np.clip(np.searchsorted(y_edges, hot_y) - 1, 0, len(y_edges) - 2))
@@ -629,7 +586,6 @@ def integrate_half_strip(
     direction: str,
     decay_order: float,
     tol: float = 1e-8,
-    budget=None,
     hot_x: float = 0.0,
     pole=None,
     max_radius: int = 1024,
@@ -695,9 +651,7 @@ def integrate_half_strip(
             # the innermost rectangle contains the integrand peak: hand it
             # to the fully adaptive 2-D routine so its error is controlled,
             # and keep fixed-order cells for the smooth outer slabs only
-            return integrate_rect(
-                fv2, x_center - r, x_center + r, *y_span(0.0, r), tol=tol / 4, budget=budget
-            )
+            return integrate_rect(fv2, x_center - r, x_center + r, *y_span(0.0, r), tol=tol / 4)
         # slabs at distance >= 16 from the peak hold only slowly varying
         # integrand mass; a 4-point rule per unit cell is enough there
         gl = (_GL4_X, _GL4_W) if r_prev >= 16 else (_GL8_X, _GL8_W)
@@ -710,4 +664,4 @@ def integrate_half_strip(
             [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
         )
 
-    return _improper(segment_for, 4, max_radius, tol, tail_bound, 64 * panel_budget(budget))
+    return _improper(segment_for, 4, max_radius, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)

@@ -42,8 +42,8 @@ from .errors import PointOnLattice, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
 from .quadrature import (
     _EPS_FLOOR,
-    LineMode,
     _accelerate,
+    check_tol,
     integrate_half_strip,
     integrate_line,
 )
@@ -114,6 +114,7 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
     The outer sum stays centred on m = 0 (for k = 1 the rows tend to the
     constants -/+ i pi / w1, so re-centring would change E_1), but it may
     not stop before it has passed the pole row."""
+    check_tol(tol)
     w1, w2 = lat.w1, lat.w2
     pole_row = abs(lattice_coordinates(lat, -a).y0)
     row_tol = tol / 64
@@ -233,6 +234,7 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         )
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
+    check_tol(tol)
     w1, w2, a, k = p.lat.w1, p.lat.w2, p.a, p.k
     coords = lattice_coordinates(p.lat, -a)
     x0, y0 = coords.x0, coords.y0
@@ -243,9 +245,7 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
 
     # decay_order stays k below: it is a valid (conservative) bound for the
     # remaining terms, which decay like |b|^-(k+1)
-    q1 = integrate_line(
-        _edge_integrand(w1, w2, a, k, y_dn, y_up), LineMode.ABSOLUTE, decay_order=float(k), tol=part_tol
-    )
+    q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
 
     def pole_distance(x, y):
         return abs(a + x * w1 + y * w2)

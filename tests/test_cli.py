@@ -55,6 +55,18 @@ class TestWeil:
         assert code == 3
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("method", ["direct", "integral"])
+    def test_unmeetable_tol_exit_2(self, capsys, method, tol):
+        code, out = run_cli(
+            capsys,
+            "weil", "--w1", "1", "--w2", "i", "--a", "0.3+0.2i", "--k", "3",
+            "--method", method, "--tol", tol,
+        )
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "ValueError", "message": "tol must be positive and finite"}
+
     def test_deterministic_output(self, capsys):
         args = ("weil", "--w1", "1", "--w2", "i", "--a", "0.4+0.3i", "--k", "3")
         _, out1 = run_cli(capsys, *args)
@@ -83,6 +95,13 @@ class TestLerch:
         )
         assert code == 0
         assert json.loads(out)["difference"] < 1e-8
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_unmeetable_tol_exit_2(self, capsys, tol):
+        code, out = run_cli(capsys, "lerch", "--z", "0.5", "--s", "2", "--a", "1", "--tol", tol)
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "ValueError", "message": "tol must be positive and finite"}
 
     def test_domain_error(self, capsys):
         code, out = run_cli(capsys, "lerch", "--z", "1", "--s", "0.5", "--a", "1")

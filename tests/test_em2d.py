@@ -85,6 +85,14 @@ class TestEm2d:
             Rect(2.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_rejects_unmeetable_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        em_sum_1d(np.cos, lambda x: -np.sin(x), 0.0, 3.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        em_sum_2d(quadratic_radial(), Rect(0.0, 3.0, 0.0, 3.0), tol=tol)
+
+
 class TestValidatePartials:
     def test_accepts_correct_partials(self):
         rng = np.random.default_rng(0)

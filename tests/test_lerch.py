@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latzeta.lerch
-from latzeta.errors import DomainError
+from latzeta.errors import ConvergenceError, DomainError
 from latzeta.lerch import (
     LerchParams,
     hurwitz_zeta,
@@ -110,6 +111,51 @@ class TestCoffeyNearUnitCircle:
         want = complex(mpmath.lerchphi(z, s, 1.0))
         got = lerch_coffey(LerchParams(z, s, 1.0), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
+
+    @pytest.mark.parametrize("z,s", [(0.999999, 2.0), (0.99999, 1.0)])
+    def test_meets_tol_or_raises_at_radius_cap(self, z, s):
+        # the tail bound needs a truncation radius beyond 2^20 here
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-8
+        want = complex(mpmath.lerchphi(z, s, 1.0))
+        try:
+            got = lerch_coffey(LerchParams(z, s, 1.0), tol=tol)
+        except ConvergenceError as exc:
+            assert exc.best is not None
+        else:
+            assert abs(got - want) <= tol * (1 + abs(want))
+
+
+class TestSeriesInsideDisk:
+    """|z| < 1: small first chunks, stopped by a tail bound that holds for
+    Re s < 0 and for complex a and s."""
+
+    def test_term_count(self, monkeypatch):
+        lengths = []
+
+        class LoggingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arange(self, *args, **kwargs):
+                out = np.arange(*args, **kwargs)
+                lengths.append(len(out))
+                return out
+
+        monkeypatch.setattr(latzeta.lerch, "np", LoggingNumpy())
+        lerch_series(LerchParams(0.9, 2, 1), tol=1e-10)
+        assert 0 < sum(lengths) < 1000
+
+    # (0.5, -3, 1) is sum n^3 / 2^(n-1) over n >= 1 = 52, with growing terms
+    @pytest.mark.parametrize(
+        "z,s,a", [(0.5, -3, 1), (0.9, 2 + 1j, 0.5 + 0.5j), (0.999, 1.5, 0.7)]
+    )
+    def test_matches_mpmath(self, z, s, a):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-10
+        ref = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_series(LerchParams(z, s, a), tol=tol)
+        assert abs(got - ref) <= tol * (1 + abs(ref))
 
 
 class TestSeriesOnUnitCircle:

@@ -14,9 +14,7 @@ from latzeta.quadrature import (
     _GL8_X,
     _GL16_W,
     _GL16_X,
-    LineMode,
     _eval_panel_batch,
-    DEFAULT_PANEL_BUDGET,
     _cutpoints,
     _rect_fixed,
     _strip_rect,
@@ -25,7 +23,6 @@ from latzeta.quadrature import (
     integrate_ray,
     integrate_rect,
     integrate_segment,
-    panel_budget,
     richardson_extrapolate,
     shanks_extrapolate,
     vectorize1,
@@ -49,8 +46,16 @@ class TestSegment:
         assert q.value == pytest.approx(2j, abs=1e-10)
 
     def test_kink_with_breakpoint(self):
-        q = integrate_segment(lambda x: np.abs(x - 1.0), 0.0, 3.0, breakpoints=(1.0,), tol=1e-12)
+        # the kink at 1 is an integer cut
+        q = integrate_segment(lambda x: np.abs(x - 1.0), 0.0, 3.0, tol=1e-12)
         assert q.value == pytest.approx(0.5 + 2.0, abs=1e-10)
+
+    def test_kink_off_integer_grid(self):
+        # the kink at 0.3 is no cut, so bisection has to find it
+        q = integrate_segment(lambda x: np.abs(x - 0.3), 0.0, 3.0, tol=1e-12)
+        truth = (0.3**2 + 2.7**2) / 2
+        assert abs(q.value - truth) <= 1e-12 * (1 + truth)
+        assert q.err >= abs(q.value - truth)
 
     def test_err_bounds_truth(self):
         q = integrate_segment(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 10.0, tol=1e-10)
@@ -58,9 +63,10 @@ class TestSegment:
         truth = (3 - math.exp(-10) * (math.sin(30) + 3 * math.cos(30))) / 10
         assert abs(q.value - truth) <= max(q.err * 10, 1e-13)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 2)
         with pytest.raises(NoConvergence) as ei:
-            integrate_segment(lambda x: np.sin(1000 * x), 0.0, 50.0, tol=1e-14, budget=2)
+            integrate_segment(lambda x: np.sin(1000 * x), 0.0, 50.0, tol=1e-14)
         assert ei.value.best is not None
         assert cmath.isfinite(ei.value.best.value)
 
@@ -85,33 +91,40 @@ class TestSegment:
     def test_scalar_only_integrand_over_many_panels(self):
         # 1200 integer panels; math.exp rejects the node arrays, so every
         # batch goes through the scalar fallback
-        q = integrate_segment(lambda x: math.exp(-x / 400), 0.0, 1200.0, tol=1e-12, integer_breakpoints=True)
+        q = integrate_segment(lambda x: math.exp(-x / 400), 0.0, 1200.0, tol=1e-12)
         assert q.panels >= 1200
         assert q.value == pytest.approx(400 * (1 - math.exp(-3)), rel=1e-12)
 
-    def test_env_budget_override(self):
-        assert panel_budget(7) == 7
-        assert panel_budget(None) == DEFAULT_PANEL_BUDGET
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda tol: integrate_segment(np.cos, 0.0, 1.0, tol=tol),
+        lambda tol: integrate_rect(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=tol),
+        lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=tol),
+        lambda tol: integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=tol),
+        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, "up", 4.0, tol=tol),
+    ],
+    ids=["segment", "rect", "line", "ray", "half_strip"],
+)
+def test_rejects_unmeetable_tol(integrate, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate(tol)
 
 
 class TestLine:
     def test_lorentzian(self):
-        q = integrate_line(lambda x: 1.0 / (1.0 + x * x), LineMode.ABSOLUTE, decay_order=2.0, tol=1e-10)
+        q = integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=1e-10)
         assert q.value == pytest.approx(math.pi, abs=1e-9)
 
     def test_shifted_peak(self):
-        q = integrate_line(
-            lambda x: 1.0 / (1.0 + (x - 3.0) ** 2) ** 2, LineMode.ABSOLUTE, decay_order=4.0, tol=1e-10
-        )
+        q = integrate_line(lambda x: 1.0 / (1.0 + (x - 3.0) ** 2) ** 2, decay_order=4.0, tol=1e-10)
         assert q.value == pytest.approx(math.pi / 2, abs=1e-9)
-
-    def test_symmetric_mode_odd_function(self):
-        q = integrate_line(lambda x: x / (1.0 + x * x), LineMode.SYMMETRIC, tol=1e-9)
-        assert abs(q.value) < 1e-9
 
     def test_absolute_requires_decay(self):
         with pytest.raises(UnsupportedDecay):
-            integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), LineMode.ABSOLUTE, decay_order=1.0)
+            integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), decay_order=1.0)
 
 
 class TestRay:
@@ -145,9 +158,10 @@ class TestRect:
         q = integrate_rect(lambda x, y: math.exp(-x - 2 * y), 0.0, 1.0, 0.0, 2.0, tol=1e-11)
         assert q.value == pytest.approx((1 - math.exp(-1)) * (1 - math.exp(-4)) / 2, abs=1e-10)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 20)
         with pytest.raises(NoConvergence) as ei:
-            integrate_rect(lambda x, y: np.sin(40 * x * y), 0.0, 3.0, 0.0, 3.0, tol=1e-14, budget=20)
+            integrate_rect(lambda x, y: np.sin(40 * x * y), 0.0, 3.0, 0.0, 3.0, tol=1e-14)
         best = ei.value.best
         assert cmath.isfinite(best.value)
         assert best.panels <= 20
@@ -247,8 +261,8 @@ class TestHalfStrip:
     def test_slab_err_matches_two_call_estimate(self):
         for slab, gl in self.SLABS:
             px, py, fv2 = self._peaked(slab)
-            x_edges = _cutpoints(slab[0], slab[1], (), True)
-            y_edges = _cutpoints(slab[2], slab[3], (), True)
+            x_edges = _cutpoints(slab[0], slab[1])
+            y_edges = _cutpoints(slab[2], slab[3])
             i = int(np.searchsorted(x_edges, px)) - 1
             j = int(np.searchsorted(y_edges, py)) - 1
             coarse, fine = (
