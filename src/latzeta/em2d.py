@@ -147,19 +147,18 @@ def validate_partials(
 
 def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10) -> complex:
     """Sum of phi(n) over integers n in (alpha, beta] via the first-order
-    Euler-MacLaurin identity: integral of phi, integral of phi' * P1, and
-    the two boundary terms."""
+    Euler-MacLaurin identity: the integral of phi + phi' P1 (the 1-D twin
+    of em_sum_2d's interior integrand) and the two boundary terms."""
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     check_tol(tol)
     phiv = vectorize1(phi)
     dphiv = vectorize1(dphi)
-    main = integrate_segment(phiv, alpha, beta, tol=tol / 2)
-    corr = integrate_segment(lambda x: dphiv(x) * p1(x), alpha, beta, tol=tol / 2)
+    q = integrate_segment(lambda x: phiv(x) + dphiv(x) * p1(x), alpha, beta, tol=tol)
     boundary = p1(alpha) * complex(phiv(np.array([alpha]))[0]) - p1(beta) * complex(
         phiv(np.array([beta]))[0]
     )
-    return main.value + corr.value + boundary
+    return q.value + boundary
 
 
 def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, SlowConvergence
-from .quadrature import check_tol, integrate_ray, integrate_segment
+from .quadrature import _EPS_FLOOR, check_tol, integrate_ray, integrate_segment
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -87,23 +87,27 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     sums of z^n bounded by 2/|1-z|, the tail from N is at most
     2/|1-z| (|f(N)| + sum_{n>=N} |f(n+1) - f(n)|), and the sum is at most
     |s| int_N^inf |x+a|^(-Re s-1) e^(|Im s| |arg(x+a)|) dx
-    <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  z = 1 sums N
-    terms and adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
+    <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  Raises
+    SlowConvergence if the roundoff 4e-16 sum |terms| exceeds tol (1 + |sum|).
+    z = 1 sums N terms and adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
     if z == 1:
-        return _hurwitz_em(s, a, tol)
+        return _hurwitz_em(s, a, tol)[0]
     r = abs(z)
     if r == 0:
         return a ** (-s)  # 0^0 == 1: only the n = 0 term survives
     sigma = s.real
     total = 0j
+    mass = 0.0  # sum of |terms|, whose roundoff the total carries
     n0 = 0
     chunk = 64
     while n0 < SERIES_TERM_BUDGET:
         hi = min(n0 + chunk, SERIES_TERM_BUDGET)
         n = np.arange(n0, hi, dtype=float)
-        total += complex(np.sum(z**n * (a + n) ** (-s)))
+        terms = z**n * (a + n) ** (-s)
+        total += complex(np.sum(terms))
+        mass += float(np.sum(np.abs(terms)))
         n0 = hi
         chunk = min(2 * chunk, _CHUNK)
         b = a + n0
@@ -117,13 +121,15 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
             variation = abs(s) * growth * (n0 + a.real) ** -sigma / sigma
             tail = 2.0 / abs(1.0 - z) * (abs(b ** (-s)) + variation)
         if tail < tol:
+            if (roundoff := _EPS_FLOOR * mass) > tol * (1.0 + abs(total)):
+                raise SlowConvergence(f"cancelling terms: roundoff {roundoff:.3g} > tol {tol}", best=total)
             return total
     raise SlowConvergence(
         f"series needs more than {SERIES_TERM_BUDGET} terms for tol {tol}", best=total
     )
 
 
-def _hurwitz_em(s: complex, a: complex, tol: float) -> complex:
+def _hurwitz_em(s: complex, a: complex, tol: float) -> tuple[complex, float]:
     """sum_{n>=0} (n+a)^-s for Re s > 1: the first N terms directly, then the
     Euler-MacLaurin tail at N (DLMF 2.10.1) of f(x) = (x+a)^-s,
 
@@ -132,7 +138,8 @@ def _hurwitz_em(s: complex, a: complex, tol: float) -> complex:
     with f^(m)(x) = (-1)^m (s)_m (x+a)^(-s-m).  Since the periodic
     |B~_2p| <= |B_2p| (DLMF 24.9.1, 24.17), the remainder after p - 1
     corrections is at most 2 |B_2p|/(2p)! int_N^inf |f^(2p)|; the loop
-    stops once that is below tol.  For x >= N, |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
+    stops once that is below tol and returns (value, bound).  For x >= N,
+    |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
     N + Re a >= |s| + 12 keeps the corrections decreasing."""
     sigma = s.real
     n = max(0, math.ceil(abs(s) - a.real)) + 12
@@ -147,7 +154,7 @@ def _hurwitz_em(s: complex, a: complex, tol: float) -> complex:
         poch_m = poch * (s + m - 1)  # (s)_2j
         bound = 2 * abs(scale * poch_m) * growth * (n + a.real) ** (1 - sigma - m) / (sigma + m - 1)
         if bound < tol:
-            return total
+            return total, bound
         total += scale * poch * fb * b ** (1 - m)
         poch = poch_m * (s + m)
     raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > tol {tol}", best=total)
@@ -156,12 +163,12 @@ def _hurwitz_em(s: complex, a: complex, tol: float) -> complex:
 def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     """Coffey's integral representation on the principal branches.
 
-    |z| < 1 truncates both integrals where the exponential tail bound
-    falls below tol/4; when that needs a radius beyond 2^20, it raises
-    SlowConvergence with the value at 2^20 as ``.best``.  At z = 1 the
-    plain integral is the exact (1+a)^(1-s)/(s-1), and only the weighted
-    ray -s (x+a)^(-s-1) P1(x), of decay order Re s + 1, goes to
-    quadrature."""
+    |z| < 1 integrates g + g' P1 with g = z^x (x+a)^-s (the 1-D twin of
+    em2d's interior integrand) as one segment at tol/2, truncated where the
+    exponential tail bound falls below tol/4; when that needs a radius
+    beyond 2^20, it raises SlowConvergence with the value at 2^20 as
+    ``.best``.  At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1),
+    and only the weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
@@ -174,15 +181,9 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         return head + (1.0 + a) ** (1.0 - s) / (s - 1.0) + q.value
     log_z = cmath.log(z)
 
-    def zpow(x):
-        return np.exp(np.asarray(x, float) * log_z)
-
-    def plain(x):
-        return zpow(x) * (x + a) ** (-s)
-
-    def weighted(x):
-        zx = zpow(x)
-        return (zx * log_z * (x + a) ** (-s) - s * zx * (x + a) ** (-s - 1.0)) * p1(x)
+    def integrand(x):
+        g = np.exp(np.asarray(x, float) * log_z) * (x + a) ** (-s)
+        return g * (1.0 + (log_z - s / (x + a)) * p1(x))
 
     rate = -math.log(abs(z))
     # truncation radius from the exponential tail bound: the integral
@@ -195,9 +196,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / rate
     ) >= tol / 4 and radius < 1 << 20:
         radius *= 2
-    q1 = integrate_segment(plain, 1.0, 1.0 + radius, tol=tol / 4)
-    q2 = integrate_segment(weighted, 1.0, 1.0 + radius, tol=tol / 4)
-    value = head + q1.value + q2.value
+    value = head + integrate_segment(integrand, 1.0, 1.0 + radius, tol=tol / 2).value
     if bound >= tol / 4:
         raise SlowConvergence(
             f"tail bound {bound:.3g} at truncation radius {radius} exceeds tol/4 = {tol / 4:.3g}", best=value

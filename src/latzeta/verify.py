@@ -23,7 +23,7 @@ from .em2d import (
     poly_function,
     wave_function,
 )
-from .lattice import lattice_new
+from .lattice import lattice_coordinates, lattice_new
 from .lerch import LerchParams, lerch_coffey, lerch_series
 from .weil import WeilParams, eisenstein_series, weil_direct, weil_integral
 
@@ -119,6 +119,13 @@ def verify_weil(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     # method equivalence: summation vs integral representation
     q = weil_integral(WeilParams(lat, a, k), tol=inner_tol)
     out.append(CheckResult("weil", "direct-vs-integral", abs(q.value - e) / scale, tol))
+
+    # the same with the pole 1e-4 off an integer row, which the band holds
+    c = lattice_coordinates(lat, -a)
+    p = WeilParams(lat, -(c.x0 * lat.w1 + (round(c.y0) + 1e-4) * lat.w2), k)
+    d = weil_direct(p, tol=inner_tol).value
+    q = weil_integral(p, tol=inner_tol)
+    out.append(CheckResult("weil", "near-row-direct-vs-integral", abs(q.value - d) / (1.0 + abs(d)), tol))
 
     # structural zero: odd Eisenstein series vanish
     out.append(CheckResult("weil", "eisenstein-odd-zero", abs(eisenstein_series(lat, 5, tol=inner_tol)), tol))

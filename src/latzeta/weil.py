@@ -23,23 +23,23 @@ Two independent evaluation routes:
   products (``_ipow``), updating arrays in place: numpy's complex ``**``
   goes through cpow, which cost most of the integrand's time.
 
-(x0, y0) are the lattice coordinates of -a; when y0 falls on an integer
-row no band of width < 1 can exclude that row from both strips, so the
-dropped row is summed directly (the pole then lies on that row's line,
-which rules out integrating along it) and reported as
-``row_correction``.
+(x0, y0) are the lattice coordinates of -a.  The strips leave out the
+band (y0 - eps, y0 + eps], which holds at most one integer row since
+eps < 1/2.  That row is summed by the 1-D Euler-MacLaurin formula (two
+Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
+``row_correction``; the pole stays eps from both band edges.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import p1
+from .bernoulli import frac, p1
 from .errors import PointOnLattice, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
+from .lerch import _hurwitz_em
 from .quadrature import (
     _EPS_FLOOR,
     _accelerate,
@@ -206,27 +206,30 @@ def _edge_integrand(w1: complex, w2: complex, a: complex, k: int, y_dn: float, y
     return f
 
 
-def _choose_eps(y0: float, eps: float):
-    """Adjust eps so the open-closed band (y0 - eps, y0 + eps] contains no
-    integer, or flag the integer row that cannot be avoided.
-
-    Returns (eps_used, integer_row or None)."""
-    nearest = round(y0)
-    d = abs(y0 - nearest)
-    if d <= LATTICE_POINT_TOL:
-        # no band of half-width < 1 can exclude this row; cap eps so no
-        # second integer enters and sum the row separately
-        return min(eps, 0.45), int(nearest)
-    d_up = math.floor(y0) + 1 - y0
-    d_down = y0 - math.floor(y0)
-    limit = min(d_up, d_down)
-    if eps < limit:
-        return eps, None
-    return 0.9 * limit, None
+def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
+    """Row n, sum_m (c + m w1)^-k with c = a + n w2, by the 1-D Euler-MacLaurin
+    formula: with u = c/w1 and d = u - round(Re u) it is
+    w1^-k [d^-k + zeta(k, 1+d) + (-1)^k zeta(k, 1-d)], and Re(1 +/- d) >= 1/2
+    keeps `_hurwitz_em`'s remainder bound.  Returns (value, err); err adds
+    the terms' roundoff and, through k (|d|^-(k+1) + 2^(k+2)), that of d."""
+    u = (a + n * w2) / w1
+    d = u - round(u.real)
+    scale = abs(w1) ** k
+    (zp, ep), (zm, em) = (_hurwitz_em(k, 1 + sign * d, tol * scale / 2) for sign in (1, -1))
+    lead = d**-k
+    delta_d = _EPS_FLOOR * ((abs(a) + abs(n * w2)) / abs(w1) + abs(u))
+    err = ep + em + _EPS_FLOOR * (abs(lead) + abs(zp) + abs(zm))
+    err += k * (abs(d) ** -(k + 1) + 2.0 ** (k + 2)) * delta_d
+    return (lead + zp + (-1) ** k * zm) / w1**k, err / scale
 
 
 def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
-    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3)."""
+    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3).
+
+    The strips leave out the band (y0 - eps, y0 + eps] around the pole
+    row, with eps as given.  The band holds at most one integer row, found
+    from the same floats that P1 sees at the edges; it is summed by
+    `_band_row` and reported as ``row_correction``."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -238,9 +241,7 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     w1, w2, a, k = p.lat.w1, p.lat.w2, p.a, p.k
     coords = lattice_coordinates(p.lat, -a)
     x0, y0 = coords.x0, coords.y0
-    eps_used, missed_row = _choose_eps(y0, eps)
-    y_up = y0 + eps_used
-    y_dn = y0 - eps_used
+    y_up, y_dn = y0 + eps, y0 - eps
     part_tol = tol / 4
 
     # decay_order stays k below: it is a valid (conservative) bound for the
@@ -258,17 +259,10 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         for y_e, direction in ((y_up, "up"), (y_dn, "down"))
     )
 
-    row_correction = 0j
-    row_err = 0.0
-    if missed_row is not None:
-        # the pole sits on this row's line, so the row cannot go through the
-        # 1-D integral identity; its lattice points are summed directly
-        row_correction, row_err = _row_sum(a + missed_row * w2, w1, k, part_tol)
-        # the row holds the lattice point nearest the pole, so its sum can be
-        # large enough for roundoff to exceed the extrapolation increment
-        row_err += _EPS_FLOOR * abs(row_correction)
+    lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
+    row, row_err = _band_row(a, w1, w2, k, hi, part_tol) if hi > lo else (0j, 0.0)
 
-    value = q1.value + q2.value + q3.value + row_correction
+    value = q1.value + q2.value + q3.value + row
     err = q1.err + q2.err + q3.err + row_err
     return WeilReport(
         value=value,
@@ -277,6 +271,6 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         j1=q1.value,
         j2=q2.value,
         j3=q3.value,
-        eps_used=eps_used,
-        row_correction=row_correction,
+        eps_used=eps,
+        row_correction=row,
     )

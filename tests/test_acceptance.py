@@ -109,8 +109,8 @@ def test_criterion_4_eps_invariance():
     worst = 0.0
     for _ in range(10):
         lat = lattice_new(1.0, complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.3)))
-        # place -a mid-way between integer rows so both eps values survive
-        # the nudging policy unchanged
+        # place -a mid-way between integer rows, so that neither band
+        # holds a row and the two values come from the strips alone
         x0 = rng.uniform(0.2, 0.8)
         y0 = rng.uniform(0.45, 0.55)
         a = -(x0 * lat.w1 + y0 * lat.w2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latzeta.lerch
-from latzeta.errors import ConvergenceError, DomainError
+from latzeta.errors import ConvergenceError, DomainError, SlowConvergence
 from latzeta.lerch import (
     LerchParams,
     hurwitz_zeta,
@@ -156,6 +156,27 @@ class TestSeriesInsideDisk:
         ref = complex(mpmath.lerchphi(z, s, a))
         got = lerch_series(LerchParams(z, s, a), tol=tol)
         assert abs(got - ref) <= tol * (1 + abs(ref))
+
+    def test_cancelling_terms_raise(self):
+        # sum |terms| is about 1.3e16 here, so roundoff alone is about 5
+        with pytest.raises(SlowConvergence):
+            lerch_series(LerchParams(0.0354 - 0.9984j, -3.924, 1.813 - 1.130j), tol=1e-8)
+
+    def test_meets_tol_or_raises(self):
+        # Re s < 0 near |z| = 1, where the terms grow far beyond the sum
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            z = rng.choice([0.9, 0.99, 0.999]) * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+            s = complex(rng.uniform(-4, 2), rng.uniform(-1, 1))
+            a = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+            tol = 10.0 ** -int(rng.integers(8, 12))
+            try:
+                got = lerch_series(LerchParams(z, s, a), tol=tol)
+            except SlowConvergence:
+                continue
+            ref = complex(mpmath.lerchphi(z, s, a))
+            assert abs(got - ref) <= tol * (1 + abs(ref)), (z, s, a, tol)
 
 
 class TestSeriesOnUnitCircle:

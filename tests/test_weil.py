@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from latzeta.lattice import lattice_new
 from latzeta.bernoulli import p1
 from latzeta.weil import (
     WeilParams,
+    _band_row,
     _edge_integrand,
     _strip_integrand,
     eisenstein_series,
@@ -87,11 +89,61 @@ class TestIntegral:
         q = weil_integral(p, tol=1e-8)
         assert abs(q.value - d) / (1 + abs(d)) <= 1e-7
 
-    def test_eps_is_adjusted_away_from_rows(self):
-        # y0 = -0.2 here, so eps = 0.25 would sweep an integer row into
-        # the band and must shrink
+    def test_eps_used_as_given(self):
+        # y0 = -0.2 here, so the band (-0.45, 0.05] holds row 0: eps stays
+        # and that row is summed by the 1-D Euler-MacLaurin formula
         q = weil_integral(WeilParams(SQUARE, 0.3 + 0.2j, 4), eps=0.25, tol=1e-7)
-        assert 0 < q.eps_used < 0.2
+        assert q.eps_used == 0.25
+        assert q.row_correction != 0
+
+    @pytest.mark.parametrize("a,eps,k", [(0.3 + 1.1j, 0.1, 3), (0.3 + 2.2j, 0.2, 4), (0.3 + 1.3j, 0.3, 3)])
+    def test_edge_rounding_onto_row(self, a, eps, k):
+        # y0 + eps rounds onto an integer row: the band holds that row,
+        # which must be summed, not dropped
+        p = WeilParams(SQUARE, a, k)
+        d = weil_direct(p, tol=1e-12).value
+        q = weil_integral(p, eps=eps, tol=1e-8)
+        assert abs(q.value - d) <= 1e-8 * (1 + abs(d))
+        assert q.err >= abs(q.value - d)
+
+    @pytest.mark.parametrize("a", [0.3 + 0.001j, 0.3 + 1e-7j])
+    def test_pole_just_off_a_row(self, a):
+        p = WeilParams(SQUARE, a, 3)
+        d = weil_direct(p, tol=1e-12).value
+        q = weil_integral(p, tol=1e-8)
+        assert abs(q.value - d) <= 1e-8 * (1 + abs(d))
+
+    def test_near_row_grid(self):
+        # the pole at (x0, y0) with y0 on, or just off, row 1, and bands
+        # narrow and wide; each case is checked against weil_direct
+        tol = 1e-8
+        for lat, dy, k, eps in itertools.product(
+            (SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j)),
+            (0.0, 1e-8, -1e-6, 1e-4, -1e-3, 0.01, -0.1, 0.25, -0.4),
+            (3, 5, 8),
+            (0.1, 0.4),
+        ):
+            x0 = 0.7 if k == 5 else 0.3
+            p = WeilParams(lat, -(x0 * lat.w1 + (1 + dy) * lat.w2), k)
+            d = weil_direct(p, tol=1e-12)
+            q = weil_integral(p, eps=eps, tol=tol)
+            diff = abs(q.value - d.value)
+            assert diff <= q.err + d.err, (lat, dy, k, eps)
+            assert diff <= tol * (1 + abs(d.value)), (lat, dy, k, eps)
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    @pytest.mark.parametrize("n", [-2, 0, 1])
+    def test_band_row_matches_mpmath(self, k, n):
+        mpmath = pytest.importorskip("mpmath")
+        # |w1| != 1 and c/w1 off the real axis, so d is complex
+        w1, w2, a = 1.3 + 0.4j, 0.2 + 1.1j, 0.37 - 0.21j
+        tol = 1e-12
+        value, err = _band_row(a, w1, w2, k, n, tol)
+        with mpmath.workdps(30):
+            c, w = mpmath.mpc(a) + n * mpmath.mpc(w2), mpmath.mpc(w1)
+            ref = complex(mpmath.nsum(lambda m: (c + m * w) ** -k, [-mpmath.inf, mpmath.inf]))
+        assert err >= abs(value - ref)
+        assert abs(value - ref) <= tol * (1 + abs(ref))
 
     def test_row_correction_case(self):
         p = WeilParams(SQUARE, -0.5 - 1j, 4)
