@@ -28,7 +28,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, SlowConvergence
-from .quadrature import _EPS_FLOOR, check_tol, integrate_ray, integrate_segment
+from .quadrature import _EPS_FLOOR, _segment, check_tol, integrate_ray, vectorize1
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -167,7 +167,12 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     em2d's interior integrand) as one segment at tol/2, truncated where the
     exponential tail bound falls below tol/4; when that needs a radius
     beyond 2^20, it raises SlowConvergence with the value at 2^20 as
-    ``.best``.  At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1),
+    ``.best``.  When |log z| <= 1/4, the segment's unit cells from x = 17
+    on get GL4 instead of GL16: z^x changes by at most e^(1/4) over a cell
+    and (x+a)^-s little, so GL4's coarse-against-halves estimate stays near
+    2e-14 of a cell's value.  A faster z^x (larger |arg z|, smaller |z|)
+    keeps GL16, where GL4's estimates fail and split cells overrun the
+    budget.  At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1),
     and only the weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
@@ -196,7 +201,8 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / rate
     ) >= tol / 4 and radius < 1 << 20:
         radius *= 2
-    value = head + integrate_segment(integrand, 1.0, 1.0 + radius, tol=tol / 2).value
+    cells_from = 17.0 if abs(log_z) <= 0.25 else None
+    value = head + _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2, cells_from).value
     if bound >= tol / 4:
         raise SlowConvergence(
             f"tail bound {bound:.3g} at truncation radius {radius} exceeds tol/4 = {tol / 4:.3g}", best=value

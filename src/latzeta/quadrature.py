@@ -2,13 +2,17 @@
 
 Two algorithms, each written once:
 
-* ``_refine``, adaptive max-heap refinement on a finite domain, cut at
-  integers (the periodized Bernoulli weight P1 is non-smooth exactly
-  there).  Each pass splits up to 64 of the worst items and evaluates
-  their children in one batch.  ``integrate_segment`` compares GL16 on a
-  panel with GL16 on its halves, ``integrate_rect`` GL8xGL8 on a cell
-  with GL8xGL8 on its 2x2 split.  Both raise NoConvergence once the
-  panels would exceed ``DEFAULT_PANEL_BUDGET``.
+* ``_refine``, adaptive refinement on a finite domain, cut at integers
+  (the periodized Bernoulli weight P1 is non-smooth exactly there).  The
+  first pass evaluates the whole partition in array batches; only if it
+  misses tol is a max-heap built, and each pass then splits up to 64 of
+  the worst items and evaluates their children in one batch.
+  ``integrate_segment`` compares GL16 on a panel with GL16 on its halves;
+  its private core ``_segment`` can use GL4 the same way on unit cells
+  far out where the integrand varies slowly (the Coffey segment and the
+  ray levels beyond distance 16).  ``integrate_rect`` compares GL8xGL8 on
+  a cell with GL8xGL8 on its 2x2 split.  Both raise NoConvergence once
+  the panels would exceed ``DEFAULT_PANEL_BUDGET``.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
@@ -33,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    PoleNearDomain,
-    TailEstimateFailed,
-    UnsupportedDecay,
-)
+from .errors import NoConvergence, PoleNearDomain, TailEstimateFailed, UnsupportedDecay
 
 #: panels one adaptive segment or rectangle may hold, read at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
@@ -46,8 +45,12 @@ DEFAULT_PANEL_BUDGET = 1 << 16
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-#: segment nodes on [-1, 1]: GL16 on the panel, then on its two halves
-_PANEL_X = np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5])
+#: segment panel rules by order: nodes on [-1, 1] of the rule on a panel,
+#: then on its two halves, and the weights
+_PANEL_RULES = {
+    len(x): (np.concatenate([x, 0.5 * x - 0.5, 0.5 * x + 0.5]), w)
+    for x, w in ((_GL16_X, _GL16_W), (_GL4_X, _GL4_W))
+}
 
 #: relative roundoff floor entering every reported error
 _EPS_FLOOR = 4e-16
@@ -190,39 +193,41 @@ def _accelerate(levels):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, cost, tol, max_panels, what):
+def _refine(items, evaluate, split, tol, max_panels, what):
     """Max-heap refinement of a partition of a finite domain.
 
-    ``evaluate(batch)`` gives (value, error estimate, integral of |f|) per
-    item in one call; ``split(item)`` gives the item's children, or None
-    when it is too small to split; ``cost`` counts integrand evaluations
-    per item.  Each pass splits up to 64 of the items with the largest
-    estimates; panels are the leaves of the partition."""
-    heap = []  # (-err, id, item, value, err)
-    uid = 0
-    value = 0j
-    err_sum = 0.0
-    absmass = 0.0
-    n_panels = 0
-    evals = 0
-
-    def add(batch):
-        nonlocal uid, value, err_sum, absmass, n_panels, evals
-        evals += cost * len(batch)
-        n_panels += len(batch)
-        for item, (v, e, m) in zip(batch, evaluate(batch)):
-            heapq.heappush(heap, (-e, uid, item, v, e))
-            uid += 1
-            value += v
-            err_sum += e
-            absmass += m
+    ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
+    (value, error estimate, integral of |f|) per row and the integrand
+    evaluations spent, in one call; ``split(item)`` gives the item's
+    children, or None when it is too small to split.  The first pass is
+    summed in numpy, and only when it misses tol is a heap built: each
+    pass then splits up to 64 of the items with the largest estimates.
+    Panels are the leaves of the partition."""
+    vals, errs, mass, evals = evaluate(items)
+    value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
+    n_panels = len(items)
 
     def floor_err():
         return _EPS_FLOOR * (absmass + abs(value) + 1.0)
 
-    add(items)
-    while err_sum > tol * (1.0 + abs(value)) + floor_err():
-        target = tol * (1.0 + abs(value)) / max(n_panels, 1)
+    def result():
+        return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
+
+    def missed():
+        return err_sum > tol * (1.0 + abs(value)) + floor_err()
+
+    def exhausted():  # called before popped items leave the sums
+        return NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=result())
+
+    if not missed():
+        return result()
+    if n_panels >= max_panels:  # any split adds a panel
+        raise exhausted()
+    heap = list(zip((-errs).tolist(), range(n_panels), items.tolist(), vals.tolist(), errs.tolist()))
+    heapq.heapify(heap)  # (-err, id, item, value, err)
+    uid = n_panels
+    while missed():
+        target = tol * (1.0 + abs(value)) / n_panels
         popped, children = [], []
         while heap and len(popped) < 64 and -heap[0][0] > target:
             kids = split(heap[0][2])
@@ -232,18 +237,19 @@ def _refine(items, evaluate, split, cost, tol, max_panels, what):
             children.extend(kids)
         if not popped:
             break
-        # checked before the popped items leave the sums, so the best
-        # estimate still covers the whole domain
         if n_panels - len(popped) + len(children) > max_panels:
-            best = QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
-            raise NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=best)
-        for _, _, _, v, e in popped:
-            value -= v
-            err_sum -= e
-        n_panels -= len(popped)
-        add(children)
+            raise exhausted()
+        vals, errs, mass, n = evaluate(np.array(children))
+        value += complex(vals.sum()) - sum(p[3] for p in popped)
+        err_sum += float(errs.sum()) - sum(p[4] for p in popped)
+        absmass += float(mass.sum())
+        evals += n
+        n_panels += len(children) - len(popped)
+        for item, v, e in zip(children, vals.tolist(), errs.tolist()):
+            heapq.heappush(heap, (-e, uid, item, v, e))
+            uid += 1
 
-    return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
+    return result()
 
 
 # ---------------------------------------------------------------------------
@@ -251,58 +257,47 @@ def _refine(items, evaluate, split, cost, tol, max_panels, what):
 
 
 def _cutpoints(a, b, max_width=None):
-    """The ends of [a, b] and the integers inside it, sorted; with
-    ``max_width``, each piece is split evenly to at most that width."""
-    cuts = {float(a), float(b)}
+    """The ends of [a, b] and the integers inside it, as a sorted array;
+    with ``max_width`` >= 1, a span that the guard leaves uncut is split
+    evenly to at most that width."""
     n0 = math.floor(a) + 1
     n1 = math.ceil(b) - 1
     # guard against pathological spans; the adaptive stage can still split
-    if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET:
-        cuts.update(float(n) for n in range(n0, n1 + 1))
-    pts = sorted(cuts)
-    if max_width is not None:
-        refined = [pts[0]]
-        for lo, hi in zip(pts, pts[1:]):
-            k = int(math.ceil((hi - lo) / max_width))
-            for j in range(1, k):
-                refined.append(lo + (hi - lo) * j / k)
-            refined.append(hi)
-        pts = refined
+    pts = np.arange(n0 - 1, n1 + 2, dtype=float) if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET else np.zeros(2)
+    pts[0], pts[-1] = a, b
+    if max_width is not None and len(pts) == 2:
+        pts = np.linspace(a, b, math.ceil((b - a) / max_width) + 1)
     return pts
 
 
-def _eval_panel_batch(fv, bounds):
-    """GL16 on each panel and on its two halves, for up to 1024 panels per
-    integrand call, which bounds peak memory.
+def _eval_panel_batch(fv, bounds, rule):
+    """The panel rule ``rule`` (from _PANEL_RULES) on each panel and on its
+    two halves, for up to 1024 panels per integrand call, which bounds
+    peak memory.
 
-    Returns per-panel (refined value, error estimate, integral of |f|)."""
-    out = []
+    Returns arrays over the panels: refined value, error estimate (coarse
+    against halves) and integral of |f|."""
+    nodes, w = rule
+    bounds = np.asarray(bounds, float)
+    parts = []
     for i in range(0, len(bounds), 1024):
-        lo, hi = np.asarray(bounds[i : i + 1024], float).T
+        lo, hi = bounds[i : i + 1024].T
         h = 0.5 * (hi - lo)
-        nodes = h[:, None] * _PANEL_X + (lo + h)[:, None]
-        vals = fv(nodes.ravel()).reshape(-1, 3, 16)
-        coarse, left, right = h * (vals @ _GL16_W).T
+        vals = fv((h[:, None] * nodes + (lo + h)[:, None]).ravel()).reshape(-1, 3, w.size)
+        coarse, left, right = h * (vals @ w).T
         fine = 0.5 * (left + right)
-        mass = 0.5 * h * (np.abs(vals[:, 1:]) @ _GL16_W).sum(axis=1)
-        out.extend(zip(fine.tolist(), np.abs(fine - coarse).tolist(), mass.tolist()))
-    return out
+        mass = 0.5 * h * (np.abs(vals[:, 1:]) @ w).sum(axis=1)
+        parts.append((fine, np.abs(fine - coarse), mass))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
-    """Adaptively integrate f over [a, b].
-
-    Panels are pre-split at every integer, where a P1-weighted integrand
-    has its kinks, and then bisected where the Richardson estimate is
-    largest until the summed estimate satisfies err <= tol * (1 + |value|).
-    Raises NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
-    """
-    if not a <= b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    check_tol(tol)
-    if a == b:
-        return QuadratureResult(0j, 0.0, 0, 0)
-    fv = vectorize1(f)
+def _segment(fv, a, b, tol, cells_from=None):
+    """``integrate_segment`` of a vectorized fv on a < b, with GL4 (12
+    evaluations) in place of GL16 (48) on each panel that lies inside one
+    unit cell at or beyond ``cells_from``.  Callers pass ``cells_from`` only
+    where fv varies slowly over a unit cell, so GL4's coarse-against-halves
+    estimate holds there.  A wider panel keeps GL16: on an uncut long
+    panel GL4's estimate can miss its error by orders of magnitude."""
 
     def split(panel):
         lo, hi = panel
@@ -311,16 +306,44 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
         mid = 0.5 * (lo + hi)
         return [(lo, mid), (mid, hi)]
 
+    def evaluate(panels):
+        if cells_from is None:
+            return (*_eval_panel_batch(fv, panels, _PANEL_RULES[16]), 48 * len(panels))
+        lo, hi = panels.T
+        cell = (lo >= cells_from) & (hi <= np.floor(lo) + 1.0)
+        out = np.empty((3, len(panels)), complex)
+        for mask, order in ((cell, 4), (~cell, 16)):
+            if mask.any():
+                out[:, mask] = _eval_panel_batch(fv, panels[mask], _PANEL_RULES[order])
+        n_gl4 = int(np.count_nonzero(cell))
+        return out[0], out[1].real, out[2].real, 12 * n_gl4 + 48 * (len(panels) - n_gl4)
+
     pts = _cutpoints(a, b)
     return _refine(
-        list(zip(pts, pts[1:])),
-        lambda panels: _eval_panel_batch(fv, panels),
+        np.repeat(pts, 2)[1:-1].reshape(-1, 2),
+        evaluate,
         split,
-        48,
         tol,
         DEFAULT_PANEL_BUDGET,
         f"segment [{a}, {b}]",
     )
+
+
+def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
+    """Adaptively integrate f over [a, b].
+
+    Panels are pre-split at every integer, where a P1-weighted integrand
+    has its kinks, and then bisected where the Richardson estimate is
+    largest until the summed estimate satisfies err <= tol * (1 + |value|).
+    Each panel compares GL16 with GL16 on its halves.  Raises
+    NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
+    """
+    if not a <= b:
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+    check_tol(tol)
+    if a == b:
+        return QuadratureResult(0j, 0.0, 0, 0)
+    return _segment(vectorize1(f), a, b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +446,13 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
     """Integrate f over [start, infinity).
 
     Requires an algebraic decay order |f| ~ x^-decay_order with
-    decay_order > 1, validated by sampling; it sets the tail bound."""
+    decay_order > 1, validated by sampling; it sets the tail bound.  The
+    first level [start, start + 16] runs on GL16 panels; the doubling
+    levels beyond it run on GL4 per unit cell (``_segment``), since an
+    algebraically decaying f varies slowly over a unit cell that far out."""
     if decay_order <= 1:
         raise UnsupportedDecay("integrate_ray needs decay_order > 1")
+    check_tol(tol)
     fv = vectorize1(f)
     seg_tol = tol / 8
     probes = start + np.array([32.0, 128.0, 512.0])
@@ -436,8 +463,9 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
         return c * r ** (1.0 - q) / (q - 1.0)
 
     def segment_for(r_prev, r):
-        lo = start if r_prev is None else start + r_prev
-        return integrate_segment(fv, lo, start + r, tol=seg_tol)
+        if r_prev is None:
+            return _segment(fv, start, start + r, seg_tol)
+        return _segment(fv, start + r_prev, start + r, seg_tol, cells_from=start + r_prev)
 
     return _improper(segment_for, 16, 1 << 14, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
 
@@ -494,11 +522,10 @@ def integrate_rect(
 
     xs = _cutpoints(x_lo, x_hi, max_width=max(1.0, (x_hi - x_lo) / 4))
     ys = _cutpoints(y_lo, y_hi, max_width=max(1.0, (y_hi - y_lo) / 4))
-    cells = [
-        (float(a), float(b), float(c), float(d))
-        for a, b in zip(xs, xs[1:])
-        for c, d in zip(ys, ys[1:])
-    ]
+    cells = np.empty((len(xs) - 1, len(ys) - 1, 4))
+    cells[..., 0], cells[..., 1] = xs[:-1, None], xs[1:, None]
+    cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
+    cells = cells.reshape(-1, 4)
 
     def gl8_cells(ex, ey):
         """GL8xGL8 on the panels between each cell's edges (rows of ex, ey)
@@ -509,15 +536,15 @@ def integrate_rect(
         return [(yw[:, None, :] @ v @ xw[:, :, None])[:, 0, 0] for v in (vals, np.abs(vals))]
 
     def eval_cells(batch):
-        out = []
+        parts = []
         for i in range(0, len(batch), 64):  # 64 cells per call bound its size
-            a, b, c, d = np.asarray(batch[i : i + 64]).T
+            a, b, c, d = batch[i : i + 64].T
             coarse, _ = gl8_cells(np.stack([a, b], -1), np.stack([c, d], -1))
             fine, mass = gl8_cells(
                 np.stack([a, 0.5 * (a + b), b], -1), np.stack([c, 0.5 * (c + d), d], -1)
             )
-            out.extend(zip(fine.tolist(), np.abs(fine - coarse).tolist(), mass.tolist()))
-        return out
+            parts.append((fine, np.abs(fine - coarse), mass))
+        return (*(np.concatenate(p) for p in zip(*parts)), (64 + 256) * len(batch))
 
     def split(cell):
         a, b, c, d = cell
@@ -530,7 +557,6 @@ def integrate_rect(
         cells,
         eval_cells,
         split,
-        64 + 256,
         tol,
         DEFAULT_PANEL_BUDGET,
         f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]",

@@ -125,6 +125,32 @@ class TestCoffeyNearUnitCircle:
         else:
             assert abs(got - want) <= tol * (1 + abs(want))
 
+    @pytest.mark.parametrize(
+        "s,a", [(-1.2871081515768996, 2.0897967125021584), (0.10514909583443854, 1.0873240526355523)]
+    )
+    def test_uncut_segment_meets_tol(self, s, a):
+        # radius 2^19 holds more integers than the cut guard allows, so the
+        # segment starts as one wide panel, which keeps GL16
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-8
+        want = complex(mpmath.lerchphi(0.9999, s, a))
+        got = lerch_coffey(LerchParams(0.9999, s, a), tol=tol)
+        assert abs(got - want) <= tol * (1 + abs(want))
+
+    @pytest.mark.parametrize(
+        "z,s,a,tol",
+        [
+            (0.07073012794753614 + 0.997395237105394j, 1.2258793870022595 - 1.0196668142482932j, 0.9562541391437767, 1e-8),
+            (-0.8003424719313867 + 0.5978736719598526j, 0.5509672860782464, 2.352375778617591 + 0.8199136046274913j, 1e-12),
+        ],
+    )
+    def test_oscillating_z_meets_tol(self, z, s, a, tol):
+        # |log z| > 1/4: the segment stays on GL16 and does not raise
+        mpmath = pytest.importorskip("mpmath")
+        want = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_coffey(LerchParams(z, s, a), tol=tol)
+        assert abs(got - want) <= tol * (1 + abs(want))
+
 
 class TestSeriesInsideDisk:
     """|z| < 1: small first chunks, stopped by a tail bound that holds for
@@ -232,8 +258,8 @@ class TestUnitCircle:
         def fail(*args, **kwargs):
             raise AssertionError("quadrature called from lerch_series")
 
-        monkeypatch.setattr(latzeta.lerch, "integrate_ray", fail)
-        monkeypatch.setattr(latzeta.lerch, "integrate_segment", fail)
+        for name in ("integrate_ray", "_segment", "vectorize1"):
+            monkeypatch.setattr(latzeta.lerch, name, fail)
         self._check(lerch_series(LerchParams(1, 1.1, 0.5)), 1.1, 0.5, 1e-10)
 
     @settings(max_examples=30, deadline=None)

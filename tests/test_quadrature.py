@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.quadrature import (
@@ -14,7 +15,9 @@ from latzeta.quadrature import (
     _GL8_X,
     _GL16_W,
     _GL16_X,
+    _PANEL_RULES,
     _eval_panel_batch,
+    _segment,
     _cutpoints,
     _rect_fixed,
     _strip_rect,
@@ -76,17 +79,48 @@ class TestSegment:
         lo = rng.uniform(0.0, 20.0, 1500)
         hi = lo + rng.uniform(0.05, 2.0, 1500)
         fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
-        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())))
-        assert len(got) == 1500
-        for a, b, (value, err, mass) in zip(lo, hi, got):
-            mid, h = 0.5 * (a + b), 0.5 * (b - a)
-            halves = [fv(0.5 * h * _GL16_X + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
-            coarse = h * np.dot(_GL16_W, fv(h * _GL16_X + mid))
-            fine = 0.5 * h * sum(np.dot(_GL16_W, v) for v in halves)
-            want_mass = 0.5 * h * sum(np.dot(_GL16_W, np.abs(v)) for v in halves)
-            assert abs(value - fine) <= 1e-14 * abs(fine)
-            assert abs(err - abs(fine - coarse)) <= 1e-14 * abs(fine)
-            assert abs(mass - want_mass) <= 1e-14 * want_mass
+        for gl_x, gl_w in ((_GL16_X, _GL16_W), (_GL4_X, _GL4_W)):
+            got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[len(gl_x)])
+            assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
+            for a, b, value, err, mass in zip(lo, hi, *got):
+                mid, h = 0.5 * (a + b), 0.5 * (b - a)
+                halves = [fv(0.5 * h * gl_x + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
+                coarse = h * np.dot(gl_w, fv(h * gl_x + mid))
+                fine = 0.5 * h * sum(np.dot(gl_w, v) for v in halves)
+                want_mass = 0.5 * h * sum(np.dot(gl_w, np.abs(v)) for v in halves)
+                assert abs(value - fine) <= 1e-14 * abs(fine)
+                assert abs(err - abs(fine - coarse)) <= 1e-14 * abs(fine)
+                assert abs(mass - want_mass) <= 1e-14 * want_mass
+
+    def test_gl4_cells_match_gl16_on_smooth_far_integrand(self):
+        # e^(cx) (1 + P1(x)) on [1, 4097]: the same kind of integrand as
+        # Coffey's segment, slowly varying on each unit cell
+        c, m, tol = -0.005 + 0.1j, 4096, 1e-11
+        fv = vectorize1(lambda x: np.exp(c * x) * (1.0 + p1(x)))
+        ec = cmath.exp(c)
+        cell_p1 = (ec + 1) / (2 * c) - (ec - 1) / c**2  # int_0^1 (t - 1/2) e^(ct) dt
+        truth = (cmath.exp(c * (1 + m)) - ec) / c + ec * (cmath.exp(c * m) - 1) / (ec - 1) * cell_p1
+        cells = _segment(fv, 1.0, 1.0 + m, tol, cells_from=17.0)
+        gl16 = integrate_segment(fv, 1.0, 1.0 + m, tol)
+        assert cells.evals < gl16.evals / 3
+        assert abs(cells.value - gl16.value) <= tol * (1 + abs(truth))
+        for q in (cells, gl16):
+            assert q.err >= abs(q.value - truth)
+            assert abs(q.value - truth) <= tol * (1 + abs(truth))
+
+    def test_evals_count_the_rule_of_each_panel(self):
+        # a smooth integrand meets tol on the first pass: 16 GL16 panels
+        # before x = 17 and 10 GL4 unit cells from there
+        fv = vectorize1(lambda x: np.exp(-x / 50))
+        assert integrate_segment(fv, 1.0, 27.0, 1e-8).evals == 48 * 26
+        q = _segment(fv, 1.0, 27.0, 1e-8, cells_from=17.0)
+        assert (q.panels, q.evals) == (26, 48 * 16 + 12 * 10)
+        # part of a cell gets GL4; a panel wider than one cell keeps GL16
+        # however far out it lies (2^20 cells, more than the cut guard
+        # allows; tol 1 ends it on the first pass)
+        assert _segment(fv, 17.5, 17.75, 1e-8, cells_from=17.0).evals == 12
+        q = _segment(fv, 18.0, 18.0 + (1 << 20), 1.0, cells_from=17.0)
+        assert (q.panels, q.evals) == (1, 48)
 
     def test_scalar_only_integrand_over_many_panels(self):
         # 1200 integer panels; math.exp rejects the node arrays, so every
