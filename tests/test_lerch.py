@@ -172,6 +172,14 @@ class TestSeriesInsideDisk:
         lerch_series(LerchParams(0.9, 2, 1), tol=1e-10)
         assert 0 < sum(lengths) < 1000
 
+    def test_positive_terms_match_complex_powers(self):
+        # real z > 0, s and a > 0 sum in real arithmetic; a tiny Im s sends
+        # the same series through complex powers
+        for z, s, a in [(0.999, 1.5, 0.7), (0.5, -3, 1), (0.9995, 2.5, 3.2)]:
+            real = lerch_series(LerchParams(z, s, a), tol=1e-12)
+            other = lerch_series(LerchParams(z, complex(s, 1e-300), a), tol=1e-12)
+            assert abs(real - other) <= 1e-12 * (1 + abs(real))
+
     # (0.5, -3, 1) is sum n^3 / 2^(n-1) over n >= 1 = 52, with growing terms
     @pytest.mark.parametrize(
         "z,s,a", [(0.5, -3, 1), (0.9, 2 + 1j, 0.5 + 0.5j), (0.999, 1.5, 0.7)]
