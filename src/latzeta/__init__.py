@@ -59,52 +59,3 @@ from .weil import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "frac",
-    "p1",
-    "parse_complex",
-    "format_complex",
-    "Lattice",
-    "LatticeCoords",
-    "lattice_new",
-    "lattice_coordinates",
-    "nearest_lattice_distance_in_coords",
-    "QuadratureResult",
-    "integrate_segment",
-    "integrate_line",
-    "integrate_ray",
-    "integrate_rect",
-    "integrate_half_strip",
-    "Rect",
-    "Function2D",
-    "EmBreakdown",
-    "validate_partials",
-    "em_sum_1d",
-    "em_sum_2d",
-    "brute_force_sum_2d",
-    "LerchParams",
-    "lerch_series",
-    "lerch_coffey",
-    "hurwitz_zeta",
-    "riemann_zeta",
-    "WeilParams",
-    "WeilReport",
-    "weil_direct",
-    "weil_integral",
-    "eisenstein_series",
-    "CheckResult",
-    "run_suite",
-    "LatzetaError",
-    "DomainError",
-    "ZeroGenerator",
-    "DegenerateLattice",
-    "PointOnLattice",
-    "PoleNearDomain",
-    "UnsupportedDecay",
-    "ConvergenceError",
-    "NoConvergence",
-    "SlowConvergence",
-    "TailEstimateFailed",
-    "BudgetExceeded",
-]

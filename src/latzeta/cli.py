@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from dataclasses import dataclass
 
@@ -86,36 +87,18 @@ class GridSpec:
                 yield complex(x, y)
 
 
-def _json_scalar(v) -> str:
-    if isinstance(v, str):
-        out = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), f".{JSON_DIGITS}g")
+def _json_default(v):
+    """A complex as "a+bi" with JSON_DIGITS digits, a numpy scalar as its
+    Python scalar; floats keep json's shortest round-trip form."""
     if isinstance(v, complex):
-        return _json_scalar(format_complex(v, JSON_DIGITS))
+        return format_complex(v, JSON_DIGITS)
+    if isinstance(v, np.generic):
+        return v.item()
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _to_json(obj) -> str:
-    """Tiny JSON serializer printing floats with 17 significant digits
-    (the stdlib encoder offers no control over float formatting)."""
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_json_scalar(str(k))}: {_to_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    return _json_scalar(obj)
-
-
 def _emit_json(obj) -> None:
-    print(_to_json(obj))
+    print(json.dumps(obj, default=_json_default))
 
 
 def _csv_num(x: float) -> str:
@@ -286,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_lerch)
 
     pv = sub.add_parser("verify", help="run self-verification suites")
-    pv.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    pv.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--tol", type=float, default=1e-8)
     pv.add_argument("--json", action="store_true")

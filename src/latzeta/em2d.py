@@ -161,6 +161,28 @@ def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10) -> compl
     return q.value + boundary
 
 
+def _edge_integrand(phi, d_along, lo, hi, p1lo, p1hi, edges_in_y):
+    """Boundary integrand of em_sum_2d in t along the edges lo, hi that fix
+    x (or y when ``edges_in_y``), d_along the partial in t:
+    p1lo (phi + d_along P1(t)) at lo minus p1hi (phi + d_along P1(t)) at hi."""
+
+    def g(t):
+        t = np.asarray(t, float)
+
+        def at(f, edge):
+            edge = np.full_like(t, edge)
+            return f(t, edge) if edges_in_y else f(edge, t)
+
+        return (
+            at(phi, lo) * p1lo
+            - at(phi, hi) * p1hi
+            + at(d_along, lo) * p1(t) * p1lo
+            - at(d_along, hi) * p1(t) * p1hi
+        )
+
+    return g
+
+
 def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:
     """Double sum of phi over integer pairs in (alpha1, beta1] x
     (alpha2, beta2] via the two-dimensional summation identity."""
@@ -184,28 +206,8 @@ def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:
 
     p1a1, p1b1 = p1(a1), p1(b1)
     p1a2, p1b2 = p1(a2), p1(b2)
-
-    def x_boundary(y):
-        y = np.asarray(y, float)
-        return (
-            phi(np.full_like(y, a1), y) * p1a1
-            - phi(np.full_like(y, b1), y) * p1b1
-            + fy(np.full_like(y, a1), y) * p1(y) * p1a1
-            - fy(np.full_like(y, b1), y) * p1(y) * p1b1
-        )
-
-    q2 = integrate_segment(x_boundary, a2, b2, tol=term_tol)
-
-    def y_boundary(x):
-        x = np.asarray(x, float)
-        return (
-            phi(x, np.full_like(x, a2)) * p1a2
-            - phi(x, np.full_like(x, b2)) * p1b2
-            + fx(x, np.full_like(x, a2)) * p1(x) * p1a2
-            - fx(x, np.full_like(x, b2)) * p1(x) * p1b2
-        )
-
-    q3 = integrate_segment(y_boundary, a1, b1, tol=term_tol)
+    q2 = integrate_segment(_edge_integrand(phi, fy, a1, b1, p1a1, p1b1, False), a2, b2, tol=term_tol)
+    q3 = integrate_segment(_edge_integrand(phi, fx, a2, b2, p1a2, p1b2, True), a1, b1, tol=term_tol)
 
     def corner(x, y):
         return complex(phi(np.array([x]), np.array([y]))[0])

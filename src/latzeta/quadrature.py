@@ -17,7 +17,8 @@ Two algorithms, each written once:
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
   accelerated (Richardson or iterated Aitken), and a sampled algebraic
-  tail bound stops the doubling too when the decay makes it sharp.  The
+  tail bound stops the doubling too when the decay makes it sharp, up to a
+  fixed radius (``HALF_STRIP_MAX_RADIUS`` for the half-strip).  The
   half-strip's first level is an adaptive rectangle of radius 4 around the
   integrand peak; later levels are slabs with a fixed tensor rule per unit
   cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
@@ -37,10 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, PoleNearDomain, TailEstimateFailed, UnsupportedDecay
+from .errors import NoConvergence, TailEstimateFailed, UnsupportedDecay
 
 #: panels one adaptive segment or rectangle may hold, read at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
+#: radius at which a half-strip gives up, read at each call
+HALF_STRIP_MAX_RADIUS = 1024
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
@@ -161,9 +164,9 @@ def shanks_extrapolate(seq):
     return best, best_inc
 
 
-def richardson_extrapolate(seq, ratio: float = 2.0):
+def richardson_extrapolate(seq):
     """Richardson (Neville) extrapolation assuming an error expansion in
-    successive integer powers of 1/ratio per level.
+    successive integer powers of 1/2 per level.
 
     This is the natural accelerator for domain truncations at
     integer-aligned radii that double per level.  Returns (best,
@@ -173,7 +176,7 @@ def richardson_extrapolate(seq, ratio: float = 2.0):
     for j in range(1, len(s)):
         row = [s[j]]
         for m in range(1, j + 1):
-            f = ratio**m
+            f = 2.0**m
             row.append((f * row[m - 1] - rows[j - 1][m - 1]) / (f - 1.0))
         rows.append(row)
     diag = [rows[j][j] for j in range(len(s))]
@@ -256,17 +259,13 @@ def _refine(items, evaluate, split, tol, max_panels, what):
 # finite segments
 
 
-def _cutpoints(a, b, max_width=None):
-    """The ends of [a, b] and the integers inside it, as a sorted array;
-    with ``max_width`` >= 1, a span that the guard leaves uncut is split
-    evenly to at most that width."""
+def _cutpoints(a, b):
+    """The ends of [a, b] and the integers inside it, as a sorted array."""
     n0 = math.floor(a) + 1
     n1 = math.ceil(b) - 1
     # guard against pathological spans; the adaptive stage can still split
     pts = np.arange(n0 - 1, n1 + 2, dtype=float) if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET else np.zeros(2)
     pts[0], pts[-1] = a, b
-    if max_width is not None and len(pts) == 2:
-        pts = np.linspace(a, b, math.ceil((b - a) / max_width) + 1)
     return pts
 
 
@@ -363,7 +362,7 @@ def _tail_constant(mags, rads, decay_order):
     return float(scaled.max())
 
 
-def _improper(segment_for, start_radius, max_radius, tol, tail_bound, max_panels):
+def _improper(segment_for, start_radius, max_radius, tol, tail_bound):
     """The doubling driver: cumulative integrals at doubling radii plus
     acceleration.
 
@@ -372,8 +371,8 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, max_panels
     bound on the neglected tail (may be inf).  Stops when either the plain
     bound or the extrapolation increment meets tol; gives up with the best
     estimate once r reaches max_radius or the panels of all levels exceed
-    max_panels (callers allow 64 panel budgets: each level's adaptive calls
-    hold their own budget, and fixed-order strip cells are cheap).
+    64 panel budgets (each level's adaptive calls hold their own budget, and
+    fixed-order strip cells are cheap).
     """
     levels = []
     quad_err = 0.0
@@ -396,7 +395,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, max_panels
             return QuadratureResult(value, quad_err + plain_tail, panels, evals)
         if len(levels) >= 4 and inc <= tol * scale / 4:
             return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * scale, panels, evals)
-        if r >= max_radius or panels > max_panels:
+        if r >= max_radius or panels > 64 * DEFAULT_PANEL_BUDGET:
             best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
             if not math.isfinite(best_e):
                 best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
@@ -439,7 +438,7 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
         return _total([integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans])
 
-    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
+    return _improper(segment_for, 16, 1 << 13, tol, tail_bound)
 
 
 def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
@@ -467,7 +466,7 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
             return _segment(fv, start, start + r, seg_tol)
         return _segment(fv, start + r_prev, start + r, seg_tol, cells_from=start + r_prev)
 
-    return _improper(segment_for, 16, 1 << 14, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
+    return _improper(segment_for, 16, 1 << 14, tol, tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +519,8 @@ def integrate_rect(
     check_tol(tol)
     fv2 = vectorize2(f)
 
-    xs = _cutpoints(x_lo, x_hi, max_width=max(1.0, (x_hi - x_lo) / 4))
-    ys = _cutpoints(y_lo, y_hi, max_width=max(1.0, (y_hi - y_lo) / 4))
+    xs = _cutpoints(x_lo, x_hi)
+    ys = _cutpoints(y_lo, y_hi)
     cells = np.empty((len(xs) - 1, len(ys) - 1, 4))
     cells[..., 0], cells[..., 1] = xs[:-1, None], xs[1:, None]
     cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
@@ -613,8 +612,6 @@ def integrate_half_strip(
     decay_order: float,
     tol: float = 1e-8,
     hot_x: float = 0.0,
-    pole=None,
-    max_radius: int = 1024,
 ) -> QuadratureResult:
     """Integrate f over the half-strip x in (-inf, inf), y above (direction
     'up') or below (direction 'down') y_edge.
@@ -626,8 +623,9 @@ def integrate_half_strip(
     extrapolation supplies the tail.  ``hot_x`` locates the integrand peak
     along the edge: the first level, an adaptive rectangle, is centred on
     it, and each slab's rule error is estimated at the cell nearest it.
-    ``pole`` is an optional callable (x, y) -> distance used to refuse
-    regions within 1e-6 of a pole."""
+    Gives up with NoConvergence once the radius reaches
+    HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strip: the
+    caller keeps poles away from the edge."""
     if decay_order <= 2:
         raise UnsupportedDecay(
             f"half-strip integration needs decay_order > 2, got {decay_order}"
@@ -636,17 +634,6 @@ def integrate_half_strip(
         raise ValueError("direction must be 'up' or 'down'")
     sign = 1.0 if direction == "up" else -1.0
     fv2 = vectorize2(f)
-
-    if pole is not None:
-        probe_y = y_edge + sign * np.array([0.0, 0.25, 0.5, 1.0])
-        probe_x = hot_x + np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        dmin = min(
-            float(pole(float(x), float(y))) for x in probe_x for y in probe_y
-        )
-        if dmin < 1e-6:
-            raise PoleNearDomain(
-                f"half-strip boundary passes within {dmin:.2e} of an integrand pole"
-            )
 
     # sampled tail constant along representative rays in the strip; each
     # ray is probed at four phases of the unit cell, since P1-weighted
@@ -690,4 +677,4 @@ def integrate_half_strip(
             [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
         )
 
-    return _improper(segment_for, 4, max_radius, tol, tail_bound, 64 * DEFAULT_PANEL_BUDGET)
+    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound)

@@ -27,8 +27,6 @@ from .lattice import lattice_coordinates, lattice_new
 from .lerch import LerchParams, lerch_coffey, lerch_series
 from .weil import WeilParams, eisenstein_series, weil_direct, weil_integral
 
-SUITES = ("em2d", "weil", "lerch")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -173,13 +171,13 @@ def verify_lerch(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     return out
 
 
+#: the suites by name, in the order "all" runs them
+SUITES = {"em2d": verify_em2d, "weil": verify_weil, "lerch": verify_lerch}
+
+
 def run_suite(suite: str, seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     if suite == "all":
-        results = []
-        for name in SUITES:
-            results.extend(run_suite(name, seed=seed, tol=tol))
-        return results
-    table = {"em2d": verify_em2d, "weil": verify_weil, "lerch": verify_lerch}
-    if suite not in table:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    return table[suite](seed=seed, tol=tol)
+        return [c for verify in SUITES.values() for c in verify(seed=seed, tol=tol)]
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {(*SUITES, 'all')}")
+    return SUITES[suite](seed=seed, tol=tol)

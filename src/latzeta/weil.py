@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import frac, p1
-from .errors import PointOnLattice, SlowConvergence, UnsupportedDecay
+from .errors import PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
 from .lerch import _hurwitz_em
 from .quadrature import (
@@ -229,7 +229,9 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     The strips leave out the band (y0 - eps, y0 + eps] around the pole
     row, with eps as given.  The band holds at most one integer row, found
     from the same floats that P1 sees at the edges; it is summed by
-    `_band_row` and reported as ``row_correction``."""
+    `_band_row` and reported as ``row_correction``.  The pole lies
+    eps |det| / |w1| from both band edges in the a-plane; below 1e-6
+    that raises PoleNearDomain before any integral is taken."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -239,6 +241,9 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         raise ValueError("eps must lie in (0, 1/2)")
     check_tol(tol)
     w1, w2, a, k = p.lat.w1, p.lat.w2, p.a, p.k
+    edge_distance = eps * abs(p.lat.det) / abs(w1)
+    if edge_distance < 1e-6:
+        raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     coords = lattice_coordinates(p.lat, -a)
     x0, y0 = coords.x0, coords.y0
     y_up, y_dn = y0 + eps, y0 - eps
@@ -248,13 +253,10 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     # remaining terms, which decay like |b|^-(k+1)
     q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
 
-    def pole_distance(x, y):
-        return abs(a + x * w1 + y * w2)
-
     # J2 above the band, J3 below it
     q2, q3 = (
         integrate_half_strip(
-            _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0, pole=pole_distance
+            _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0
         )
         for y_e, direction in ((y_up, "up"), (y_dn, "down"))
     )

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from latzeta.cli import main
 from latzeta.complexfmt import parse_complex
+from latzeta.lattice import lattice_new
+from latzeta.lerch import LerchParams, lerch_coffey, lerch_series
+from latzeta.verify import CheckResult, run_suite
+from latzeta.weil import WeilParams, weil_direct, weil_integral
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +78,35 @@ class TestWeil:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_pole_on_band_edge_exit_2(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "weil", "--w1", "1", "--w2", "i", "--a", "0.3+0.2i", "--k", "3",
+            "--method", "integral", "--eps", "1e-7",
+        )
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "PoleNearDomain"
+
+    def test_json_values_are_the_library_results(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "weil", "--w1", "1", "--w2", "i", "--a", "0.3+0.2i", "--k", "4",
+            "--method", "both", "--breakdown",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        p = WeilParams(lattice_new(1.0, 1j), parse_complex("0.3+0.2i"), 4)
+        d, q = weil_direct(p, tol=1e-8), weil_integral(p, eps=0.25, tol=1e-8)
+        assert parse_complex(doc["direct"]["value"]) == d.value
+        assert doc["direct"]["err"] == d.err
+        for key in ("value", "j1", "j2", "j3", "row_correction"):
+            assert parse_complex(doc["integral"][key]) == getattr(q, key), key
+        assert doc["integral"]["err"] == q.err
+        assert doc["integral"]["eps_used"] == q.eps_used
+        assert doc["difference"] == abs(d.value - q.value)
+        assert parse_complex(doc["value"]) == d.value
+
 
 class TestLerch:
     def test_both(self, capsys):
@@ -81,6 +115,19 @@ class TestLerch:
         )
         assert code == 0
         assert json.loads(out)["difference"] < 1e-8
+
+    def test_json_values_are_the_library_results(self, capsys):
+        code, out = run_cli(
+            capsys, "lerch", "--z", "0.5", "--s", "2", "--a", "1", "--method", "both"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        p = LerchParams(0.5, 2.0, 1.0)
+        v_s, v_c = lerch_series(p, tol=1e-8), lerch_coffey(p, tol=1e-8)
+        assert parse_complex(doc["series"]) == v_s
+        assert parse_complex(doc["coffey"]) == v_c
+        assert parse_complex(doc["value"]) == v_s
+        assert doc["difference"] == abs(v_s - v_c)
 
     def test_coffey_zeta2(self, capsys):
         code, out = run_cli(
@@ -113,6 +160,22 @@ class TestVerify:
     def test_em2d_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "em2d", "--seed", "42")
         assert code == 0
+
+    def test_json_passed_fields_are_booleans(self, capsys, monkeypatch):
+        # a check whose error is a numpy float passes as an np.bool_
+        def suite_with_numpy_error(*args, **kwargs):
+            return run_suite(*args, **kwargs) + [CheckResult("em2d", "numpy-error", np.float64(0.0), 1e-8)]
+
+        monkeypatch.setattr("latzeta.cli.run_suite", suite_with_numpy_error)
+        code, out = run_cli(capsys, "verify", "--suite", "em2d", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert [c["passed"] for c in doc["checks"]] == [True] * 5
+
+    def test_unknown_suite_raises(self):
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            run_suite("nope")
 
     def test_weil_report_shape(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "weil", "--seed", "7")

@@ -246,10 +246,11 @@ class TestHalfStrip:
         )
         assert q.value == pytest.approx(math.pi / 2, abs=1e-7)
 
-    def test_radius_exhaustion(self):
+    def test_radius_exhaustion(self, monkeypatch):
+        monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 16)
         with pytest.raises(NoConvergence) as ei:
             integrate_half_strip(
-                lambda x, y: (1.0 + x * x + y * y) ** -1.5, 0.0, "up", decay_order=3.0, tol=1e-12, max_radius=16
+                lambda x, y: (1.0 + x * x + y * y) ** -1.5, 0.0, "up", decay_order=3.0, tol=1e-12
             )
         assert cmath.isfinite(ei.value.best.value)
 
@@ -257,11 +258,12 @@ class TestHalfStrip:
         with pytest.raises(UnsupportedDecay):
             integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, 0.0, "up", decay_order=2.0)
 
-    def test_weil_strip_converges_by_radius_32(self):
+    def test_weil_strip_converges_by_radius_32(self, monkeypatch):
         # square lattice, a = 0.3 + 0.2i, k = 8: the strip above the band
         # y in (-0.45, 0.05) around the pole row y0 = -0.2
+        monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 32)
         f = _strip_integrand(1.0, 1j, 0.3 + 0.2j, 8)
-        q = integrate_half_strip(f, 0.05, "up", decay_order=8.0, tol=2.5e-9, hot_x=-0.3, max_radius=32)
+        q = integrate_half_strip(f, 0.05, "up", decay_order=8.0, tol=2.5e-9, hot_x=-0.3)
         assert cmath.isfinite(q.value)
         assert q.err <= 2.5e-9 * (1 + abs(q.value))
 

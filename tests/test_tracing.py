@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import latzeta
-from latzeta import quadrature
+from latzeta import em2d, lerch, quadrature
 from latzeta.weil import WeilParams, weil_integral
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -26,3 +26,19 @@ def test_traced_weil_integral_records_layers():
     names = {span[2] for span in tracer.spans}
     assert {"weil.j1", "weil.j2", "weil.j3", "quadrature.integrate_rect"} <= names
     assert quadrature.integrate_rect is original
+
+
+def test_traced_lerch_and_em2d_record_layers():
+    # the layers of the lerch and em2d workloads: the z = 1 ray of
+    # hurwitz_zeta, and em_sum_2d's rectangle and boundary segments
+    tracer = _load_spans().Tracer()
+    with tracer:
+        lerch.hurwitz_zeta(2.5, 0.5, tol=1e-8)
+        em2d.em_sum_2d(em2d.gauss_function(1.0 / 64.0), em2d.Rect(0.5, 4.5, -1.5, 3.5), tol=1e-8)
+    names = {span[2] for span in tracer.spans}
+    assert {
+        "quadrature.integrate_ray",
+        "quadrature.integrate_segment",
+        "quadrature.integrate_rect",
+        "em2d.em_sum_2d",
+    } <= names

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latzeta.errors import PointOnLattice, UnsupportedDecay
+from latzeta.errors import PointOnLattice, PoleNearDomain, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.bernoulli import p1
 from latzeta.weil import (
@@ -170,6 +170,13 @@ class TestIntegral:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             weil_integral(WeilParams(SQUARE, 0.3 + 0.2j, 4), eps=0.7)
+
+    @pytest.mark.parametrize("w2,eps", [(1j, 1e-7), (3 + 0.5j, 5e-7)])
+    def test_band_edge_on_pole_raises(self, w2, eps):
+        # the pole lies eps |det| / |w1| from both band edges: 1e-7 on the
+        # square lattice and 2.5e-7 on the skew one, where |eps w2| = 1.5e-6
+        with pytest.raises(PoleNearDomain):
+            weil_integral(WeilParams(lattice_new(1.0, w2), 0.3 + 0.2j, 3), eps=eps)
 
 
 class TestIntegrands:
