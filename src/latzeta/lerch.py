@@ -170,13 +170,12 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     em2d's interior integrand) as one segment at tol/2, truncated where the
     exponential tail bound falls below tol/4; when that needs a radius
     beyond 2^20, it raises SlowConvergence with the value at 2^20 as
-    ``.best``.  When |log z| <= 1/4, the segment's unit cells from x = 17
-    on get GL4 instead of GL16: z^x changes by at most e^(1/4) over a cell
-    and (x+a)^-s little, so GL4's coarse-against-halves estimate stays near
-    2e-14 of a cell's value.  A faster z^x (larger |arg z|, smaller |z|)
-    keeps GL16, where GL4's estimates fail and split cells overrun the
-    budget.  At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1),
-    and only the weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
+    ``.best``; so it does when the segment's err exceeds tol/2 (1 + |value|),
+    as where its terms cancel down to roundoff.  When |log z| <= 1/4, the
+    segment's unit cells from x = 17 on start at K7 (see ``_segment``):
+    z^x changes by at most e^(1/4) over a cell and (x+a)^-s little.  At
+    z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and only the
+    weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
@@ -204,11 +203,13 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / rate
     ) >= tol / 4 and radius < 1 << 20:
         radius *= 2
-    cells_from = 17.0 if abs(log_z) <= 0.25 else None
-    value = head + _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2, cells_from).value
-    if bound >= tol / 4:
+    cells_from = 17.0 if abs(log_z) <= 0.25 else math.inf
+    q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2, cells_from)
+    value = head + q.value
+    if bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value)):
         raise SlowConvergence(
-            f"tail bound {bound:.3g} at truncation radius {radius} exceeds tol/4 = {tol / 4:.3g}", best=value
+            f"tail bound {bound:.3g} at truncation radius {radius} or segment err {q.err:.3g} misses tol {tol:g}",
+            best=value,
         )
     return value
 

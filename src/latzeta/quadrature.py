@@ -6,13 +6,17 @@ Two algorithms, each written once:
   (the periodized Bernoulli weight P1 is non-smooth exactly there).  The
   first pass evaluates the whole partition in array batches; only if it
   misses tol is a max-heap built, and each pass then splits up to 64 of
-  the worst items and evaluates their children in one batch.
-  ``integrate_segment`` compares GL16 on a panel with GL16 on its halves;
-  its private core ``_segment`` can use GL4 the same way on unit cells
-  far out where the integrand varies slowly (the Coffey segment and the
-  ray levels beyond distance 16).  ``integrate_rect`` compares GL8xGL8 on
-  a cell with GL8xGL8 on its 2x2 split.  Both raise NoConvergence once
-  the panels would exceed ``DEFAULT_PANEL_BUDGET``.
+  the worst items and evaluates their children in one batch.  A panel or
+  cell returns the value of a Kronrod rule, and its distance from the
+  embedded Gauss rule on the same nodes is the error estimate:
+  ``integrate_rect`` takes K15xK15 against G7xG7 on each cell, and
+  ``integrate_segment`` K15 against G7 on each panel inside a unit cell.
+  Its core ``_segment`` can start at K7 against G3 on unit cells far out
+  (the Coffey segment and the ray levels beyond distance 16), lets a cell
+  whose check misses its share of tol climb to K15 and then to GL16 on
+  its halves against GL16 on it, and keeps that last rule for a panel
+  wider than a cell.  Both raise NoConvergence once the panels would
+  exceed ``DEFAULT_PANEL_BUDGET``.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
@@ -48,11 +52,41 @@ HALF_STRIP_MAX_RADIUS = 1024
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-#: segment panel rules by order: nodes on [-1, 1] of the rule on a panel,
-#: then on its two halves, and the weights
+
+
+def _kronrod(xs, wk, wg):
+    """A Kronrod rule on [-1, 1] from its nodes in [0, 1], largest first and
+    ending at 0, and their weights; its Gauss subset is every other node
+    from the second on, with weights wg.  Returns the nodes, the Kronrod
+    weights and the Gauss weights padded with 0 to all nodes."""
+    wg_all = np.zeros(len(wk))
+    wg_all[1::2] = wg
+    return (np.concatenate([np.negative(xs), xs[-2::-1]]), *(np.concatenate([w, w[-2::-1]]) for w in (wk, wg_all)))
+
+
+# K15 and its G7 subset (QUADPACK's dqk15, Piessens et al. 1983), and K7 and
+# its G3 subset (the roots of the degree-4 Stieltjes polynomial, then a
+# moment solve, in 40-digit arithmetic), to double precision
+_K15 = _kronrod(
+    (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945, 0.5860872354676911,
+     0.4058451513773972, 0.20778495500789848, 0.0),
+    (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592, 0.1690047266392679,
+     0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
+    (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694),
+)
+_K7 = _kronrod(
+    (0.9604912687080203, 0.7745966692414834, 0.43424374934680254, 0.0),
+    (0.10465622602646726, 0.26848808986833345, 0.40139741477596225, 0.45091653865847414),
+    (0.5555555555555556, 0.8888888888888888),
+)
+#: segment panel rules by evaluations per panel: nodes on [-1, 1] and
+#: columns of weights that give the value and the value minus its check;
+#: 48 is GL16 on the panel's halves checked against GL16 on the whole panel
 _PANEL_RULES = {
-    len(x): (np.concatenate([x, 0.5 * x - 0.5, 0.5 * x + 0.5]), w)
-    for x, w in ((_GL16_X, _GL16_W), (_GL4_X, _GL4_W))
+    len(x): (x, np.stack([w, w - check], 1))
+    for x, w, check in (_K15, _K7, (
+        np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5]),  # whole, left, right
+        np.kron([0.0, 0.5, 0.5], _GL16_W), np.kron([1.0, 0.0, 0.0], _GL16_W)))
 }
 
 #: relative roundoff floor entering every reported error
@@ -270,33 +304,30 @@ def _cutpoints(a, b):
 
 
 def _eval_panel_batch(fv, bounds, rule):
-    """The panel rule ``rule`` (from _PANEL_RULES) on each panel and on its
-    two halves, for up to 1024 panels per integrand call, which bounds
-    peak memory.
+    """The panel rule ``rule`` (from _PANEL_RULES) on each panel, for up to
+    1024 panels per integrand call, which bounds peak memory.
 
-    Returns arrays over the panels: refined value, error estimate (coarse
-    against halves) and integral of |f|."""
-    nodes, w = rule
+    Returns arrays over the panels: value, error estimate (|value - check|)
+    and integral of |f|."""
+    nodes, weights = rule
     bounds = np.asarray(bounds, float)
     parts = []
     for i in range(0, len(bounds), 1024):
         lo, hi = bounds[i : i + 1024].T
         h = 0.5 * (hi - lo)
-        vals = fv((h[:, None] * nodes + (lo + h)[:, None]).ravel()).reshape(-1, 3, w.size)
-        coarse, left, right = h * (vals @ w).T
-        fine = 0.5 * (left + right)
-        mass = 0.5 * h * (np.abs(vals[:, 1:]) @ w).sum(axis=1)
-        parts.append((fine, np.abs(fine - coarse), mass))
+        vals = fv((h[:, None] * nodes + (lo + h)[:, None]).ravel()).reshape(-1, nodes.size)
+        value, err = h * (vals @ weights).T
+        parts.append((value, np.abs(err), h * (np.abs(vals) @ weights[:, 0])))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _segment(fv, a, b, tol, cells_from=None):
-    """``integrate_segment`` of a vectorized fv on a < b, with GL4 (12
-    evaluations) in place of GL16 (48) on each panel that lies inside one
-    unit cell at or beyond ``cells_from``.  Callers pass ``cells_from`` only
-    where fv varies slowly over a unit cell, so GL4's coarse-against-halves
-    estimate holds there.  A wider panel keeps GL16: on an uncut long
-    panel GL4's estimate can miss its error by orders of magnitude."""
+def _segment(fv, a, b, tol, cells_from=math.inf):
+    """``integrate_segment`` of a vectorized fv on a < b, on a ladder of
+    panel rules by evaluations (7, 15, 48): K7 against its G3 subset, K15
+    against G7, and GL16 on the halves against GL16.  A panel inside one
+    unit cell starts at K15, or at K7 from ``cells_from`` on, where callers
+    know fv varies slowly over a cell; a wider panel, left uncut by
+    ``_cutpoints``' guard, takes 48: a Kronrod pair misses P1 jumps."""
 
     def split(panel):
         lo, hi = panel
@@ -306,16 +337,21 @@ def _segment(fv, a, b, tol, cells_from=None):
         return [(lo, mid), (mid, hi)]
 
     def evaluate(panels):
-        if cells_from is None:
-            return (*_eval_panel_batch(fv, panels, _PANEL_RULES[16]), 48 * len(panels))
         lo, hi = panels.T
-        cell = (lo >= cells_from) & (hi <= np.floor(lo) + 1.0)
+        cell = hi <= np.floor(lo) + 1.0
+        rung = np.where(cell, np.where(lo >= cells_from, 0, 1), 2)  # of the ladder (7, 15, 48)
         out = np.empty((3, len(panels)), complex)
-        for mask, order in ((cell, 4), (~cell, 16)):
-            if mask.any():
-                out[:, mask] = _eval_panel_batch(fv, panels[mask], _PANEL_RULES[order])
-        n_gl4 = int(np.count_nonzero(cell))
-        return out[0], out[1].real, out[2].real, 12 * n_gl4 + 48 * (len(panels) - n_gl4)
+        evals, todo = 0, np.ones(len(panels), bool)
+        while todo.any():
+            for i, n in enumerate((7, 15, 48)):
+                if (mask := todo & (rung == i)).any():
+                    out[:, mask] = _eval_panel_batch(fv, panels[mask], _PANEL_RULES[n])
+                    evals += n * int(np.count_nonzero(mask))
+            # a cell whose check misses its share of tol climbs a rung rather
+            # than split: a long segment can start with its budget full
+            todo &= (rung < 2) & (out[1].real > tol * (1.0 + abs(out[0].sum())) / len(panels))
+            rung += todo
+        return out[0], out[1].real, out[2].real, evals
 
     pts = _cutpoints(a, b)
     return _refine(
@@ -332,10 +368,11 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
     """Adaptively integrate f over [a, b].
 
     Panels are pre-split at every integer, where a P1-weighted integrand
-    has its kinks, and then bisected where the Richardson estimate is
-    largest until the summed estimate satisfies err <= tol * (1 + |value|).
-    Each panel compares GL16 with GL16 on its halves.  Raises
-    NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
+    has its kinks, and then bisected where the error estimate is largest
+    until the summed estimate satisfies err <= tol * (1 + |value|).  Each
+    panel inside a unit cell returns K15, and |K15 - G7| on the same nodes
+    is its error estimate (``_segment`` gives the rule of a wider panel).
+    Raises NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
     """
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
@@ -446,8 +483,8 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
 
     Requires an algebraic decay order |f| ~ x^-decay_order with
     decay_order > 1, validated by sampling; it sets the tail bound.  The
-    first level [start, start + 16] runs on GL16 panels; the doubling
-    levels beyond it run on GL4 per unit cell (``_segment``), since an
+    first level [start, start + 16] runs on K15 panels; the doubling
+    levels beyond it run on K7 per unit cell (``_segment``), since an
     algebraically decaying f varies slowly over a unit cell that far out."""
     if decay_order <= 1:
         raise UnsupportedDecay("integrate_ray needs decay_order > 1")
@@ -511,9 +548,9 @@ def integrate_rect(
 ) -> QuadratureResult:
     """Adaptive tensor-product integration over a finite rectangle.
 
-    Cells follow the integer grid; each cell compares a GL8xGL8 rule with
-    its 2x2-split refinement and the worst cells are subdivided until the
-    summed estimate meets tol."""
+    Cells follow the integer grid; each cell returns K15xK15, and its
+    difference from G7xG7 on the same nodes is the cell's error estimate.
+    The worst cells are subdivided until the summed estimate meets tol."""
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
     check_tol(tol)
@@ -526,24 +563,23 @@ def integrate_rect(
     cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
     cells = cells.reshape(-1, 4)
 
-    def gl8_cells(ex, ey):
-        """GL8xGL8 on the panels between each cell's edges (rows of ex, ey)
-        in one integrand call on (cells, y, x) grids: integrals of f, |f|."""
-        xn, xw = _tensor_nodes(ex, _GL8_X, _GL8_W)
-        yn, yw = _tensor_nodes(ey, _GL8_X, _GL8_W)
-        vals = fv2(xn[:, None, :], yn[:, :, None])
-        return [(yw[:, None, :] @ v @ xw[:, :, None])[:, 0, 0] for v in (vals, np.abs(vals))]
+    wk, wg = _K15[1], _K15[2]
+    weights = np.stack([wk, wg], 1)
 
     def eval_cells(batch):
+        """K15xK15 on each cell in one integrand call on (cells, y, x) grids,
+        checked against the G7xG7 subset of the same values."""
         parts = []
         for i in range(0, len(batch), 64):  # 64 cells per call bound its size
             a, b, c, d = batch[i : i + 64].T
-            coarse, _ = gl8_cells(np.stack([a, b], -1), np.stack([c, d], -1))
-            fine, mass = gl8_cells(
-                np.stack([a, 0.5 * (a + b), b], -1), np.stack([c, 0.5 * (c + d), d], -1)
-            )
-            parts.append((fine, np.abs(fine - coarse), mass))
-        return (*(np.concatenate(p) for p in zip(*parts)), (64 + 256) * len(batch))
+            hx, hy = 0.5 * (b - a), 0.5 * (d - c)
+            xn = hx[:, None] * _K15[0] + (a + hx)[:, None]
+            yn = hy[:, None] * _K15[0] + (c + hy)[:, None]
+            vals = fv2(xn[:, None, :], yn[:, :, None])
+            rows = vals @ weights  # (cells, y, [K15, G7]) after the x sums
+            value, check = (hx * hy * (rows[..., j] @ w) for j, w in enumerate((wk, wg)))
+            parts.append((value, np.abs(value - check), hx * hy * (np.abs(vals) @ wk @ wk)))
+        return (*(np.concatenate(p) for p in zip(*parts)), 225 * len(batch))
 
     def split(cell):
         a, b, c, d = cell

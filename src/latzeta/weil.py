@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import frac, p1
-from .errors import PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
+from .errors import ConvergenceError, PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
 from .lerch import _hurwitz_em
 from .quadrature import (
@@ -231,7 +231,12 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     from the same floats that P1 sees at the edges; it is summed by
     `_band_row` and reported as ``row_correction``.  The pole lies
     eps |det| / |w1| from both band edges in the a-plane; below 1e-6
-    that raises PoleNearDomain before any integral is taken."""
+    that raises PoleNearDomain before any integral is taken.  Each part
+    first meets tol/4 relative to its own size; where the parts cancel
+    (J2 and J3 at y0 = 1/2) and the sum misses tol * (1 + |value|), they
+    are run once more at that absolute target, shared in proportion, and
+    ConvergenceError, with the report as ``.best``, says the sum missed it
+    still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -247,32 +252,31 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     coords = lattice_coordinates(p.lat, -a)
     x0, y0 = coords.x0, coords.y0
     y_up, y_dn = y0 + eps, y0 - eps
-    part_tol = tol / 4
-
-    # decay_order stays k below: it is a valid (conservative) bound for the
-    # remaining terms, which decay like |b|^-(k+1)
-    q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
-
-    # J2 above the band, J3 below it
-    q2, q3 = (
-        integrate_half_strip(
-            _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0
-        )
-        for y_e, direction in ((y_up, "up"), (y_dn, "down"))
-    )
-
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
-    row, row_err = _band_row(a, w1, w2, k, hi, part_tol) if hi > lo else (0j, 0.0)
 
-    value = q1.value + q2.value + q3.value + row
-    err = q1.err + q2.err + q3.err + row_err
-    return WeilReport(
-        value=value,
-        method="integral",
-        err=err,
-        j1=q1.value,
-        j2=q2.value,
-        j3=q3.value,
-        eps_used=eps,
-        row_correction=row,
-    )
+    def parts(part_tol):
+        # J1 on the band edges, J2 above the band, J3 below it; decay_order
+        # k is a valid (conservative) bound for terms that decay like |b|^-(k+1)
+        q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
+        q2, q3 = (
+            integrate_half_strip(
+                _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0
+            )
+            for y_e, direction in ((y_up, "up"), (y_dn, "down"))
+        )
+        row, row_err = _band_row(a, w1, w2, k, hi, part_tol) if hi > lo else (0j, 0.0)
+        return WeilReport(
+            q1.value + q2.value + q3.value + row, "integral", q1.err + q2.err + q3.err + row_err,
+            j1=q1.value, j2=q2.value, j3=q3.value, eps_used=eps, row_correction=row,
+        )
+
+    report = parts(tol / 4)
+    scale = 1.0 + abs(report.value)
+    if report.err > tol * scale:
+        # each part met tol relative to its own size, and the parts cancel:
+        # re-run them so that their errors sum to tol * scale
+        largest = max(abs(v) for v in (report.j1, report.j2, report.j3, report.row_correction))
+        report = parts(tol / 4 * scale / (1.0 + largest))
+        if report.err > tol * (1.0 + abs(report.value)):
+            raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
+    return report

@@ -130,7 +130,7 @@ class TestCoffeyNearUnitCircle:
     )
     def test_uncut_segment_meets_tol(self, s, a):
         # radius 2^19 holds more integers than the cut guard allows, so the
-        # segment starts as one wide panel, which keeps GL16
+        # segment starts as one wide panel, which keeps GL16 on its halves
         mpmath = pytest.importorskip("mpmath")
         tol = 1e-8
         want = complex(mpmath.lerchphi(0.9999, s, a))
@@ -145,11 +145,44 @@ class TestCoffeyNearUnitCircle:
         ],
     )
     def test_oscillating_z_meets_tol(self, z, s, a, tol):
-        # |log z| > 1/4: the segment stays on GL16 and does not raise
+        # |log z| > 1/4: the segment's unit cells stay on K15 and it does
+        # not raise
         mpmath = pytest.importorskip("mpmath")
         want = complex(mpmath.lerchphi(z, s, a))
         got = lerch_coffey(LerchParams(z, s, a), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
+
+    @pytest.mark.parametrize(
+        "z,s,a",
+        [
+            (
+                -0.5854847332040557 + 0.8102550254691104j,
+                2.0558418252607717 + 0.8920031228454264j,
+                0.7032934579910112 + 0.8383430170235426j,
+            ),
+            (0.9845546188976202 + 0.174137072273383j, 0.8089085208881404, 0.9042611190439882),
+        ],
+    )
+    def test_full_budget_segment_meets_tol(self, z, s, a):
+        # 2^16 and 2^18 unit cells fill the panel budget before any split:
+        # the cells whose K15 (first) or K7 (second) check misses its share
+        # of tol climb to a stronger rule instead
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-12
+        want = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_coffey(LerchParams(z, s, a), tol=tol)
+        assert abs(got - want) <= tol * (1 + abs(want))
+
+    def test_cancelling_segment_raises(self):
+        # the segment's |f| mass is about 2e6 against a value of 4.5, so it
+        # stops on its roundoff floor, far above tol
+        mpmath = pytest.importorskip("mpmath")
+        z, s, tol = 0.07002982965102587 + 0.9875200367380139j, -1.7008651414720273, 1e-12
+        a = 2.503829482997942 - 0.8160077369443859j
+        with pytest.raises(SlowConvergence) as info:
+            lerch_coffey(LerchParams(z, s, a), tol=tol)
+        want = complex(mpmath.lerchphi(z, s, a))
+        assert abs(info.value.best - want) <= 4 * tol * (1 + abs(want))
 
 
 class TestSeriesInsideDisk:

@@ -1,6 +1,9 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from latzeta.quadrature import (
     _GL8_X,
     _GL16_W,
     _GL16_X,
+    _K7,
+    _K15,
     _PANEL_RULES,
     _eval_panel_batch,
     _segment,
@@ -79,46 +84,81 @@ class TestSegment:
         lo = rng.uniform(0.0, 20.0, 1500)
         hi = lo + rng.uniform(0.05, 2.0, 1500)
         fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
-        for gl_x, gl_w in ((_GL16_X, _GL16_W), (_GL4_X, _GL4_W)):
-            got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[len(gl_x)])
+        for x, wk, wg in (_K15, _K7):
+            got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[x.size])
             assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
             for a, b, value, err, mass in zip(lo, hi, *got):
-                mid, h = 0.5 * (a + b), 0.5 * (b - a)
-                halves = [fv(0.5 * h * gl_x + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
-                coarse = h * np.dot(gl_w, fv(h * gl_x + mid))
-                fine = 0.5 * h * sum(np.dot(gl_w, v) for v in halves)
-                want_mass = 0.5 * h * sum(np.dot(gl_w, np.abs(v)) for v in halves)
-                assert abs(value - fine) <= 1e-14 * abs(fine)
-                assert abs(err - abs(fine - coarse)) <= 1e-14 * abs(fine)
+                h = 0.5 * (b - a)
+                vals = fv(h * x + a + h)
+                kronrod, gauss = h * np.dot(wk, vals), h * np.dot(wg, vals)
+                want_mass = h * np.dot(wk, np.abs(vals))
+                assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
+                assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
                 assert abs(mass - want_mass) <= 1e-14 * want_mass
 
-    def test_gl4_cells_match_gl16_on_smooth_far_integrand(self):
+    def test_wide_panel_batch_matches_gl16_on_halves(self):
+        lo = np.array([0.0, 3.5, 100.0])
+        hi = lo + np.array([2.0, 40.0, 1000.0])
+        fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
+        for a, b, value, err, mass in zip(lo, hi, *_eval_panel_batch(fv, np.stack([lo, hi], 1), _PANEL_RULES[48])):
+            mid, h = 0.5 * (a + b), 0.5 * (b - a)
+            halves = [fv(0.5 * h * _GL16_X + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
+            coarse = h * np.dot(_GL16_W, fv(h * _GL16_X + mid))
+            fine = 0.5 * h * sum(np.dot(_GL16_W, v) for v in halves)
+            want_mass = 0.5 * h * sum(np.dot(_GL16_W, np.abs(v)) for v in halves)
+            # roundoff relative to the |f| mass: the wide panels cancel
+            assert abs(value - fine) <= 1e-14 * want_mass
+            assert abs(err - abs(fine - coarse)) <= 1e-14 * want_mass
+            assert abs(mass - want_mass) <= 1e-14 * want_mass
+
+    @pytest.mark.parametrize("rule,gauss,degree", [(_K15, 13, 23), (_K7, 5, 11)], ids=["K15", "K7"])
+    def test_kronrod_rules_are_exact(self, rule, gauss, degree):
+        # the Kronrod rule is exact for x^d, d <= degree, on [-1, 1], and
+        # its Gauss subset for d <= gauss
+        x, wk, wg = rule
+        for w, top in ((wk, degree), (wg, gauss)):
+            for d in range(top + 1):
+                assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15
+        assert abs(np.dot(wg, x ** (gauss + 1)) - 2.0 / (gauss + 2)) > 1e-6
+
+    def test_import_loads_neither_mpmath_nor_scipy(self):
+        # the Kronrod constants are literals: importing the package
+        # computes no rule with a multiprecision or scientific library
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, latzeta; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_k7_cells_match_k15_on_smooth_far_integrand(self):
         # e^(cx) (1 + P1(x)) on [1, 4097]: the same kind of integrand as
-        # Coffey's segment, slowly varying on each unit cell
+        # Coffey's segment, slowly varying on each unit cell.  K7 costs 7/15
+        # of K15 per cell, but |K7 - G3| sums to 5.5e-9 against a target of
+        # 1.1e-10 here, and the 1387 cells above their share climb to K15
         c, m, tol = -0.005 + 0.1j, 4096, 1e-11
         fv = vectorize1(lambda x: np.exp(c * x) * (1.0 + p1(x)))
         ec = cmath.exp(c)
         cell_p1 = (ec + 1) / (2 * c) - (ec - 1) / c**2  # int_0^1 (t - 1/2) e^(ct) dt
         truth = (cmath.exp(c * (1 + m)) - ec) / c + ec * (cmath.exp(c * m) - 1) / (ec - 1) * cell_p1
         cells = _segment(fv, 1.0, 1.0 + m, tol, cells_from=17.0)
-        gl16 = integrate_segment(fv, 1.0, 1.0 + m, tol)
-        assert cells.evals < gl16.evals / 3
-        assert abs(cells.value - gl16.value) <= tol * (1 + abs(truth))
-        for q in (cells, gl16):
+        k15 = integrate_segment(fv, 1.0, 1.0 + m, tol)
+        assert cells.evals < 0.85 * k15.evals
+        assert abs(cells.value - k15.value) <= tol * (1 + abs(truth))
+        for q in (cells, k15):
             assert q.err >= abs(q.value - truth)
             assert abs(q.value - truth) <= tol * (1 + abs(truth))
 
     def test_evals_count_the_rule_of_each_panel(self):
-        # a smooth integrand meets tol on the first pass: 16 GL16 panels
-        # before x = 17 and 10 GL4 unit cells from there
+        # a smooth integrand meets tol on the first pass: 16 K15 panels
+        # before x = 17 and 10 K7 unit cells from there
         fv = vectorize1(lambda x: np.exp(-x / 50))
-        assert integrate_segment(fv, 1.0, 27.0, 1e-8).evals == 48 * 26
+        assert integrate_segment(fv, 1.0, 27.0, 1e-8).evals == 15 * 26
         q = _segment(fv, 1.0, 27.0, 1e-8, cells_from=17.0)
-        assert (q.panels, q.evals) == (26, 48 * 16 + 12 * 10)
-        # part of a cell gets GL4; a panel wider than one cell keeps GL16
-        # however far out it lies (2^20 cells, more than the cut guard
-        # allows; tol 1 ends it on the first pass)
-        assert _segment(fv, 17.5, 17.75, 1e-8, cells_from=17.0).evals == 12
+        assert (q.panels, q.evals) == (26, 15 * 16 + 7 * 10)
+        # part of a cell gets K7; a panel wider than one cell keeps GL16 on
+        # its halves however far out it lies (2^20 cells, more than the cut
+        # guard allows; tol 1 ends it on the first pass)
+        assert _segment(fv, 17.5, 17.75, 1e-8, cells_from=17.0).evals == 7
         q = _segment(fv, 18.0, 18.0 + (1 << 20), 1.0, cells_from=17.0)
         assert (q.panels, q.evals) == (1, 48)
 

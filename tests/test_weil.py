@@ -131,6 +131,20 @@ class TestIntegral:
             assert diff <= q.err + d.err, (lat, dy, k, eps)
             assert diff <= tol * (1 + abs(d.value)), (lat, dy, k, eps)
 
+    def test_cancelling_parts_meet_tol(self):
+        # y = 1/2: J2 and J3 nearly cancel (about +-223i on the square
+        # lattice at k = 5), so each part meeting tol relative to its own
+        # size is not enough for the sum
+        tol = 1e-8
+        for lat, x, k in itertools.product(
+            (SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j)), (0.0, 0.125, 0.5, 0.875), (5, 8)
+        ):
+            p = WeilParams(lat, x * lat.w1 + 0.5 * lat.w2, k)
+            d = weil_direct(p, tol=1e-13)
+            q = weil_integral(p, tol=tol)
+            assert q.err <= tol * (1 + abs(q.value)), (lat, x, k)
+            assert abs(q.value - d.value) <= q.err + d.err, (lat, x, k)
+
     @pytest.mark.parametrize("k", [3, 4, 7])
     @pytest.mark.parametrize("n", [-2, 0, 1])
     def test_band_row_matches_mpmath(self, k, n):
