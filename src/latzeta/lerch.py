@@ -171,11 +171,9 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     exponential tail bound falls below tol/4; when that needs a radius
     beyond 2^20, it raises SlowConvergence with the value at 2^20 as
     ``.best``; so it does when the segment's err exceeds tol/2 (1 + |value|),
-    as where its terms cancel down to roundoff.  When |log z| <= 1/4, the
-    segment's unit cells from x = 17 on start at K7 (see ``_segment``):
-    z^x changes by at most e^(1/4) over a cell and (x+a)^-s little.  At
-    z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and only the
-    weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
+    as where its terms cancel down to roundoff.  At z = 1 the plain
+    integral is the exact (1+a)^(1-s)/(s-1), and only the weighted ray
+    -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
@@ -203,8 +201,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / rate
     ) >= tol / 4 and radius < 1 << 20:
         radius *= 2
-    cells_from = 17.0 if abs(log_z) <= 0.25 else math.inf
-    q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2, cells_from)
+    q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2)
     value = head + q.value
     if bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value)):
         raise SlowConvergence(

@@ -10,13 +10,11 @@ Two algorithms, each written once:
   cell returns the value of a Kronrod rule, and its distance from the
   embedded Gauss rule on the same nodes is the error estimate:
   ``integrate_rect`` takes K15xK15 against G7xG7 on each cell, and
-  ``integrate_segment`` K15 against G7 on each panel inside a unit cell.
-  Its core ``_segment`` can start at K7 against G3 on unit cells far out
-  (the Coffey segment and the ray levels beyond distance 16), lets a cell
-  whose check misses its share of tol climb to K15 and then to GL16 on
-  its halves against GL16 on it, and keeps that last rule for a panel
-  wider than a cell.  Both raise NoConvergence once the panels would
-  exceed ``DEFAULT_PANEL_BUDGET``.
+  ``integrate_segment`` K15 against G7 on each panel inside a unit cell,
+  GL16 on the halves against GL16 on a panel wider than a cell.  Once the
+  panels fill ``DEFAULT_PANEL_BUDGET``, a segment's K15 panel climbs to
+  that stronger rule instead of splitting; where nothing can climb,
+  both raise NoConvergence.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
@@ -64,9 +62,8 @@ def _kronrod(xs, wk, wg):
     return (np.concatenate([np.negative(xs), xs[-2::-1]]), *(np.concatenate([w, w[-2::-1]]) for w in (wk, wg_all)))
 
 
-# K15 and its G7 subset (QUADPACK's dqk15, Piessens et al. 1983), and K7 and
-# its G3 subset (the roots of the degree-4 Stieltjes polynomial, then a
-# moment solve, in 40-digit arithmetic), to double precision
+# K15 and its G7 subset (QUADPACK's dqk15, Piessens et al. 1983), to
+# double precision
 _K15 = _kronrod(
     (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945, 0.5860872354676911,
      0.4058451513773972, 0.20778495500789848, 0.0),
@@ -74,17 +71,12 @@ _K15 = _kronrod(
      0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
     (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694),
 )
-_K7 = _kronrod(
-    (0.9604912687080203, 0.7745966692414834, 0.43424374934680254, 0.0),
-    (0.10465622602646726, 0.26848808986833345, 0.40139741477596225, 0.45091653865847414),
-    (0.5555555555555556, 0.8888888888888888),
-)
 #: segment panel rules by evaluations per panel: nodes on [-1, 1] and
 #: columns of weights that give the value and the value minus its check;
 #: 48 is GL16 on the panel's halves checked against GL16 on the whole panel
 _PANEL_RULES = {
     len(x): (x, np.stack([w, w - check], 1))
-    for x, w, check in (_K15, _K7, (
+    for x, w, check in (_K15, (
         np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5]),  # whole, left, right
         np.kron([0.0, 0.5, 0.5], _GL16_W), np.kron([1.0, 0.0, 0.0], _GL16_W)))
 }
@@ -219,10 +211,14 @@ def richardson_extrapolate(seq):
     return diag[-1], abs(diag[-1] - diag[-2])
 
 
-def _accelerate(levels):
-    """Best of Richardson (integer powers) and iterated Aitken."""
-    est_r, inc_r = richardson_extrapolate(levels)
+def _accelerate(levels, integer_powers=True):
+    """Best of Richardson (integer powers) and iterated Aitken, or Aitken
+    alone where the tail has non-integer powers: there Richardson can
+    settle on a wrong limit with a small increment."""
     est_a, inc_a = shanks_extrapolate(levels)
+    if not integer_powers:
+        return est_a, inc_a
+    est_r, inc_r = richardson_extrapolate(levels)
     return (est_r, inc_r) if inc_r <= inc_a else (est_a, inc_a)
 
 
@@ -230,7 +226,7 @@ def _accelerate(levels):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, tol, max_panels, what):
+def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: None):
     """Max-heap refinement of a partition of a finite domain.
 
     ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
@@ -238,8 +234,12 @@ def _refine(items, evaluate, split, tol, max_panels, what):
     evaluations spent, in one call; ``split(item)`` gives the item's
     children, or None when it is too small to split.  The first pass is
     summed in numpy, and only when it misses tol is a heap built: each
-    pass then splits up to 64 of the items with the largest estimates.
-    Panels are the leaves of the partition."""
+    pass then refines up to 64 of the items whose estimates exceed their
+    share of tol, the largest first.  An item is split while the panels
+    stay within ``max_panels``; after that, ``climb(item)`` gives the same
+    item under a stronger rule, or None, and then the item is left as it
+    is; NoConvergence is raised when tol is missed and every item above
+    its share is left so.  Panels are the leaves of the partition."""
     vals, errs, mass, evals = evaluate(items)
     value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
     n_panels = len(items)
@@ -253,16 +253,12 @@ def _refine(items, evaluate, split, tol, max_panels, what):
     def missed():
         return err_sum > tol * (1.0 + abs(value)) + floor_err()
 
-    def exhausted():  # called before popped items leave the sums
-        return NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=result())
-
     if not missed():
         return result()
-    if n_panels >= max_panels:  # any split adds a panel
-        raise exhausted()
-    heap = list(zip((-errs).tolist(), range(n_panels), items.tolist(), vals.tolist(), errs.tolist()))
-    heapq.heapify(heap)  # (-err, id, item, value, err)
+    heap = list(zip((-errs).tolist(), range(n_panels), items.tolist(), vals.tolist(), errs.tolist(), mass.tolist()))
+    heapq.heapify(heap)  # (-err, id, item, value, err, mass)
     uid = n_panels
+    full = False
     while missed():
         target = tol * (1.0 + abs(value)) / n_panels
         popped, children = [], []
@@ -270,20 +266,26 @@ def _refine(items, evaluate, split, tol, max_panels, what):
             kids = split(heap[0][2])
             if kids is None:
                 break
+            if n_panels - len(popped) + len(children) + len(kids) - 1 > max_panels:
+                kids = climb(heap[0][2])
+                if kids is None:  # stays in the sums; nothing can refine it
+                    full = True
+                    heapq.heappop(heap)
+                    continue
             popped.append(heapq.heappop(heap))
             children.extend(kids)
         if not popped:
+            if full:
+                raise NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=result())
             break
-        if n_panels - len(popped) + len(children) > max_panels:
-            raise exhausted()
         vals, errs, mass, n = evaluate(np.array(children))
         value += complex(vals.sum()) - sum(p[3] for p in popped)
         err_sum += float(errs.sum()) - sum(p[4] for p in popped)
-        absmass += float(mass.sum())
+        absmass += float(mass.sum()) - sum(p[5] for p in popped)
         evals += n
         n_panels += len(children) - len(popped)
-        for item, v, e in zip(children, vals.tolist(), errs.tolist()):
-            heapq.heappush(heap, (-e, uid, item, v, e))
+        for item, v, e, m in zip(children, vals.tolist(), errs.tolist(), mass.tolist()):
+            heapq.heappush(heap, (-e, uid, item, v, e, m))
             uid += 1
 
     return result()
@@ -321,47 +323,37 @@ def _eval_panel_batch(fv, bounds, rule):
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _segment(fv, a, b, tol, cells_from=math.inf):
-    """``integrate_segment`` of a vectorized fv on a < b, on a ladder of
-    panel rules by evaluations (7, 15, 48): K7 against its G3 subset, K15
-    against G7, and GL16 on the halves against GL16.  A panel inside one
-    unit cell starts at K15, or at K7 from ``cells_from`` on, where callers
-    know fv varies slowly over a cell; a wider panel, left uncut by
-    ``_cutpoints``' guard, takes 48: a Kronrod pair misses P1 jumps."""
+def _segment(fv, a, b, tol):
+    """``integrate_segment`` of a vectorized fv on a < b.  A panel is a row
+    (lo, hi, climbed): K15 against its G7 subset (15 evaluations) inside
+    one unit cell, and GL16 on its halves against GL16 on it (48) when it
+    is wider, where a Kronrod pair misses P1 jumps, or has climbed."""
 
     def split(panel):
-        lo, hi = panel
+        lo, hi, _ = panel
         if hi - lo < 1e-13 * (1 + abs(lo)):
             return None
         mid = 0.5 * (lo + hi)
-        return [(lo, mid), (mid, hi)]
+        return [(lo, mid, 0.0), (mid, hi, 0.0)]
+
+    def climb(panel):
+        lo, hi, climbed = panel
+        return None if climbed or hi > math.floor(lo) + 1.0 else [(lo, hi, 1.0)]
 
     def evaluate(panels):
-        lo, hi = panels.T
-        cell = hi <= np.floor(lo) + 1.0
-        rung = np.where(cell, np.where(lo >= cells_from, 0, 1), 2)  # of the ladder (7, 15, 48)
+        lo, hi, climbed = panels.T
+        strong = (hi > np.floor(lo) + 1.0) | (climbed > 0)
         out = np.empty((3, len(panels)), complex)
-        evals, todo = 0, np.ones(len(panels), bool)
-        while todo.any():
-            for i, n in enumerate((7, 15, 48)):
-                if (mask := todo & (rung == i)).any():
-                    out[:, mask] = _eval_panel_batch(fv, panels[mask], _PANEL_RULES[n])
-                    evals += n * int(np.count_nonzero(mask))
-            # a cell whose check misses its share of tol climbs a rung rather
-            # than split: a long segment can start with its budget full
-            todo &= (rung < 2) & (out[1].real > tol * (1.0 + abs(out[0].sum())) / len(panels))
-            rung += todo
-        return out[0], out[1].real, out[2].real, evals
+        for mask, n in ((~strong, 15), (strong, 48)):
+            if mask.any():
+                out[:, mask] = _eval_panel_batch(fv, panels[mask, :2], _PANEL_RULES[n])
+        n_strong = int(np.count_nonzero(strong))
+        return out[0], out[1].real, out[2].real, 15 * (len(panels) - n_strong) + 48 * n_strong
 
     pts = _cutpoints(a, b)
-    return _refine(
-        np.repeat(pts, 2)[1:-1].reshape(-1, 2),
-        evaluate,
-        split,
-        tol,
-        DEFAULT_PANEL_BUDGET,
-        f"segment [{a}, {b}]",
-    )
+    panels = np.zeros((len(pts) - 1, 3))
+    panels[:, 0], panels[:, 1] = pts[:-1], pts[1:]
+    return _refine(panels, evaluate, split, tol, DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]", climb)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -372,7 +364,9 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
     until the summed estimate satisfies err <= tol * (1 + |value|).  Each
     panel inside a unit cell returns K15, and |K15 - G7| on the same nodes
     is its error estimate (``_segment`` gives the rule of a wider panel).
-    Raises NoConvergence once the panels would exceed DEFAULT_PANEL_BUDGET.
+    Once the panels fill DEFAULT_PANEL_BUDGET, a unit-cell panel climbs to
+    GL16 on its halves instead of splitting, and NoConvergence is raised
+    when tol is missed and no panel above its share can do either.
     """
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
@@ -399,7 +393,7 @@ def _tail_constant(mags, rads, decay_order):
     return float(scaled.max())
 
 
-def _improper(segment_for, start_radius, max_radius, tol, tail_bound):
+def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order):
     """The doubling driver: cumulative integrals at doubling radii plus
     acceleration.
 
@@ -409,7 +403,8 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound):
     bound or the extrapolation increment meets tol; gives up with the best
     estimate once r reaches max_radius or the panels of all levels exceed
     64 panel budgets (each level's adaptive calls hold their own budget, and
-    fixed-order strip cells are cheap).
+    fixed-order strip cells are cheap).  Richardson joins the extrapolation
+    only for an integer ``decay_order``, whose tail has integer powers.
     """
     levels = []
     quad_err = 0.0
@@ -426,7 +421,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound):
         evals += res.evals
         levels.append(value)
         plain_tail = tail_bound(r)
-        est, inc = _accelerate(levels)
+        est, inc = _accelerate(levels, float(decay_order).is_integer())
         scale = 1.0 + abs(est)
         if plain_tail <= tol * scale / 4 and plain_tail <= inc:
             return QuadratureResult(value, quad_err + plain_tail, panels, evals)
@@ -475,17 +470,16 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
         return _total([integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans])
 
-    return _improper(segment_for, 16, 1 << 13, tol, tail_bound)
+    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order)
 
 
 def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
     """Integrate f over [start, infinity).
 
     Requires an algebraic decay order |f| ~ x^-decay_order with
-    decay_order > 1, validated by sampling; it sets the tail bound.  The
-    first level [start, start + 16] runs on K15 panels; the doubling
-    levels beyond it run on K7 per unit cell (``_segment``), since an
-    algebraically decaying f varies slowly over a unit cell that far out."""
+    decay_order > 1, validated by sampling; it sets the tail bound.  Each
+    level, [start, start + 16] and then the doubling shells, is one
+    ``_segment`` on K15 unit-cell panels."""
     if decay_order <= 1:
         raise UnsupportedDecay("integrate_ray needs decay_order > 1")
     check_tol(tol)
@@ -499,11 +493,9 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
         return c * r ** (1.0 - q) / (q - 1.0)
 
     def segment_for(r_prev, r):
-        if r_prev is None:
-            return _segment(fv, start, start + r, seg_tol)
-        return _segment(fv, start + r_prev, start + r, seg_tol, cells_from=start + r_prev)
+        return _segment(fv, start + (r_prev or 0), start + r, seg_tol)
 
-    return _improper(segment_for, 16, 1 << 14, tol, tail_bound)
+    return _improper(segment_for, 16, 1 << 14, tol, tail_bound, decay_order)
 
 
 # ---------------------------------------------------------------------------
@@ -713,4 +705,4 @@ def integrate_half_strip(
             [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
         )
 
-    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound)
+    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order)

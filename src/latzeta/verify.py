@@ -164,7 +164,7 @@ def verify_lerch(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     c_val = lerch_coffey(p, tol=inner_tol)
     out.append(CheckResult("lerch", "series-vs-integral-z1", abs(s_val - c_val) / (1.0 + abs(s_val)), tol))
 
-    # |z| -> 1, where Coffey's far segment runs on K7 unit cells
+    # |z| -> 1, where Coffey's segment runs over thousands of unit cells
     p = LerchParams(rng.uniform(0.998, 0.9995), rng.uniform(1.5, 3.0), rng.uniform(0.5, 2.0))
     s_val, c_val = lerch_series(p, tol=inner_tol), lerch_coffey(p, tol=inner_tol)
     out.append(CheckResult("lerch", "coffey-near-circle", abs(s_val - c_val) / (1.0 + abs(s_val)), tol))

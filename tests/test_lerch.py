@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import latzeta.lerch
 from latzeta.errors import ConvergenceError, DomainError, SlowConvergence
@@ -145,8 +145,8 @@ class TestCoffeyNearUnitCircle:
         ],
     )
     def test_oscillating_z_meets_tol(self, z, s, a, tol):
-        # |log z| > 1/4: the segment's unit cells stay on K15 and it does
-        # not raise
+        # z^x turns fast over each unit cell, and the segment's K15 cells
+        # still meet tol without a raise
         mpmath = pytest.importorskip("mpmath")
         want = complex(mpmath.lerchphi(z, s, a))
         got = lerch_coffey(LerchParams(z, s, a), tol=tol)
@@ -165,8 +165,8 @@ class TestCoffeyNearUnitCircle:
     )
     def test_full_budget_segment_meets_tol(self, z, s, a):
         # 2^16 and 2^18 unit cells fill the panel budget before any split:
-        # the cells whose K15 (first) or K7 (second) check misses its share
-        # of tol climb to a stronger rule instead
+        # the cells whose K15 check misses its share of tol climb to GL16 on
+        # their halves instead
         mpmath = pytest.importorskip("mpmath")
         tol = 1e-12
         want = complex(mpmath.lerchphi(z, s, a))
@@ -309,6 +309,8 @@ class TestUnitCircle:
         a=st.floats(0.2, 4.0),
         route=st.sampled_from(sorted(ROUTES)),
     )
+    # the ray's Richardson estimate at a + 1 settled 8e-10 off its limit
+    @example(s=3.1165095527776816, a=3.115234375, route="coffey")
     def test_hurwitz_shift(self, s, a, route):
         # zeta(s, a) - zeta(s, a+1) = a^-s
         tol = 1e-10

@@ -18,11 +18,11 @@ from latzeta.quadrature import (
     _GL8_X,
     _GL16_W,
     _GL16_X,
-    _K7,
     _K15,
+    _EPS_FLOOR,
     _PANEL_RULES,
     _eval_panel_batch,
-    _segment,
+    _refine,
     _cutpoints,
     _rect_fixed,
     _strip_rect,
@@ -84,17 +84,17 @@ class TestSegment:
         lo = rng.uniform(0.0, 20.0, 1500)
         hi = lo + rng.uniform(0.05, 2.0, 1500)
         fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
-        for x, wk, wg in (_K15, _K7):
-            got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[x.size])
-            assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
-            for a, b, value, err, mass in zip(lo, hi, *got):
-                h = 0.5 * (b - a)
-                vals = fv(h * x + a + h)
-                kronrod, gauss = h * np.dot(wk, vals), h * np.dot(wg, vals)
-                want_mass = h * np.dot(wk, np.abs(vals))
-                assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
-                assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
-                assert abs(mass - want_mass) <= 1e-14 * want_mass
+        x, wk, wg = _K15
+        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[15])
+        assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
+        for a, b, value, err, mass in zip(lo, hi, *got):
+            h = 0.5 * (b - a)
+            vals = fv(h * x + a + h)
+            kronrod, gauss = h * np.dot(wk, vals), h * np.dot(wg, vals)
+            want_mass = h * np.dot(wk, np.abs(vals))
+            assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
+            assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
+            assert abs(mass - want_mass) <= 1e-14 * want_mass
 
     def test_wide_panel_batch_matches_gl16_on_halves(self):
         lo = np.array([0.0, 3.5, 100.0])
@@ -111,12 +111,12 @@ class TestSegment:
             assert abs(err - abs(fine - coarse)) <= 1e-14 * want_mass
             assert abs(mass - want_mass) <= 1e-14 * want_mass
 
-    @pytest.mark.parametrize("rule,gauss,degree", [(_K15, 13, 23), (_K7, 5, 11)], ids=["K15", "K7"])
-    def test_kronrod_rules_are_exact(self, rule, gauss, degree):
-        # the Kronrod rule is exact for x^d, d <= degree, on [-1, 1], and
-        # its Gauss subset for d <= gauss
-        x, wk, wg = rule
-        for w, top in ((wk, degree), (wg, gauss)):
+    def test_kronrod_rule_is_exact(self):
+        # K15 is exact for x^d, d <= 23, on [-1, 1], and its G7 subset for
+        # d <= 13
+        x, wk, wg = _K15
+        gauss = 13
+        for w, top in ((wk, 23), (wg, gauss)):
             for d in range(top + 1):
                 assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15
         assert abs(np.dot(wg, x ** (gauss + 1)) - 2.0 / (gauss + 2)) > 1e-6
@@ -130,37 +130,48 @@ class TestSegment:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_k7_cells_match_k15_on_smooth_far_integrand(self):
+    def test_unit_cells_meet_tol_on_smooth_far_integrand(self):
         # e^(cx) (1 + P1(x)) on [1, 4097]: the same kind of integrand as
-        # Coffey's segment, slowly varying on each unit cell.  K7 costs 7/15
-        # of K15 per cell, but |K7 - G3| sums to 5.5e-9 against a target of
-        # 1.1e-10 here, and the 1387 cells above their share climb to K15
+        # Coffey's segment, slowly varying on each unit cell, where K15
+        # meets tol on the first pass
         c, m, tol = -0.005 + 0.1j, 4096, 1e-11
         fv = vectorize1(lambda x: np.exp(c * x) * (1.0 + p1(x)))
         ec = cmath.exp(c)
         cell_p1 = (ec + 1) / (2 * c) - (ec - 1) / c**2  # int_0^1 (t - 1/2) e^(ct) dt
         truth = (cmath.exp(c * (1 + m)) - ec) / c + ec * (cmath.exp(c * m) - 1) / (ec - 1) * cell_p1
-        cells = _segment(fv, 1.0, 1.0 + m, tol, cells_from=17.0)
-        k15 = integrate_segment(fv, 1.0, 1.0 + m, tol)
-        assert cells.evals < 0.85 * k15.evals
-        assert abs(cells.value - k15.value) <= tol * (1 + abs(truth))
-        for q in (cells, k15):
-            assert q.err >= abs(q.value - truth)
-            assert abs(q.value - truth) <= tol * (1 + abs(truth))
+        q = integrate_segment(fv, 1.0, 1.0 + m, tol)
+        assert (q.panels, q.evals) == (m, 15 * m)
+        assert q.err >= abs(q.value - truth)
+        assert abs(q.value - truth) <= tol * (1 + abs(truth))
 
     def test_evals_count_the_rule_of_each_panel(self):
-        # a smooth integrand meets tol on the first pass: 16 K15 panels
-        # before x = 17 and 10 K7 unit cells from there
+        # a smooth integrand meets tol on the first pass: 26 K15 panels,
+        # and one for part of a cell
         fv = vectorize1(lambda x: np.exp(-x / 50))
         assert integrate_segment(fv, 1.0, 27.0, 1e-8).evals == 15 * 26
-        q = _segment(fv, 1.0, 27.0, 1e-8, cells_from=17.0)
-        assert (q.panels, q.evals) == (26, 15 * 16 + 7 * 10)
-        # part of a cell gets K7; a panel wider than one cell keeps GL16 on
-        # its halves however far out it lies (2^20 cells, more than the cut
-        # guard allows; tol 1 ends it on the first pass)
-        assert _segment(fv, 17.5, 17.75, 1e-8, cells_from=17.0).evals == 7
-        q = _segment(fv, 18.0, 18.0 + (1 << 20), 1.0, cells_from=17.0)
+        assert integrate_segment(fv, 17.5, 17.75, 1e-8).evals == 15
+        # a panel wider than one cell keeps GL16 on its halves (2^20
+        # cells, more than the cut guard allows; tol 1 ends it on the
+        # first pass)
+        q = integrate_segment(fv, 18.0, 18.0 + (1 << 20), 1.0)
         assert (q.panels, q.evals) == (1, 48)
+
+    def test_full_budget_climbs_instead_of_splitting(self, monkeypatch):
+        # 8 unit cells fill a budget of 8: each cell whose K15 check misses
+        # its share of tol takes GL16 on its halves in place, and the
+        # segment still meets tol with err >= true error
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 8)
+        tol = 1e-13
+        q = integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
+        truth = (cmath.exp(48j) - 1) / 6j
+        assert q.panels == 8
+        assert q.evals == 15 * 8 + 48 * 8
+        assert q.err >= abs(q.value - truth)
+        assert q.err <= tol * (1 + abs(q.value)) + 1e-15
+        # a wide panel has no stronger rule: a full budget raises
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 1)
+        with pytest.raises(NoConvergence):
+            integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
 
     def test_scalar_only_integrand_over_many_panels(self):
         # 1200 integer panels; math.exp rejects the node arrays, so every
@@ -168,6 +179,53 @@ class TestSegment:
         q = integrate_segment(lambda x: math.exp(-x / 400), 0.0, 1200.0, tol=1e-12)
         assert q.panels >= 1200
         assert q.value == pytest.approx(400 * (1 - math.exp(-3)), rel=1e-12)
+
+
+class TestRefine:
+    """``_refine`` on synthetic items: rows of (depth, rung), where an item
+    of depth d holds value and |f| mass 2^-d."""
+
+    @staticmethod
+    def evaluate(errs):
+        def evaluate(rows):
+            rows = np.asarray(rows, float)
+            w = 0.5 ** rows[:, 0]
+            return w.astype(complex), np.array([errs(*row) for row in rows.tolist()]), w, len(rows)
+
+        return evaluate
+
+    @staticmethod
+    def split(row):
+        return [(row[0] + 1, 0.0)] * 2
+
+    def test_floor_counts_the_mass_of_the_leaves_only(self):
+        # every item of depth < 5 has error 1: 32 leaves of total mass 1,
+        # however many levels were split on the way
+        q = _refine(np.zeros((1, 2)), self.evaluate(lambda d, r: float(d < 5)), self.split, 1e-6, 64, "test")
+        assert (q.panels, q.value) == (32, 1.0)
+        assert q.err == pytest.approx(_EPS_FLOOR * (1.0 + 1.0 + 1.0), rel=1e-12, abs=0.0)
+
+    def test_full_budget_leaves_an_item_that_cannot_climb(self):
+        # four items of depth 2 fill a budget of 4; the first has no
+        # stronger rule and keeps its error, the other three climb to rung
+        # 1, where their error is 0
+        items = np.array([(2.0, 0.0)] * 4)
+        evaluate = self.evaluate(lambda d, r: 0.0 if r else 1e-6)
+        firsts = []
+
+        def climb_but_first(row):
+            if not firsts:
+                firsts.append(row)
+                return None
+            return [(row[0], 1.0)]
+
+        q = _refine(items, evaluate, self.split, 1e-6, 4, "test", climb_but_first)
+        assert (q.panels, q.value) == (4, 1.0)
+        assert q.err == pytest.approx(1e-6, rel=1e-6)
+        # when no item can climb, the missed tol raises
+        with pytest.raises(NoConvergence) as info:
+            _refine(items, evaluate, self.split, 1e-6, 4, "test")
+        assert info.value.best.err == pytest.approx(4e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
@@ -205,6 +263,17 @@ class TestRay:
     def test_algebraic(self):
         q = integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=1e-10)
         assert q.value == pytest.approx(1.0, abs=1e-8)
+
+    def test_non_integer_decay_is_not_richardson_extrapolated(self):
+        # -s (x+a)^(-s-1) P1(x), the Hurwitz ray: Richardson's integer
+        # powers do not fit its tail, and at radius 256 its last two
+        # diagonal entries agreed to 8e-13 while both lay 8e-10 off the
+        # limit (from mpmath.zeta at 30 digits)
+        s, a = 3.1165095527776816, 4.115234375
+        q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=s + 1.0, tol=5e-11)
+        limit = 3.095910874793238e-04
+        assert abs(q.value - limit) <= q.err
+        assert abs(q.value - limit) <= 5e-11
 
     def test_slow_algebraic(self):
         q = integrate_ray(lambda x: x**-1.2, 1.0, decay_order=1.2, tol=1e-8)
