@@ -28,7 +28,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, SlowConvergence
-from .quadrature import _EPS_FLOOR, _segment, check_tol, integrate_ray, vectorize1
+from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, _segment, check_tol, integrate_ray, vectorize1
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -169,9 +169,9 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     |z| < 1 integrates g + g' P1 with g = z^x (x+a)^-s (the 1-D twin of
     em2d's interior integrand) as one segment at tol/2, truncated where the
     exponential tail bound falls below tol/4; when that needs a radius
-    beyond 2^20, it raises SlowConvergence with the value at 2^20 as
-    ``.best``; so it does when the segment's err exceeds tol/2 (1 + |value|),
-    as where its terms cancel down to roundoff.  At z = 1 the plain
+    beyond MAX_SPAN_CELLS (2^20), it raises SlowConvergence with the value
+    at that radius as ``.best``; so it does when the segment's err exceeds
+    tol/2 (1 + |value|), as where its terms cancel down to roundoff.  At z = 1 the plain
     integral is the exact (1+a)^(1-s)/(s-1), and only the weighted ray
     -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
@@ -199,7 +199,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / (radius + a.real) ** sigma
         * (1.0 + abs(log_z) + abs(s) / radius)
         / rate
-    ) >= tol / 4 and radius < 1 << 20:
+    ) >= tol / 4 and radius < MAX_SPAN_CELLS:
         radius *= 2
     q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2)
     value = head + q.value

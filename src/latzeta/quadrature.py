@@ -10,18 +10,16 @@ Two algorithms, each written once:
   cell returns the value of a Kronrod rule, and its distance from the
   embedded Gauss rule on the same nodes is the error estimate:
   ``integrate_rect`` takes K15xK15 against G7xG7 on each cell, and
-  ``integrate_segment`` K15 against G7 on each panel inside a unit cell,
-  GL16 on the halves against GL16 on a panel wider than a cell.  Once the
-  panels fill ``DEFAULT_PANEL_BUDGET``, a segment's K15 panel climbs to
-  that stronger rule instead of splitting; where nothing can climb,
-  both raise NoConvergence.
+  ``integrate_segment`` K15 against G7 on each panel, which always lies
+  inside one unit cell.  An item whose split would overrun the panel
+  budget stays as it is, and NoConvergence is raised if tol is missed.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
-  accelerated (Richardson or iterated Aitken), and a sampled algebraic
-  tail bound stops the doubling too when the decay makes it sharp, up to a
-  fixed radius (``HALF_STRIP_MAX_RADIUS`` for the half-strip).  The
-  half-strip's first level is an adaptive rectangle of radius 4 around the
+  accelerated (the better of Richardson and iterated Aitken), and a
+  sampled algebraic tail bound stops the doubling too when the decay makes
+  it sharp, up to a fixed radius (``HALF_STRIP_MAX_RADIUS`` for the
+  half-strip).  The half-strip's first level is an adaptive rectangle of radius 4 around the
   integrand peak; later levels are slabs with a fixed tensor rule per unit
   cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
   the cell nearest the peak: the rule there against the rule on the
@@ -46,8 +44,9 @@ from .errors import NoConvergence, TailEstimateFailed, UnsupportedDecay
 DEFAULT_PANEL_BUDGET = 1 << 16
 #: radius at which a half-strip gives up, read at each call
 HALF_STRIP_MAX_RADIUS = 1024
+#: unit cells one segment or rectangle side may span
+MAX_SPAN_CELLS = 1 << 20
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
@@ -71,15 +70,9 @@ _K15 = _kronrod(
      0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
     (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694),
 )
-#: segment panel rules by evaluations per panel: nodes on [-1, 1] and
-#: columns of weights that give the value and the value minus its check;
-#: 48 is GL16 on the panel's halves checked against GL16 on the whole panel
-_PANEL_RULES = {
-    len(x): (x, np.stack([w, w - check], 1))
-    for x, w, check in (_K15, (
-        np.concatenate([_GL16_X, 0.5 * _GL16_X - 0.5, 0.5 * _GL16_X + 0.5]),  # whole, left, right
-        np.kron([0.0, 0.5, 0.5], _GL16_W), np.kron([1.0, 0.0, 0.0], _GL16_W)))
-}
+#: the K15 weights and K15 minus G7 weights as columns: a panel's value and
+#: the signed difference that is its error estimate
+_K15_PANEL = np.stack([_K15[1], _K15[1] - _K15[2]], 1)
 
 #: relative roundoff floor entering every reported error
 _EPS_FLOOR = 4e-16
@@ -226,7 +219,7 @@ def _accelerate(levels, integer_powers=True):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: None):
+def _refine(items, evaluate, split, tol, max_panels, what):
     """Max-heap refinement of a partition of a finite domain.
 
     ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
@@ -234,12 +227,13 @@ def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: No
     evaluations spent, in one call; ``split(item)`` gives the item's
     children, or None when it is too small to split.  The first pass is
     summed in numpy, and only when it misses tol is a heap built: each
-    pass then refines up to 64 of the items whose estimates exceed their
-    share of tol, the largest first.  An item is split while the panels
-    stay within ``max_panels``; after that, ``climb(item)`` gives the same
-    item under a stronger rule, or None, and then the item is left as it
-    is; NoConvergence is raised when tol is missed and every item above
-    its share is left so.  Panels are the leaves of the partition."""
+    pass then splits up to 64 of the items whose estimates exceed their
+    share of tol, the largest first.  An item whose split would take the
+    panels beyond ``max_panels`` stays in the sums as it is, and
+    NoConvergence, with the result as ``.best``, is raised when tol is
+    missed and no item above its share can be split, or after the first
+    pass when the items beyond the reach of the budget miss tol by
+    themselves.  Panels are the leaves of the partition."""
     vals, errs, mass, evals = evaluate(items)
     value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
     n_panels = len(items)
@@ -255,7 +249,16 @@ def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: No
 
     if not missed():
         return result()
-    heap = list(zip((-errs).tolist(), range(n_panels), items.tolist(), vals.tolist(), errs.tolist(), mass.tolist()))
+    # a split adds at least one panel, so only the `spare` largest estimates
+    # can ever be split; the heap holds one more, whose pop finds the budget
+    # full.  The rest keep their estimates: when those alone miss tol, on
+    # the largest |value| the estimates allow, no refinement can meet it
+    order = np.argsort(-errs, kind="stable")
+    spare = max(max_panels - n_panels, 0)
+    if errs[order[spare:]].sum() > tol * (1.0 + abs(value) + err_sum) + floor_err():
+        raise NoConvergence(f"{what}: panel budget {max_panels} too small for tol {tol:g}", best=result())
+    keep = order[: spare + 1]
+    heap = list(zip(*(a.tolist() for a in (-errs[keep], keep, items[keep], vals[keep], errs[keep], mass[keep]))))
     heapq.heapify(heap)  # (-err, id, item, value, err, mass)
     uid = n_panels
     full = False
@@ -267,11 +270,9 @@ def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: No
             if kids is None:
                 break
             if n_panels - len(popped) + len(children) + len(kids) - 1 > max_panels:
-                kids = climb(heap[0][2])
-                if kids is None:  # stays in the sums; nothing can refine it
-                    full = True
-                    heapq.heappop(heap)
-                    continue
+                full = True  # stays in the sums as it is
+                heapq.heappop(heap)
+                continue
             popped.append(heapq.heappop(heap))
             children.extend(kids)
         if not popped:
@@ -296,64 +297,52 @@ def _refine(items, evaluate, split, tol, max_panels, what, climb=lambda item: No
 
 
 def _cutpoints(a, b):
-    """The ends of [a, b] and the integers inside it, as a sorted array."""
+    """The ends of [a, b] and the integers inside it, as a sorted array.
+    A span of more than MAX_SPAN_CELLS unit cells raises NoConvergence."""
     n0 = math.floor(a) + 1
     n1 = math.ceil(b) - 1
-    # guard against pathological spans; the adaptive stage can still split
-    pts = np.arange(n0 - 1, n1 + 2, dtype=float) if n1 - n0 <= 4 * DEFAULT_PANEL_BUDGET else np.zeros(2)
+    if n1 - n0 + 2 > MAX_SPAN_CELLS:
+        raise NoConvergence(f"[{a}, {b}] spans more than {MAX_SPAN_CELLS} unit cells")
+    pts = np.arange(n0 - 1, n1 + 2, dtype=float)
     pts[0], pts[-1] = a, b
     return pts
 
 
-def _eval_panel_batch(fv, bounds, rule):
-    """The panel rule ``rule`` (from _PANEL_RULES) on each panel, for up to
-    1024 panels per integrand call, which bounds peak memory.
+def _eval_panel_batch(fv, bounds):
+    """K15 on each (lo, hi) row of ``bounds``, for up to 1024 panels per
+    integrand call, which bounds peak memory.
 
-    Returns arrays over the panels: value, error estimate (|value - check|)
+    Returns arrays over the panels: value, error estimate (|K15 - G7|)
     and integral of |f|."""
-    nodes, weights = rule
     bounds = np.asarray(bounds, float)
-    parts = []
+    value, err, mass = np.empty(len(bounds), complex), np.empty(len(bounds)), np.empty(len(bounds))
     for i in range(0, len(bounds), 1024):
         lo, hi = bounds[i : i + 1024].T
         h = 0.5 * (hi - lo)
-        vals = fv((h[:, None] * nodes + (lo + h)[:, None]).ravel()).reshape(-1, nodes.size)
-        value, err = h * (vals @ weights).T
-        parts.append((value, np.abs(err), h * (np.abs(vals) @ weights[:, 0])))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
+        vals = fv((h[:, None] * _K15[0] + (lo + h)[:, None]).ravel()).reshape(-1, _K15[0].size)
+        value[i : i + 1024], diff = h * (vals @ _K15_PANEL).T
+        err[i : i + 1024], mass[i : i + 1024] = np.abs(diff), h * (np.abs(vals) @ _K15[1])
+    return value, err, mass
 
 
 def _segment(fv, a, b, tol):
     """``integrate_segment`` of a vectorized fv on a < b.  A panel is a row
-    (lo, hi, climbed): K15 against its G7 subset (15 evaluations) inside
-    one unit cell, and GL16 on its halves against GL16 on it (48) when it
-    is wider, where a Kronrod pair misses P1 jumps, or has climbed."""
+    (lo, hi) inside one unit cell, and its budget is DEFAULT_PANEL_BUDGET
+    panels beyond its cells, so that segments of many cells can split."""
 
     def split(panel):
-        lo, hi, _ = panel
+        lo, hi = panel
         if hi - lo < 1e-13 * (1 + abs(lo)):
             return None
         mid = 0.5 * (lo + hi)
-        return [(lo, mid, 0.0), (mid, hi, 0.0)]
-
-    def climb(panel):
-        lo, hi, climbed = panel
-        return None if climbed or hi > math.floor(lo) + 1.0 else [(lo, hi, 1.0)]
+        return [(lo, mid), (mid, hi)]
 
     def evaluate(panels):
-        lo, hi, climbed = panels.T
-        strong = (hi > np.floor(lo) + 1.0) | (climbed > 0)
-        out = np.empty((3, len(panels)), complex)
-        for mask, n in ((~strong, 15), (strong, 48)):
-            if mask.any():
-                out[:, mask] = _eval_panel_batch(fv, panels[mask, :2], _PANEL_RULES[n])
-        n_strong = int(np.count_nonzero(strong))
-        return out[0], out[1].real, out[2].real, 15 * (len(panels) - n_strong) + 48 * n_strong
+        return (*_eval_panel_batch(fv, panels), 15 * len(panels))
 
     pts = _cutpoints(a, b)
-    panels = np.zeros((len(pts) - 1, 3))
-    panels[:, 0], panels[:, 1] = pts[:-1], pts[1:]
-    return _refine(panels, evaluate, split, tol, DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]", climb)
+    panels = np.stack([pts[:-1], pts[1:]], 1)
+    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]")
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -362,11 +351,10 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
     Panels are pre-split at every integer, where a P1-weighted integrand
     has its kinks, and then bisected where the error estimate is largest
     until the summed estimate satisfies err <= tol * (1 + |value|).  Each
-    panel inside a unit cell returns K15, and |K15 - G7| on the same nodes
-    is its error estimate (``_segment`` gives the rule of a wider panel).
-    Once the panels fill DEFAULT_PANEL_BUDGET, a unit-cell panel climbs to
-    GL16 on its halves instead of splitting, and NoConvergence is raised
-    when tol is missed and no panel above its share can do either.
+    panel returns K15, and |K15 - G7| on the same nodes is its error
+    estimate.  The panels may grow to DEFAULT_PANEL_BUDGET beyond the
+    unit cells; NoConvergence is raised when tol is missed within that,
+    or at once when [a, b] spans more than MAX_SPAN_CELLS cells.
     """
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
@@ -647,10 +635,12 @@ def integrate_half_strip(
     Requires decay_order > 2 (slower 2-D decay is not absolutely
     convergent).  The strip is truncated to growing rectangles whose radius
     doubles; the truncated values carry a smooth expansion in the inverse
-    radius when the cuts are integer-aligned, so iterated Aitken
-    extrapolation supplies the tail.  ``hot_x`` locates the integrand peak
-    along the edge: the first level, an adaptive rectangle, is centred on
-    it, and each slab's rule error is estimated at the cell nearest it.
+    radius when the cuts are integer-aligned, so extrapolation supplies
+    the tail: the better of Richardson and iterated Aitken for an integer
+    decay_order, Aitken alone otherwise.  ``hot_x`` locates the integrand
+    peak along the edge: the first level, an adaptive rectangle, is
+    centred on it, and each slab's rule error is estimated at the cell
+    nearest it.
     Gives up with NoConvergence once the radius reaches
     HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strip: the
     caller keeps poles away from the edge."""

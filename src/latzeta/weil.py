@@ -250,7 +250,11 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     if edge_distance < 1e-6:
         raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     coords = lattice_coordinates(p.lat, -a)
-    x0, y0 = coords.x0, coords.y0
+    # E_k has period w1 for k >= 3: move J1's peak, at x = x0, next to the
+    # x = 0 that integrate_line centres on
+    n = round(coords.x0)
+    a += n * w1
+    x0, y0 = coords.x0 - n, coords.y0
     y_up, y_dn = y0 + eps, y0 - eps
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
 

@@ -126,15 +126,20 @@ class TestCoffeyNearUnitCircle:
             assert abs(got - want) <= tol * (1 + abs(want))
 
     @pytest.mark.parametrize(
-        "s,a", [(-1.2871081515768996, 2.0897967125021584), (0.10514909583443854, 1.0873240526355523)]
+        "z,s,a,tol",
+        [
+            (0.9999, -1.2871081515768996, 2.0897967125021584, 1e-8),
+            (0.9999, 0.10514909583443854, 1.0873240526355523, 1e-8),
+            # 1.04 tol off while a span this wide was left as one panel,
+            # whose estimate missed the P1 jumps inside it
+            (0.99995, 0.044443213025333606, 1.9492343528500855, 1e-6),
+        ],
     )
-    def test_uncut_segment_meets_tol(self, s, a):
-        # radius 2^19 holds more integers than the cut guard allows, so the
-        # segment starts as one wide panel, which keeps GL16 on its halves
+    def test_wide_span_segment_meets_tol(self, z, s, a, tol):
+        # radius 2^19: the segment starts as 2^19 unit cells, each with K15
         mpmath = pytest.importorskip("mpmath")
-        tol = 1e-8
-        want = complex(mpmath.lerchphi(0.9999, s, a))
-        got = lerch_coffey(LerchParams(0.9999, s, a), tol=tol)
+        want = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_coffey(LerchParams(z, s, a), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
 
     @pytest.mark.parametrize(
@@ -164,9 +169,9 @@ class TestCoffeyNearUnitCircle:
         ],
     )
     def test_full_budget_segment_meets_tol(self, z, s, a):
-        # 2^16 and 2^18 unit cells fill the panel budget before any split:
-        # the cells whose K15 check misses its share of tol climb to GL16 on
-        # their halves instead
+        # 2^16 and 2^18 unit cells, as many as DEFAULT_PANEL_BUDGET or more:
+        # the segment's budget adds that many panels to its cells, so the
+        # cells whose K15 check misses its share of tol can still split
         mpmath = pytest.importorskip("mpmath")
         tol = 1e-12
         want = complex(mpmath.lerchphi(z, s, a))

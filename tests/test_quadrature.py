@@ -16,11 +16,8 @@ from latzeta.quadrature import (
     _GL4_X,
     _GL8_W,
     _GL8_X,
-    _GL16_W,
-    _GL16_X,
     _K15,
     _EPS_FLOOR,
-    _PANEL_RULES,
     _eval_panel_batch,
     _refine,
     _cutpoints,
@@ -85,7 +82,7 @@ class TestSegment:
         hi = lo + rng.uniform(0.05, 2.0, 1500)
         fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
         x, wk, wg = _K15
-        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())), _PANEL_RULES[15])
+        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())))
         assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
         for a, b, value, err, mass in zip(lo, hi, *got):
             h = 0.5 * (b - a)
@@ -94,21 +91,6 @@ class TestSegment:
             want_mass = h * np.dot(wk, np.abs(vals))
             assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
             assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
-            assert abs(mass - want_mass) <= 1e-14 * want_mass
-
-    def test_wide_panel_batch_matches_gl16_on_halves(self):
-        lo = np.array([0.0, 3.5, 100.0])
-        hi = lo + np.array([2.0, 40.0, 1000.0])
-        fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
-        for a, b, value, err, mass in zip(lo, hi, *_eval_panel_batch(fv, np.stack([lo, hi], 1), _PANEL_RULES[48])):
-            mid, h = 0.5 * (a + b), 0.5 * (b - a)
-            halves = [fv(0.5 * h * _GL16_X + c) for c in (0.5 * (a + mid), 0.5 * (mid + b))]
-            coarse = h * np.dot(_GL16_W, fv(h * _GL16_X + mid))
-            fine = 0.5 * h * sum(np.dot(_GL16_W, v) for v in halves)
-            want_mass = 0.5 * h * sum(np.dot(_GL16_W, np.abs(v)) for v in halves)
-            # roundoff relative to the |f| mass: the wide panels cancel
-            assert abs(value - fine) <= 1e-14 * want_mass
-            assert abs(err - abs(fine - coarse)) <= 1e-14 * want_mass
             assert abs(mass - want_mass) <= 1e-14 * want_mass
 
     def test_kronrod_rule_is_exact(self):
@@ -150,28 +132,35 @@ class TestSegment:
         fv = vectorize1(lambda x: np.exp(-x / 50))
         assert integrate_segment(fv, 1.0, 27.0, 1e-8).evals == 15 * 26
         assert integrate_segment(fv, 17.5, 17.75, 1e-8).evals == 15
-        # a panel wider than one cell keeps GL16 on its halves (2^20
-        # cells, more than the cut guard allows; tol 1 ends it on the
-        # first pass)
+        # the widest span is cut at every integer too (tol 1 ends it on
+        # the first pass), and a wider one raises before any evaluation
         q = integrate_segment(fv, 18.0, 18.0 + (1 << 20), 1.0)
-        assert (q.panels, q.evals) == (1, 48)
+        assert (q.panels, q.evals) == (1 << 20, 15 << 20)
 
-    def test_full_budget_climbs_instead_of_splitting(self, monkeypatch):
-        # 8 unit cells fill a budget of 8: each cell whose K15 check misses
-        # its share of tol takes GL16 on its halves in place, and the
-        # segment still meets tol with err >= true error
-        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 8)
+        def unexpected(x):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(NoConvergence):
+            integrate_segment(unexpected, 18.0, 18.0 + (1 << 20) + 2, 1.0)
+
+    def test_segment_budget_adds_to_its_cells(self, monkeypatch):
+        # 8 unit cells and a budget of 24 end on 32 panels: every cell
+        # split twice, and the segment meets tol with err >= true error
         tol = 1e-13
-        q = integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
         truth = (cmath.exp(48j) - 1) / 6j
-        assert q.panels == 8
-        assert q.evals == 15 * 8 + 48 * 8
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 24)
+        q = integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
+        assert (q.panels, q.evals) == (32, 15 * (8 + 16 + 32))
         assert q.err >= abs(q.value - truth)
         assert q.err <= tol * (1 + abs(q.value)) + 1e-15
-        # a wide panel has no stronger rule: a full budget raises
-        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 1)
-        with pytest.raises(NoConvergence):
-            integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
+        # a budget of 8 stops at 16 panels and a budget of 0 at the cells:
+        # tol is missed, and the raise carries the result so far
+        for budget in (8, 0):
+            monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", budget)
+            with pytest.raises(NoConvergence) as info:
+                integrate_segment(lambda x: np.exp(6j * x), 0.0, 8.0, tol)
+            assert info.value.best.panels == 8 + budget
+            assert info.value.best.err >= abs(info.value.best.value - truth)
 
     def test_scalar_only_integrand_over_many_panels(self):
         # 1200 integer panels; math.exp rejects the node arrays, so every
@@ -182,50 +171,49 @@ class TestSegment:
 
 
 class TestRefine:
-    """``_refine`` on synthetic items: rows of (depth, rung), where an item
-    of depth d holds value and |f| mass 2^-d."""
+    """``_refine`` on synthetic items: rows of (depth,), where an item of
+    depth d holds value and |f| mass 2^-d."""
 
     @staticmethod
     def evaluate(errs):
         def evaluate(rows):
             rows = np.asarray(rows, float)
             w = 0.5 ** rows[:, 0]
-            return w.astype(complex), np.array([errs(*row) for row in rows.tolist()]), w, len(rows)
+            return w.astype(complex), np.array([errs(d) for d in rows[:, 0].tolist()]), w, len(rows)
 
         return evaluate
 
     @staticmethod
     def split(row):
-        return [(row[0] + 1, 0.0)] * 2
+        return [(row[0] + 1,)] * 2
 
     def test_floor_counts_the_mass_of_the_leaves_only(self):
         # every item of depth < 5 has error 1: 32 leaves of total mass 1,
         # however many levels were split on the way
-        q = _refine(np.zeros((1, 2)), self.evaluate(lambda d, r: float(d < 5)), self.split, 1e-6, 64, "test")
+        q = _refine(np.zeros((1, 1)), self.evaluate(lambda d: float(d < 5)), self.split, 1e-6, 64, "test")
         assert (q.panels, q.value) == (32, 1.0)
         assert q.err == pytest.approx(_EPS_FLOOR * (1.0 + 1.0 + 1.0), rel=1e-12, abs=0.0)
 
-    def test_full_budget_leaves_an_item_that_cannot_climb(self):
-        # four items of depth 2 fill a budget of 4; the first has no
-        # stronger rule and keeps its error, the other three climb to rung
-        # 1, where their error is 0
-        items = np.array([(2.0, 0.0)] * 4)
-        evaluate = self.evaluate(lambda d, r: 0.0 if r else 1e-6)
-        firsts = []
-
-        def climb_but_first(row):
-            if not firsts:
-                firsts.append(row)
-                return None
-            return [(row[0], 1.0)]
-
-        q = _refine(items, evaluate, self.split, 1e-6, 4, "test", climb_but_first)
-        assert (q.panels, q.value) == (4, 1.0)
-        assert q.err == pytest.approx(1e-6, rel=1e-6)
-        # when no item can climb, the missed tol raises
+    def test_full_budget_raises_with_best(self):
+        # four items of depth 2 fill a budget of 4: none can split, so each
+        # keeps its error, and the missed tol raises with all four summed
+        items = np.array([(2.0,)] * 4)
         with pytest.raises(NoConvergence) as info:
-            _refine(items, evaluate, self.split, 1e-6, 4, "test")
+            _refine(items, self.evaluate(lambda d: 1e-6), self.split, 1e-6, 4, "test")
+        assert (info.value.best.panels, info.value.best.value) == (4, 1.0)
         assert info.value.best.err == pytest.approx(4e-6, rel=1e-6)
+
+    def test_budget_too_small_raises_before_splitting(self):
+        # eight items of depth 3 with error 1e-6 each: a budget of 10 lets
+        # two of them split, and the other six alone miss tol, so it raises
+        # after the first evaluation; a budget of 16 splits all eight
+        items = np.array([(3.0,)] * 8)
+        evaluate = self.evaluate(lambda d: 1e-6 if d == 3 else 0.0)
+        with pytest.raises(NoConvergence) as info:
+            _refine(items, evaluate, self.split, 1e-7, 10, "test")
+        assert (info.value.best.panels, info.value.best.evals) == (8, 8)
+        q = _refine(items, evaluate, self.split, 1e-7, 16, "test")
+        assert (q.panels, q.evals, q.value) == (16, 8 + 16, 1.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

@@ -89,6 +89,20 @@ class TestIntegral:
         q = weil_integral(p, tol=1e-8)
         assert abs(q.value - d) / (1 + abs(d)) <= 1e-7
 
+    @pytest.mark.parametrize("lat", [SQUARE, HEX], ids=["square", "hex"])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_periodicity_along_w1(self, lat, k):
+        # J1's integrand peaks at x = x0, the w1-coordinate of -a; far along
+        # w1 that peak lies outside every level of the line integral unless
+        # a is first moved back by the period
+        tol, a = 1e-8, 0.3 + 0.2j
+        d = weil_direct(WeilParams(lat, a, k), tol=1e-12)
+        for n in (100, 300, 3000, 30000, -5000):
+            q = weil_integral(WeilParams(lat, a + n * lat.w1, k), tol=tol)
+            off = abs(q.value - d.value)
+            assert off <= tol * (1 + abs(d.value))
+            assert q.err >= off - d.err
+
     def test_eps_used_as_given(self):
         # y0 = -0.2 here, so the band (-0.45, 0.05] holds row 0: eps stays
         # and that row is summed by the 1-D Euler-MacLaurin formula
