@@ -66,6 +66,20 @@ def lattice_new(w1: complex, w2: complex) -> Lattice:
     return Lattice(w1, w2)
 
 
+def reduce(lat: Lattice) -> Lattice:
+    """The Lagrange-Gauss reduced basis of the lattice: |Re(w2/w1)| <= 1/2 and
+    |w1| <= |w2|.  A basis that meets both up to roundoff is returned as given."""
+    w1, w2 = lat.w1, lat.w2
+    while True:
+        t = (w2 / w1).real
+        if abs(t) > 0.5 + 1e-9:
+            w2 -= round(t) * w1
+        elif abs(w2) < abs(w1) * (1 - 1e-9):
+            w1, w2 = w2, w1
+        else:
+            return lat if w1 == lat.w1 and w2 == lat.w2 else Lattice(w1, w2)
+
+
 def lattice_coordinates(lat: Lattice, p: complex) -> LatticeCoords:
     """Solve x*w1 + y*w2 = p for real (x, y) by the closed-form 2x2 inverse."""
     det = lat.det

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import p1
-from .errors import DomainError, SlowConvergence
+from .errors import DomainError, NoConvergence, SlowConvergence
 from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, _segment, check_tol, integrate_ray, vectorize1
 
 SERIES_TERM_BUDGET = 10**8
@@ -171,19 +171,22 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     exponential tail bound falls below tol/4; when that needs a radius
     beyond MAX_SPAN_CELLS (2^20), it raises SlowConvergence with the value
     at that radius as ``.best``; so it does when the segment's err exceeds
-    tol/2 (1 + |value|), as where its terms cancel down to roundoff.  At z = 1 the plain
-    integral is the exact (1+a)^(1-s)/(s-1), and only the weighted ray
-    -s (x+a)^(-s-1) P1(x) goes to quadrature."""
+    tol/2 (1 + |value|), as where its terms cancel, or when the segment or
+    ray misses tol in its budget.  At z = 1 the plain integral is the exact
+    (1+a)^(1-s)/(s-1), and only the weighted ray -s (x+a)^(-s-1) P1(x)
+    goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
     head = a ** (-s) + z / (2.0 * (a + 1.0) ** s)
     sigma = s.real
     if z == 1:
-        q = integrate_ray(
-            lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=sigma + 1.0, tol=tol / 2
-        )
-        return head + (1.0 + a) ** (1.0 - s) / (s - 1.0) + q.value
+        head += (1.0 + a) ** (1.0 - s) / (s - 1.0)
+        try:
+            q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=sigma + 1.0, tol=tol / 2)
+        except NoConvergence as exc:
+            raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
+        return head + q.value
     log_z = cmath.log(z)
 
     def integrand(x):
@@ -201,7 +204,10 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         / rate
     ) >= tol / 4 and radius < MAX_SPAN_CELLS:
         radius *= 2
-    q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2)
+    try:
+        q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2)
+    except NoConvergence as exc:
+        raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
     value = head + q.value
     if bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value)):
         raise SlowConvergence(

@@ -19,12 +19,12 @@ Two algorithms, each written once:
   accelerated (the better of Richardson and iterated Aitken), and a
   sampled algebraic tail bound stops the doubling too when the decay makes
   it sharp, up to a fixed radius (``HALF_STRIP_MAX_RADIUS`` for the
-  half-strip).  The half-strip's first level is an adaptive rectangle of radius 4 around the
-  integrand peak; later levels are slabs with a fixed tensor rule per unit
-  cell (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on
-  the cell nearest the peak: the rule there against the rule on the
-  cell's 2x2 split, both from precomputed unit-cell offsets in one
-  integrand call.
+  half-strips).  Both half-strips outside a band take one driver, whose
+  stop rule sees where they cancel: the first level refines the K15xK15
+  cells of radius 4 around the integrand peak on both sides as one sum,
+  and later levels are slabs with a fixed tensor rule per unit cell
+  (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on the
+  cells nearest the peak (``_slab_level``).
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -91,6 +91,8 @@ class QuadratureResult:
     err: float
     panels: int
     evals: int
+    #: the level sums of each side of a joint half-strip integral
+    sides: tuple = ()
 
     def __post_init__(self):
         if not (self.err >= 0 and math.isfinite(self.err)):
@@ -375,9 +377,7 @@ def _tail_constant(mags, rads, decay_order):
     scaled = mags * rads**decay_order
     # growth of |f| r^q across the probe span means the claimed decay is absent
     if scaled[-1].max() > 50.0 * (scaled[0].max() + 1e-300) and mags[-1].max() > 1e-13:
-        raise TailEstimateFailed(
-            f"integrand does not decay like r^-{decay_order} (sampled growth)"
-        )
+        raise TailEstimateFailed(f"integrand does not decay like r^-{decay_order} (sampled growth)")
     return float(scaled.max())
 
 
@@ -420,20 +420,8 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
             if not math.isfinite(best_e):
                 best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
             best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
-            raise NoConvergence(
-                f"improper integral not converged at radius {r} (tol {tol})", best=best
-            )
+            raise NoConvergence(f"improper integral not converged at radius {r} (tol {tol})", best=best)
         r_prev, r = r, 2 * r
-
-
-def _total(parts):
-    """One result for the union of disjoint pieces of a domain."""
-    return QuadratureResult(
-        sum(q.value for q in parts),
-        sum(q.err for q in parts),
-        sum(q.panels for q in parts),
-        sum(q.evals for q in parts),
-    )
 
 
 def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
@@ -456,7 +444,8 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult
 
     def segment_for(r_prev, r):
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        return _total([integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans])
+        parts = [integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans]
+        return QuadratureResult(*(sum(getattr(q, n) for q in parts) for n in ("value", "err", "panels", "evals")))
 
     return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order)
 
@@ -491,66 +480,51 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
 
 
 def _tensor_nodes(edges, order_x, order_w):
-    """Nodes and weights of a panel rule on the edges along the last axis."""
-    lows = edges[..., :-1]
-    highs = edges[..., 1:]
-    half = 0.5 * (highs - lows)
-    mid = 0.5 * (highs + lows)
-    shape = edges.shape[:-1] + (-1,)
-    nodes = (half[..., None] * order_x + mid[..., None]).reshape(shape)
-    weights = (half[..., None] * order_w).reshape(shape)
-    return nodes, weights
+    """Nodes and weights of a panel rule on each panel between ``edges``."""
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (half * order_x + mid).ravel(), (half * order_w).ravel()
 
 
-def _rect_fixed(fv2, x_edges, y_edges, gl):
-    """Tensor-product fixed-order integral over the panel grid, with the
-    rule ``gl`` = (nodes, weights) on [-1, 1] in each panel.
+#: points one fixed-rule integrand call may hold, which bounds peak memory
+_MAX_CALL_POINTS = 1 << 14
 
-    Evaluated in row chunks to bound peak memory on large truncation
-    rectangles."""
-    xn, xw = _tensor_nodes(np.asarray(x_edges, float), *gl)
-    yn, yw = _tensor_nodes(np.asarray(y_edges, float), *gl)
-    total = 0j
-    chunk = max(1, (1 << 21) // max(xn.size, 1))
+
+def _rect_fixed(fv2, x_blocks, y_blocks, gl):
+    """The tensor rule ``gl`` = (nodes, weights) on [-1, 1] in every panel
+    of the grid of all x panels of ``x_blocks`` (edge arrays) by all y
+    panels of ``y_blocks``, in integrand calls of at most _MAX_CALL_POINTS
+    points.  Returns the integral over each y block and the evaluations."""
+    xn, xw = (np.concatenate(z) for z in zip(*(_tensor_nodes(e, *gl) for e in x_blocks)))
+    yn, yw = (np.concatenate(z) for z in zip(*(_tensor_nodes(e, *gl) for e in y_blocks)))
+    rows = np.empty(yn.size, complex)
+    chunk = max(1, _MAX_CALL_POINTS // xn.size)
     for i in range(0, yn.size, chunk):
-        vals = fv2(xn[None, :], yn[i : i + chunk, None])
-        total += complex(yw[i : i + chunk] @ vals @ xw)
-    return total, xn.size * yn.size
+        rows[i : i + chunk] = fv2(xn[None, :], yn[i : i + chunk, None]) @ xw
+    ends = np.cumsum([len(gl[0]) * (len(e) - 1) for e in y_blocks[:-1]])
+    return np.array([block.sum() for block in np.split(yw * rows, ends)]), xn.size * yn.size
 
 
-def integrate_rect(
-    f,
-    x_lo: float,
-    x_hi: float,
-    y_lo: float,
-    y_hi: float,
-    tol: float = 1e-10,
-) -> QuadratureResult:
-    """Adaptive tensor-product integration over a finite rectangle.
-
-    Cells follow the integer grid; each cell returns K15xK15, and its
-    difference from G7xG7 on the same nodes is the cell's error estimate.
-    The worst cells are subdivided until the summed estimate meets tol."""
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise ValueError("rectangle bounds must be increasing")
-    check_tol(tol)
-    fv2 = vectorize2(f)
-
-    xs = _cutpoints(x_lo, x_hi)
-    ys = _cutpoints(y_lo, y_hi)
-    cells = np.empty((len(xs) - 1, len(ys) - 1, 4))
-    cells[..., 0], cells[..., 1] = xs[:-1, None], xs[1:, None]
-    cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
-    cells = cells.reshape(-1, 4)
-
+def _rects(fv2, rects, tol, what):
+    """One ``_refine`` over the integer-grid cells of the rectangles
+    ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to their sum.
+    Each cell returns K15xK15, checked against the G7xG7 subset of the same
+    values, in one integrand call on (cells, y, x) grids per 64 cells.
+    Returns the result and each rectangle's value."""
+    blocks = []
+    for x_lo, x_hi, y_lo, y_hi in rects:
+        xs, ys = _cutpoints(x_lo, x_hi), _cutpoints(y_lo, y_hi)
+        cells = np.empty((len(xs) - 1, len(ys) - 1, 4))
+        cells[..., 0], cells[..., 1] = xs[:-1, None], xs[1:, None]
+        cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
+        blocks.append(cells.reshape(-1, 4))
+    items = np.concatenate(blocks)
     wk, wg = _K15[1], _K15[2]
     weights = np.stack([wk, wg], 1)
+    leaves = {}  # with several rectangles, the partition's cells: (value, rectangle)
 
-    def eval_cells(batch):
-        """K15xK15 on each cell in one integrand call on (cells, y, x) grids,
-        checked against the G7xG7 subset of the same values."""
+    def evaluate(batch):
         parts = []
-        for i in range(0, len(batch), 64):  # 64 cells per call bound its size
+        for i in range(0, len(batch), 64):
             a, b, c, d = batch[i : i + 64].T
             hx, hy = 0.5 * (b - a), 0.5 * (d - c)
             xn = hx[:, None] * _K15[0] + (a + hx)[:, None]
@@ -559,7 +533,15 @@ def integrate_rect(
             rows = vals @ weights  # (cells, y, [K15, G7]) after the x sums
             value, check = (hx * hy * (rows[..., j] @ w) for j, w in enumerate((wk, wg)))
             parts.append((value, np.abs(value - check), hx * hy * (np.abs(vals) @ wk @ wk)))
-        return (*(np.concatenate(p) for p in zip(*parts)), 225 * len(batch))
+        value, err, mass = (np.concatenate(p) for p in zip(*parts))
+        if len(rects) > 1:
+            if batch is items:
+                owner = np.repeat(np.arange(len(rects)), [len(b) for b in blocks])
+            else:  # the four children of each split cell, in split's order, replace it
+                groups = batch.reshape(-1, 4, 4).tolist()
+                owner = np.repeat([leaves.pop((g[0][0], g[3][1], g[0][2], g[3][3]))[1] for g in groups], 4)
+            leaves.update(zip(map(tuple, batch.tolist()), zip(value.tolist(), owner.tolist())))
+        return value, err, mass, 225 * len(batch)
 
     def split(cell):
         a, b, c, d = cell
@@ -568,14 +550,21 @@ def integrate_rect(
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
-    return _refine(
-        cells,
-        eval_cells,
-        split,
-        tol,
-        DEFAULT_PANEL_BUDGET,
-        f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]",
-    )
+    q = _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what)
+    return q, [sum(v for v, o in leaves.values() if o == i) for i in range(len(rects))] if leaves else [q.value]
+
+
+def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: float = 1e-10) -> QuadratureResult:
+    """Adaptive tensor-product integration over a finite rectangle.
+
+    Cells follow the integer grid; each cell returns K15xK15, and its
+    difference from G7xG7 on the same nodes is the cell's error estimate
+    (``_rects``, which also takes the half-strips' first level).  The
+    worst cells are subdivided until the summed estimate meets tol."""
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise ValueError("rectangle bounds must be increasing")
+    check_tol(tol)
+    return _rects(vectorize2(f), [(x_lo, x_hi, y_lo, y_hi)], tol, f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,101 +587,94 @@ def _split_check(x, w):
 _SPLIT_CHECKS = {len(x): _split_check(x, w) for x, w in ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))}
 
 
-def _strip_rect(fv2, x_lo, x_hi, y_lo, y_hi, hot_x, hot_y, gl):
-    """Integral over one slab of a strip level: the tensor rule ``gl``, GL8
-    or GL4 (nodes, weights) on [-1, 1], on every cell of the integer grid.
+def _slab_level(fv2, sides, x_center, r_prev, r, hot_x):
+    """Level r of the half-strips ``sides``, rows (edge, sign): on each side
+    the wings r_prev <= |x - x_center| <= r at distances 0..r_prev from the
+    edge and the outer slab |x - x_center| <= r at distances r_prev..r, with
+    GL8xGL8 on every unit cell, or GL4xGL4 once r_prev >= 16.  The wings of
+    all sides share one integrand call and each outer slab takes one.
+    Returns the result and the value on each side.
 
-    The rule error is estimated on the cell nearest (hot_x, hot_y), the
-    integrand peak: the rule there is compared with the rule on the cell's
-    2x2 split, both in one integrand call, and |difference| is charged once
-    per cell of the slab.  That bounds the slab's error as long as the
-    per-cell error falls with distance from the peak, which holds for
-    integrands that decay algebraically away from it."""
-    x_edges = _cutpoints(x_lo, x_hi)
-    y_edges = _cutpoints(y_lo, y_hi)
-    base, evals = _rect_fixed(fv2, x_edges, y_edges, gl)
-    i = int(np.clip(np.searchsorted(x_edges, hot_x) - 1, 0, len(x_edges) - 2))
-    j = int(np.clip(np.searchsorted(y_edges, hot_y) - 1, 0, len(y_edges) - 2))
-    x0, hx = x_edges[i], x_edges[i + 1] - x_edges[i]
-    y0, hy = y_edges[j], y_edges[j + 1] - y_edges[j]
+    Each slab's rule error is estimated on its cell nearest (hot_x, edge),
+    the integrand peak, as the rule there minus the rule on the cell's 2x2
+    split, charged once per cell of the slab; all these checks take one
+    integrand call.  That bounds the error while the per-cell error falls
+    with distance from the peak, as for algebraic decay away from it."""
+    gl = (_GL4_X, _GL4_W) if r_prev >= 16 else (_GL8_X, _GL8_W)
+    wings = [_cutpoints(x_center - r, x_center - r_prev), _cutpoints(x_center + r_prev, x_center + r)]
+    full = _cutpoints(x_center - r, x_center + r)
+    near = [_cutpoints(*sorted((edge, edge + sign * r_prev))) for edge, sign in sides]
+    far = [_cutpoints(*sorted((edge + sign * r_prev, edge + sign * r))) for edge, sign in sides]
+    sums, evals = _rect_fixed(fv2, wings, near, gl)
+    outer = [_rect_fixed(fv2, [full], [ys], gl) for ys in far]
+    sums += [value[0] for value, _ in outer]
+    evals += sum(n for _, n in outer)
+    slabs = [(xs, ys, e) for (e, _), y0, y1 in zip(sides, near, far) for xs, ys in zip(wings + [full], (y0, y0, y1))]
+
+    def hot(edges, at):  # lower end and width of the panel nearest `at`
+        i = int(np.clip(np.searchsorted(edges, at) - 1, 0, len(edges) - 2))
+        return edges[i], edges[i + 1] - edges[i]
+
+    x0, hx, y0, hy = np.array([hot(xs, hot_x) + hot(ys, e) for xs, ys, e in slabs]).T[:, :, None]
+    cells = np.array([(len(xs) - 1) * (len(ys) - 1) for xs, ys, _ in slabs])
     u, v, c = _SPLIT_CHECKS[len(gl[0])]
-    diff = hx * hy * complex(fv2(x0 + hx * u, y0 + hy * v) @ c)
-    n_panels = (len(x_edges) - 1) * (len(y_edges) - 1)
-    return QuadratureResult(base, abs(diff) * n_panels, n_panels, evals + c.size)
+    diff = hx[:, 0] * hy[:, 0] * (fv2(x0 + hx * u, y0 + hy * v) @ c)
+    err = float(np.abs(diff) @ cells)
+    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals + diff.size * c.size), sums
 
 
 def integrate_half_strip(
-    f,
-    y_edge: float,
-    direction: str,
-    decay_order: float,
-    tol: float = 1e-8,
-    hot_x: float = 0.0,
+    f, y_edge, direction: str, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0
 ) -> QuadratureResult:
     """Integrate f over the half-strip x in (-inf, inf), y above (direction
-    'up') or below (direction 'down') y_edge.
+    'up') or below ('down') y_edge, or with direction 'both' over the two
+    half-strips outside the band (y_dn, y_up] = y_edge as one sum.
 
     Requires decay_order > 2 (slower 2-D decay is not absolutely
-    convergent).  The strip is truncated to growing rectangles whose radius
+    convergent).  The strips are truncated to rectangles whose radius
     doubles; the truncated values carry a smooth expansion in the inverse
     radius when the cuts are integer-aligned, so extrapolation supplies
     the tail: the better of Richardson and iterated Aitken for an integer
-    decay_order, Aitken alone otherwise.  ``hot_x`` locates the integrand
-    peak along the edge: the first level, an adaptive rectangle, is
-    centred on it, and each slab's rule error is estimated at the cell
-    nearest it.
-    Gives up with NoConvergence once the radius reaches
-    HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strip: the
-    caller keeps poles away from the edge."""
+    decay_order, Aitken alone otherwise.  The sides share one tail
+    constant, level sequence and stop rule, which act on their sum.
+    ``hot_x`` locates the integrand peak along the edges: the first level,
+    one ``_rects`` refinement of the cells of radius 4 of every side at
+    tol/4, is centred on it, and the slabs' rule errors are estimated next
+    to it.  The result's ``sides`` holds each side's level sums, the lower
+    first; the value adds the extrapolation to their total.  NoConvergence
+    is raised once the radius reaches HALF_STRIP_MAX_RADIUS.  f must be
+    finite on the closed strips: the caller keeps poles away."""
     if decay_order <= 2:
-        raise UnsupportedDecay(
-            f"half-strip integration needs decay_order > 2, got {decay_order}"
-        )
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    sign = 1.0 if direction == "up" else -1.0
+        raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
+    if direction not in ("up", "down", "both"):
+        raise ValueError("direction must be 'up', 'down' or 'both'")
+    check_tol(tol)
+    sides = {"up": ((y_edge, 1.0),), "down": ((y_edge, -1.0),)}.get(direction) or tuple(zip(y_edge, (-1.0, 1.0)))
     fv2 = vectorize2(f)
-
-    # sampled tail constant along representative rays in the strip; each
-    # ray is probed at four phases of the unit cell, since P1-weighted
-    # integrands can vanish at every probe that shares one phase
+    # the sides' tail constants, summed, from |f| r^q along three rays from
+    # the peak (a row per radius) at four phases of the unit cell each, as
+    # P1-weighted integrands can vanish at every probe of one phase
     phases = np.array([0.0, 0.25, 0.5, 0.75])
-    px, py = [], []
-    for r in (16.0, 32.0, 64.0, 128.0):
-        for dx, dy in ((0.0, r), (r, r / 2), (-r, r / 2)):
-            px.append(hot_x + dx + phases)
-            py.append(y_edge + sign * (dy + phases))
-    px = np.stack(px).reshape(4, -1)  # one row per radius
-    py = np.stack(py).reshape(4, -1)
-    c = _tail_constant(np.abs(fv2(px, py)), np.hypot(px - hot_x, py - y_edge), decay_order)
-    q = decay_order
+    radii = np.array([16.0, 32.0, 64.0, 128.0])[:, None, None]
+    dx, dy = ((radii * np.array(d)[:, None] + phases).reshape(4, -1) for d in ((0.0, 1.0, -1.0), (1.0, 0.5, 0.5)))
+    mags = np.abs(fv2(hot_x + dx, np.array([edge + sign * dy for edge, sign in sides])))
+    c = sum(_tail_constant(m, np.hypot(dx, dy), decay_order) for m in mags)
 
     def tail_bound(r):
         # 2-D tail of C r^-q over the region beyond radius r
-        return 2.0 * math.pi * c * r ** (2.0 - q) / (q - 2.0)
+        return 2.0 * math.pi * c * r ** (2.0 - decay_order) / (decay_order - 2.0)
 
     x_center = math.floor(hot_x) + 0.5
-
-    def y_span(d0, d1):
-        """The y-interval at distances d0..d1 from the edge, into the strip."""
-        return (y_edge + d0, y_edge + d1) if direction == "up" else (y_edge - d1, y_edge - d0)
+    sums = np.zeros(len(sides), complex)
 
     def segment_for(r_prev, r):
-        if r_prev is None:
-            # the innermost rectangle contains the integrand peak: hand it
-            # to the fully adaptive 2-D routine so its error is controlled,
-            # and keep fixed-order cells for the smooth outer slabs only
-            return integrate_rect(fv2, x_center - r, x_center + r, *y_span(0.0, r), tol=tol / 4)
-        # slabs at distance >= 16 from the peak hold only slowly varying
-        # integrand mass; a 4-point rule per unit cell is enough there
-        gl = (_GL4_X, _GL4_W) if r_prev >= 16 else (_GL8_X, _GL8_W)
-        slabs = (
-            (x_center - r, x_center - r_prev, 0.0, r_prev),
-            (x_center + r_prev, x_center + r, 0.0, r_prev),
-            (x_center - r, x_center + r, r_prev, r),
-        )
-        return _total(
-            [_strip_rect(fv2, xa, xb, *y_span(d0, d1), hot_x, y_edge, gl) for xa, xb, d0, d1 in slabs]
-        )
+        if r_prev is not None:
+            level, parts = _slab_level(fv2, sides, x_center, r_prev, r, hot_x)
+            sums[:] += parts
+            return level
+        rects = [(x_center - r, x_center + r, *sorted((edge, edge + sign * r))) for edge, sign in sides]
+        level, sums[:] = _rects(fv2, rects, tol / 4, f"strips within radius {r}")
+        return level
 
-    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order)
+    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order)
+    return QuadratureResult(res.value, res.err, res.panels, res.evals, tuple(sums.tolist()))

@@ -12,9 +12,11 @@ Two independent evaluation routes:
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   along the two edges y0 +/- eps of the excluded band around the pole
-  row, plus two half-strip double integrals above and below the band.
-  Only supported for k >= 3 (the 2-D pieces are not absolutely
-  convergent below that).  For integer j >= 2 and c off the line,
+  row, plus the half-strip double integrals above and below the band,
+  taken as one sum by one doubling driver.  Only supported for k >= 3
+  (the 2-D pieces are not absolutely convergent below that), where E_k
+  depends on the lattice alone, so both routes sum on its Lagrange-Gauss
+  reduced basis.  For integer j >= 2 and c off the line,
   int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
   integrates to exactly 0 and is left out of the integrands.  What is
   left decays like |b|^-(k+1), faster than the decay order k passed to
@@ -38,15 +40,9 @@ import numpy as np
 
 from .bernoulli import frac, p1
 from .errors import ConvergenceError, PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
-from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords
+from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords, reduce
 from .lerch import _hurwitz_em
-from .quadrature import (
-    _EPS_FLOOR,
-    _accelerate,
-    check_tol,
-    integrate_half_strip,
-    integrate_line,
-)
+from .quadrature import _EPS_FLOOR, _accelerate, check_tol, integrate_half_strip, integrate_line
 
 #: lattice-coordinate distance below which a counts as a lattice point
 LATTICE_POINT_TOL = 1e-9
@@ -145,9 +141,9 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
 
 
 def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
-    """E_k(a, W) by Eisenstein summation: inner symmetric sums over n,
-    then the outer symmetric sum over m."""
-    value, err = _eisenstein_sum(p.lat, p.a, p.k, tol)
+    """E_k(a, W) by Eisenstein summation: inner symmetric sums over n, then
+    the outer one over m; for k >= 3 on the reduced basis."""
+    value, err = _eisenstein_sum(reduce(p.lat) if p.k >= 3 else p.lat, p.a, p.k, tol)
     return WeilReport(value=value, method="direct", err=err)
 
 
@@ -155,7 +151,7 @@ def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
     """G_k(W): sum of w^(-k) over nonzero lattice points, k >= 3."""
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise UnsupportedDecay("eisenstein_series requires integer k >= 3")
-    return _eisenstein_sum(lat, 0j, k, tol)[0]
+    return _eisenstein_sum(reduce(lat), 0j, k, tol)[0]
 
 
 def _ipow(r, n: int):
@@ -224,19 +220,21 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
 
 
 def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
-    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3).
+    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
+    the reduced basis (``lattice.reduce``) that the report's parts refer to.
 
     The strips leave out the band (y0 - eps, y0 + eps] around the pole
     row, with eps as given.  The band holds at most one integer row, found
     from the same floats that P1 sees at the edges; it is summed by
     `_band_row` and reported as ``row_correction``.  The pole lies
-    eps |det| / |w1| from both band edges in the a-plane; below 1e-6
-    that raises PoleNearDomain before any integral is taken.  Each part
-    first meets tol/4 relative to its own size; where the parts cancel
-    (J2 and J3 at y0 = 1/2) and the sum misses tol * (1 + |value|), they
-    are run once more at that absolute target, shared in proportion, and
-    ConvergenceError, with the report as ``.best``, says the sum missed it
-    still."""
+    eps |det| / |w1| from both band edges in the a-plane; below 1e-6 that
+    raises PoleNearDomain before any integral is taken.  J1 and the row
+    first meet tol/4 relative to their own size, and J2 + J3, one integral
+    (j3 its lower strip's level sums, j2 the rest), tol/2; where the parts
+    cancel (J1 against J2 + J3 at y0 = 1/2) and the sum misses
+    tol * (1 + |value|), they are run once more at that absolute target,
+    shared in proportion, and ConvergenceError, with the report as
+    ``.best``, says the sum missed it still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -245,11 +243,12 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     check_tol(tol)
-    w1, w2, a, k = p.lat.w1, p.lat.w2, p.a, p.k
-    edge_distance = eps * abs(p.lat.det) / abs(w1)
+    lat = reduce(p.lat)
+    w1, w2, a, k = lat.w1, lat.w2, p.a, p.k
+    edge_distance = eps * abs(lat.det) / abs(w1)
     if edge_distance < 1e-6:
         raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
-    coords = lattice_coordinates(p.lat, -a)
+    coords = lattice_coordinates(lat, -a)
     # E_k has period w1 for k >= 3: move J1's peak, at x = x0, next to the
     # x = 0 that integrate_line centres on
     n = round(coords.x0)
@@ -259,19 +258,18 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
 
     def parts(part_tol):
-        # J1 on the band edges, J2 above the band, J3 below it; decay_order
-        # k is a valid (conservative) bound for terms that decay like |b|^-(k+1)
+        # J1 on the band edges, J2 + J3 on the half-strips above and below
+        # the band as one integral; decay_order k is a valid (conservative)
+        # bound for terms that decay like |b|^-(k+1)
         q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
-        q2, q3 = (
-            integrate_half_strip(
-                _strip_integrand(w1, w2, a, k), y_e, direction, decay_order=float(k), tol=part_tol, hot_x=x0
-            )
-            for y_e, direction in ((y_up, "up"), (y_dn, "down"))
+        q = integrate_half_strip(
+            _strip_integrand(w1, w2, a, k), (y_dn, y_up), "both", decay_order=float(k), tol=2 * part_tol, hot_x=x0
         )
+        j2, j3 = q.value - q.sides[0], q.sides[0]
         row, row_err = _band_row(a, w1, w2, k, hi, part_tol) if hi > lo else (0j, 0.0)
         return WeilReport(
-            q1.value + q2.value + q3.value + row, "integral", q1.err + q2.err + q3.err + row_err,
-            j1=q1.value, j2=q2.value, j3=q3.value, eps_used=eps, row_correction=row,
+            q1.value + j2 + j3 + row, "integral", q1.err + q.err + row_err,
+            j1=q1.value, j2=j2, j3=j3, eps_used=eps, row_correction=row,
         )
 
     report = parts(tol / 4)
@@ -279,7 +277,7 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     if report.err > tol * scale:
         # each part met tol relative to its own size, and the parts cancel:
         # re-run them so that their errors sum to tol * scale
-        largest = max(abs(v) for v in (report.j1, report.j2, report.j3, report.row_correction))
+        largest = max(abs(v) for v in (report.j1, report.j2 + report.j3, report.row_correction))
         report = parts(tol / 4 * scale / (1.0 + largest))
         if report.err > tol * (1.0 + abs(report.value)):
             raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)

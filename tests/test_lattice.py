@@ -1,11 +1,15 @@
+import cmath
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latzeta.errors import DegenerateLattice, ZeroGenerator
 from latzeta.lattice import (
     lattice_coordinates,
     lattice_new,
     nearest_lattice_distance_in_coords,
+    reduce,
 )
 
 
@@ -63,3 +67,28 @@ def test_coordinates_linear(x1, y1, x2, y2):
     scale = 1 + abs(ca.x0) + abs(cb.x0) + abs(ca.y0) + abs(cb.y0)
     assert cab.x0 == pytest.approx(ca.x0 + cb.x0, abs=1e-9 * scale)
     assert cab.y0 == pytest.approx(ca.y0 + cb.y0, abs=1e-9 * scale)
+
+
+def test_reduce_keeps_reduced_bases():
+    # exp(i pi/3) has real part 0.5000000000000001, which round() sends
+    # to 1: a reduced basis must come back as given, not moved by roundoff
+    for w2 in (1j, cmath.exp(1j * math.pi / 3), 0.35 + 1.15j, -1j, 0.5 - 0.9j):
+        lat = lattice_new(1.0, w2)
+        assert reduce(lat) is lat
+
+
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1j, 0.35 + 1.15j]))
+def test_reduce_finds_a_reduced_basis_of_the_same_lattice(p, q, r, w2):
+    # a unimodular change of basis: p s - q r = 1
+    assume(p != 0)
+    s, rest = divmod(1 + q * r, p)
+    assume(rest == 0)
+    base = lattice_new(1.0, w2)
+    lat = lattice_new(p * base.w1 + q * base.w2, r * base.w1 + s * base.w2)
+    red = reduce(lat)
+    assert abs((red.w2 / red.w1).real) <= 0.5 + 1e-9
+    assert abs(red.w1) <= abs(red.w2) * (1 + 1e-9)
+    assert abs(abs(red.det) - abs(base.det)) <= 1e-9
+    for w in (red.w1, red.w2):
+        c = lattice_coordinates(base, w)
+        assert abs(c.x0 - round(c.x0)) + abs(c.y0 - round(c.y0)) <= 1e-9

@@ -190,6 +190,32 @@ class TestCoffeyNearUnitCircle:
         assert abs(info.value.best - want) <= 4 * tol * (1 + abs(want))
 
 
+    def test_segment_budget_raise_carries_lerch_value(self, monkeypatch):
+        # 2^20 unit cells whose checks miss tol within the panel budget: the
+        # raise carries head terms plus segment as .best, as every other
+        # raise of the Lerch routes does.  A small budget raises right
+        # after the first pass
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 64)
+        z, s = -0.19303332262419762 + 0.9811608833439335j, 0.5328082219157051
+        a = 2.9836828994348465 - 0.1571695627175842j
+        with pytest.raises(SlowConvergence) as info:
+            lerch_coffey(LerchParams(z, s, a), tol=1e-10)
+        want = complex(mpmath.lerchphi(z, s, a))
+        assert abs(info.value.best - want) <= 1e-8 * (1 + abs(want))
+
+    @pytest.mark.parametrize("s,a", [(2.5, 0.5), (3.0, 1.0)])
+    def test_ray_budget_raise_carries_lerch_value(self, monkeypatch, s, a):
+        # z = 1 with a budget of one panel: the ray stops inside a segment
+        # (s = 2.5) or in its doubling driver (s = 3)
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 1)
+        with pytest.raises(SlowConvergence) as info:
+            lerch_coffey(LerchParams(1.0, s, a), tol=1e-12)
+        want = complex(mpmath.zeta(s, a))
+        assert abs(info.value.best - want) <= 1e-4 * (1 + abs(want))
+
+
 class TestSeriesInsideDisk:
     """|z| < 1: small first chunks, stopped by a tail bound that holds for
     Re s < 0 and for complex a and s."""

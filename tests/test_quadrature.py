@@ -21,8 +21,9 @@ from latzeta.quadrature import (
     _eval_panel_batch,
     _refine,
     _cutpoints,
+    _MAX_CALL_POINTS,
     _rect_fixed,
-    _strip_rect,
+    _slab_level,
     integrate_half_strip,
     integrate_line,
     integrate_ray,
@@ -364,60 +365,91 @@ class TestHalfStrip:
         assert cmath.isfinite(q.value)
         assert q.err <= 2.5e-9 * (1 + abs(q.value))
 
+    # the strips above y = 0.05 and below y = -0.45 around the pole row
+    # y0 = -0.2 of the square lattice at a = 0.3 + 0.2i, peak at x = -0.3,
+    # and the levels r = 8 (GL8 cells) and r = 32 (GL4 cells)
+    SIDES, X_CENTER, HOT_X = ((-0.45, -1.0), (0.05, 1.0)), -0.5, -0.3
+    LEVELS = ((4, 8), (16, 32))
+
+    @classmethod
+    def _slabs(cls, r_prev, r):
+        """Each side's slabs of level r as (x edges, y edges, edge), left
+        wing, right wing and outer slab, from the geometry of the strips."""
+        xc, slabs = cls.X_CENTER, []
+        for edge, sign in cls.SIDES:
+            near = _cutpoints(*sorted((edge, edge + sign * r_prev)))
+            far = _cutpoints(*sorted((edge + sign * r_prev, edge + sign * r)))
+            for x_lo, x_hi, ys in ((xc - r, xc - r_prev, near), (xc + r_prev, xc + r, near), (xc - r, xc + r, far)):
+                slabs.append((_cutpoints(x_lo, x_hi), ys, edge))
+        return slabs
+
     def test_slab_err_bounds_rule_error(self):
-        # right-hand slabs of the levels r = 8 (GL8 cells) and r = 32 (GL4
-        # cells) of the strip above y = 0.05, peak at x = -0.3
         fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        for slab, gl in (
-            ((3.5, 7.5, 0.05, 4.05), (_GL8_X, _GL8_W)),
-            ((15.5, 31.5, 0.05, 16.05), (_GL4_X, _GL4_W)),
-        ):
-            q = _strip_rect(fv2, *slab, -0.3, 0.05, gl)
-            truth = integrate_rect(fv2, *slab, tol=1e-14).value
+        for r_prev, r in self.LEVELS:
+            q, sums = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X)
+            slabs = self._slabs(r_prev, r)
+            parts = [(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=1e-14).value, e) for xs, ys, e in slabs]
+            truth = [sum(v for v, e in parts if e == edge) for edge, _ in self.SIDES]
             assert q.err > 0
-            assert abs(q.value - truth) <= q.err
-
-    # the slabs of test_slab_err_bounds_rule_error, each with a sharp peak
-    # inside its hot cell, so that the rule error dwarfs the roundoff of
-    # the difference coarse - fine
-    SLABS = (
-        ((3.5, 7.5, 0.05, 4.05), (_GL8_X, _GL8_W)),
-        ((-7.5, 8.5, 4.05, 8.05), (_GL8_X, _GL8_W)),
-        ((15.5, 31.5, 0.05, 16.05), (_GL4_X, _GL4_W)),
-    )
-
-    @staticmethod
-    def _peaked(slab):
-        px, py = 0.5 * (slab[0] + slab[1]) + 0.2, slab[2] + 0.3
-        return px, py, vectorize2(lambda x, y: (1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04))
+            assert abs(q.value - sum(truth)) <= q.err
+            assert abs(sums - truth).sum() <= q.err and q.value == sum(sums)
 
     def test_slab_err_matches_two_call_estimate(self):
-        for slab, gl in self.SLABS:
-            px, py, fv2 = self._peaked(slab)
-            x_edges = _cutpoints(slab[0], slab[1])
-            y_edges = _cutpoints(slab[2], slab[3])
-            i = int(np.searchsorted(x_edges, px)) - 1
-            j = int(np.searchsorted(y_edges, py)) - 1
-            coarse, fine = (
-                _rect_fixed(fv2, np.linspace(*x_edges[i : i + 2], n), np.linspace(*y_edges[j : j + 2], n), gl)[0]
-                for n in (2, 3)
-            )
-            want = abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
-            assert _strip_rect(fv2, *slab, px, py, gl).err == pytest.approx(want, rel=1e-12)
+        # each slab's estimate is its hot cell's rule minus the rule on the
+        # cell's 2x2 split, here from two separate fixed-rule calls, times
+        # the slab's cells; a sharp peak inside every hot cell makes the
+        # rule errors dwarf the roundoff of the differences
+        for (r_prev, r), gl in zip(self.LEVELS, ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))):
+            hot = []
+            for xs, ys, edge in self._slabs(r_prev, r):
+                i = int(np.clip(np.searchsorted(xs, self.HOT_X) - 1, 0, len(xs) - 2))
+                j = int(np.clip(np.searchsorted(ys, edge) - 1, 0, len(ys) - 2))
+                hot.append((xs[i : i + 2], ys[j : j + 2], (len(xs) - 1) * (len(ys) - 1)))
+            peaks = [(xs[0] + 0.3 * (xs[1] - xs[0]), ys[0] + 0.6 * (ys[1] - ys[0])) for xs, ys, _ in hot]
+            fv2 = vectorize2(lambda x, y: sum((1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
+            want = 0.0
+            for xs, ys, cells in hot:
+                coarse, fine = (
+                    _rect_fixed(fv2, [np.linspace(*xs, n)], [np.linspace(*ys, n)], gl)[0][0] for n in (2, 3)
+                )
+                want += abs(fine - coarse) * cells
+            q, _ = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X)
+            assert q.err == pytest.approx(want, rel=1e-12)
 
-    def test_slab_makes_two_integrand_calls(self):
-        # one call for the rule on the whole slab, one for its error estimate
-        for slab, gl in self.SLABS:
-            px, py, fv2 = self._peaked(slab)
+    def test_level_integrand_calls(self):
+        # the wings of both sides in one call, each outer slab in one and
+        # the six hot-cell checks in one; one side alone takes three.  Far
+        # levels split a grid into calls of at most _MAX_CALL_POINTS
+        fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
+        levels = ((self.SIDES, 4, 8, 4), (self.SIDES[1:], 4, 8, 3), (self.SIDES, 32, 64, None))
+        for sides, r_prev, r, want in levels:
             calls = []
 
             def counted(x, y):
-                calls.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+                calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
                 return fv2(x, y)
 
-            q = _strip_rect(counted, *slab, px, py, gl)
-            assert len(calls) == 2
-            assert q.evals == sum(math.prod(shape) for shape in calls)
+            q, _ = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X)
+            assert len(calls) == want or want is None
+            assert max(calls) <= _MAX_CALL_POINTS
+            assert q.evals == sum(calls)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize("a", [0.3 + 0.2j, 0.3 + 0.5j], ids=["generic", "cancelling"])
+    def test_joint_strips_equal_sum_of_sides(self, a, k):
+        # the band (y0 - 1/4, y0 + 1/4] around the pole row y0 = -Im a
+        y0 = -a.imag
+        f = _strip_integrand(1.0, 1j, a, k)
+        tol, hot_x = 1e-9, -a.real
+        joint = integrate_half_strip(f, (y0 - 0.25, y0 + 0.25), "both", float(k), tol=tol, hot_x=hot_x)
+        up = integrate_half_strip(f, y0 + 0.25, "up", float(k), tol=tol, hot_x=hot_x)
+        down = integrate_half_strip(f, y0 - 0.25, "down", float(k), tol=tol, hot_x=hot_x)
+        assert abs(joint.value - (up.value + down.value)) <= joint.err + up.err + down.err
+        # the per-side split, the lower side's level sums and the rest,
+        # lies near each side alone (its tail is a part of the rest)
+        lower, upper = joint.sides[0], joint.value - joint.sides[0]
+        assert abs(lower - down.value) <= 1e-5 * (1 + abs(down.value))
+        assert abs(upper - up.value) <= 1e-5 * (1 + abs(up.value))
 
     def test_weil_err_bounds_true_error(self):
         for w2, x, y, k in itertools.product(

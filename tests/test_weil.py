@@ -1,6 +1,10 @@
 import cmath
+import functools
+import importlib.util
 import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,21 @@ from latzeta.weil import (
 
 SQUARE = lattice_new(1.0, 1j)
 HEX = lattice_new(1.0, cmath.exp(1j * cmath.pi / 3))
+#: the skew bench lattice, jittered as the benchmark draws it
+_RNG = random.Random(16)
+SKEW = lattice_new(1.0, complex(0.35 + _RNG.uniform(-0.01, 0.01), 1.15 + _RNG.uniform(-0.01, 0.01)))
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+@pytest.fixture(scope="module")
+def weil_ref():
+    """The benchmark's reference E_k: Eisenstein rows in closed form at 30
+    digits (mpmath), independent of latzeta."""
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return functools.cache(module.weil_ref)
 
 
 class TestParams:
@@ -159,6 +178,16 @@ class TestIntegral:
             assert q.err <= tol * (1 + abs(q.value)), (lat, x, k)
             assert abs(q.value - d.value) <= q.err + d.err, (lat, x, k)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_phase_grid_subset(self, weil_ref, tol):
+        # y = 1/2 puts the band edges where J1 cancels J2 + J3; every case
+        # must meet tol with no raise and an err that bounds the true error
+        for lat, x, y, k in itertools.product((SQUARE, HEX, SKEW), (0.0, 0.375, 0.875), (0.2, 0.5, 0.75), (3, 8)):
+            a = x * lat.w1 + y * lat.w2
+            ref = weil_ref(lat.w1, lat.w2, a, k)
+            q = weil_integral(WeilParams(lat, a, k), tol=tol)
+            assert abs(q.value - ref) <= q.err <= tol * (1 + abs(ref)), (lat, x, y, k)
+
     @pytest.mark.parametrize("k", [3, 4, 7])
     @pytest.mark.parametrize("n", [-2, 0, 1])
     def test_band_row_matches_mpmath(self, k, n):
@@ -205,6 +234,27 @@ class TestIntegral:
         # square lattice and 2.5e-7 on the skew one, where |eps w2| = 1.5e-6
         with pytest.raises(PoleNearDomain):
             weil_integral(WeilParams(lattice_new(1.0, w2), 0.3 + 0.2j, 3), eps=eps)
+
+
+def test_unreduced_bases_match_reference(weil_ref):
+    # for k >= 3, E_k depends on the lattice, not on the basis that names
+    # it: seeded unimodular changes of the bench bases, against the
+    # reference summed on the bench basis
+    rng = random.Random(13)
+    for _ in range(12):
+        base = rng.choice((SQUARE, HEX, SKEW))
+        while True:
+            m = [rng.randint(-4, 4) for _ in range(4)]
+            if m[0] * m[3] - m[1] * m[2] in (1, -1):
+                break
+        lat = lattice_new(m[0] * base.w1 + m[1] * base.w2, m[2] * base.w1 + m[3] * base.w2)
+        a = rng.uniform(0.05, 0.95) * base.w1 + rng.uniform(0.05, 0.95) * base.w2
+        k = rng.choice((3, 4, 5, 6, 8))
+        ref = weil_ref(base.w1, base.w2, a, k)
+        p = WeilParams(lat, a, k)
+        for rep, tol in ((weil_integral(p, tol=1e-8), 1e-8), (weil_direct(p, tol=1e-10), 1e-10)):
+            off = abs(rep.value - ref)
+            assert off <= rep.err and off <= tol * (1 + abs(ref)), (lat, a, k, rep.method)
 
 
 class TestIntegrands:
