@@ -119,6 +119,7 @@ def _report_dict(rep, breakdown: bool) -> dict:
                 "j3": rep.j3,
                 "row_correction": rep.row_correction,
                 "eps_used": rep.eps_used,
+                "basis": list(rep.basis),
             }
         )
     return d
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--method", choices=("direct", "integral", "both"), default="direct")
     pw.add_argument("--eps", type=float, default=0.25, help="band half-width for the integral path")
     pw.add_argument("--tol", type=float, default=1e-8)
-    pw.add_argument("--breakdown", action="store_true", help="include J1, J2, J3, row_correction")
+    pw.add_argument("--breakdown", action="store_true", help="include J1, J2, J3, row_correction and their basis")
     pw.add_argument("--csv", action="store_true", help="CSV instead of the default JSON")
     pw.set_defaults(func=cmd_weil)
 

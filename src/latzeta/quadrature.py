@@ -12,7 +12,8 @@ Two algorithms, each written once:
   ``integrate_rect`` takes K15xK15 against G7xG7 on each cell, and
   ``integrate_segment`` K15 against G7 on each panel, which always lies
   inside one unit cell.  An item whose split would overrun the panel
-  budget stays as it is, and NoConvergence is raised if tol is missed.
+  budget stays as it is, and NoConvergence is raised if tol * (1 + |base +
+  value|) is missed, ``base`` being the rest of a sum the value joins.
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
@@ -22,9 +23,9 @@ Two algorithms, each written once:
   half-strips).  Both half-strips outside a band take one driver, whose
   stop rule sees where they cancel: the first level refines the K15xK15
   cells of radius 4 around the integrand peak on both sides as one sum,
-  and later levels are slabs with a fixed tensor rule per unit cell
-  (GL8xGL8, GL4xGL4 from distance 16), whose error is estimated on the
-  cells nearest the peak (``_slab_level``).
+  and later levels are slabs with one tensor rule per unit cell: GL8xGL8,
+  then the cheaper of GL4xGL4 and GL8xGL8 by the rule error estimated on
+  the cells nearest the peak (``_slab_level``).
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -221,7 +222,7 @@ def _accelerate(levels, integer_powers=True):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, tol, max_panels, what):
+def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
     """Max-heap refinement of a partition of a finite domain.
 
     ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
@@ -235,7 +236,9 @@ def _refine(items, evaluate, split, tol, max_panels, what):
     NoConvergence, with the result as ``.best``, is raised when tol is
     missed and no item above its share can be split, or after the first
     pass when the items beyond the reach of the budget miss tol by
-    themselves.  Panels are the leaves of the partition."""
+    themselves.  Panels are the leaves of the partition.  Tol is relative
+    to 1 + |base + value|, ``base`` being the rest of a sum that the value
+    joins; the roundoff floor stays the part's own."""
     vals, errs, mass, evals = evaluate(items)
     value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
     n_panels = len(items)
@@ -247,7 +250,7 @@ def _refine(items, evaluate, split, tol, max_panels, what):
         return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
 
     def missed():
-        return err_sum > tol * (1.0 + abs(value)) + floor_err()
+        return err_sum > tol * (1.0 + abs(base + value)) + floor_err()
 
     if not missed():
         return result()
@@ -257,7 +260,7 @@ def _refine(items, evaluate, split, tol, max_panels, what):
     # the largest |value| the estimates allow, no refinement can meet it
     order = np.argsort(-errs, kind="stable")
     spare = max(max_panels - n_panels, 0)
-    if errs[order[spare:]].sum() > tol * (1.0 + abs(value) + err_sum) + floor_err():
+    if errs[order[spare:]].sum() > tol * (1.0 + abs(base + value) + err_sum) + floor_err():
         raise NoConvergence(f"{what}: panel budget {max_panels} too small for tol {tol:g}", best=result())
     keep = order[: spare + 1]
     heap = list(zip(*(a.tolist() for a in (-errs[keep], keep, items[keep], vals[keep], errs[keep], mass[keep]))))
@@ -265,7 +268,7 @@ def _refine(items, evaluate, split, tol, max_panels, what):
     uid = n_panels
     full = False
     while missed():
-        target = tol * (1.0 + abs(value)) / n_panels
+        target = tol * (1.0 + abs(base + value)) / n_panels
         popped, children = [], []
         while heap and len(popped) < 64 and -heap[0][0] > target:
             kids = split(heap[0][2])
@@ -327,7 +330,7 @@ def _eval_panel_batch(fv, bounds):
     return value, err, mass
 
 
-def _segment(fv, a, b, tol):
+def _segment(fv, a, b, tol, base=0j):
     """``integrate_segment`` of a vectorized fv on a < b.  A panel is a row
     (lo, hi) inside one unit cell, and its budget is DEFAULT_PANEL_BUDGET
     panels beyond its cells, so that segments of many cells can split."""
@@ -344,7 +347,7 @@ def _segment(fv, a, b, tol):
 
     pts = _cutpoints(a, b)
     panels = np.stack([pts[:-1], pts[1:]], 1)
-    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]")
+    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]", base)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -381,26 +384,24 @@ def _tail_constant(mags, rads, decay_order):
     return float(scaled.max())
 
 
-def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order):
+def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order, base=0j, stop_share=0.25):
     """The doubling driver: cumulative integrals at doubling radii plus
     acceleration.
 
     ``segment_for(r_prev, r)`` integrates the part of the domain added at
     radius r (r_prev is None on the first level).  ``tail_bound(r)`` is a
     bound on the neglected tail (may be inf).  Stops when either the plain
-    bound or the extrapolation increment meets tol; gives up with the best
-    estimate once r reaches max_radius or the panels of all levels exceed
-    64 panel budgets (each level's adaptive calls hold their own budget, and
-    fixed-order strip cells are cheap).  Richardson joins the extrapolation
-    only for an integer ``decay_order``, whose tail has integer powers.
+    bound or the extrapolation increment meets stop_share * tol * (1 +
+    |base + est|), with ``base`` the rest of a sum that the integral joins
+    and est its running estimate, so that the target follows the whole sum
+    level by level; gives up with the best estimate once r reaches
+    max_radius or the panels of all levels exceed 64 panel budgets (each
+    level's adaptive calls hold their own budget, and fixed-order strip
+    cells are cheap).  Richardson joins the extrapolation only for an
+    integer ``decay_order``, whose tail has integer powers.
     """
-    levels = []
-    quad_err = 0.0
-    panels = 0
-    evals = 0
-    value = 0j
-    r_prev = None
-    r = start_radius
+    levels, quad_err, panels, evals, value = [], 0.0, 0, 0, 0j
+    r_prev, r = None, start_radius
     while True:
         res = segment_for(r_prev, r)
         value += res.value
@@ -410,11 +411,11 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
         levels.append(value)
         plain_tail = tail_bound(r)
         est, inc = _accelerate(levels, float(decay_order).is_integer())
-        scale = 1.0 + abs(est)
-        if plain_tail <= tol * scale / 4 and plain_tail <= inc:
+        target = stop_share * tol * (1.0 + abs(base + est))
+        if plain_tail <= target and plain_tail <= inc:
             return QuadratureResult(value, quad_err + plain_tail, panels, evals)
-        if len(levels) >= 4 and inc <= tol * scale / 4:
-            return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * scale, panels, evals)
+        if len(levels) >= 4 and inc <= target:
+            return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * (1.0 + abs(est)), panels, evals)
         if r >= max_radius or panels > 64 * DEFAULT_PANEL_BUDGET:
             best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
             if not math.isfinite(best_e):
@@ -424,15 +425,16 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
         r_prev, r = r, 2 * r
 
 
-def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
+def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j) -> QuadratureResult:
     """Integrate f over the whole real line, an absolutely convergent
     integral.
 
     Requires an algebraic decay order |f| ~ |x|^-decay_order with
     decay_order > 1, validated by sampling on both sides; it sets the tail
-    bound."""
+    bound.  Segments take tol/8 and the stop rule tol/4 (``_improper``)."""
     if decay_order <= 1:
         raise UnsupportedDecay("integrate_line needs decay_order > 1")
+    check_tol(tol)
     fv = vectorize1(f)
     seg_tol = tol / 8
     probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
@@ -444,10 +446,10 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8) -> QuadratureResult
 
     def segment_for(r_prev, r):
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        parts = [integrate_segment(fv, lo, hi, tol=seg_tol) for lo, hi in spans]
+        parts = [_segment(fv, lo, hi, seg_tol, base) for lo, hi in spans]
         return QuadratureResult(*(sum(getattr(q, n) for q in parts) for n in ("value", "err", "panels", "evals")))
 
-    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order)
+    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order, base)
 
 
 def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
@@ -504,12 +506,12 @@ def _rect_fixed(fv2, x_blocks, y_blocks, gl):
     return np.array([block.sum() for block in np.split(yw * rows, ends)]), xn.size * yn.size
 
 
-def _rects(fv2, rects, tol, what):
+def _rects(fv2, rects, tol, what, base=0j):
     """One ``_refine`` over the integer-grid cells of the rectangles
-    ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to their sum.
-    Each cell returns K15xK15, checked against the G7xG7 subset of the same
-    values, in one integrand call on (cells, y, x) grids per 64 cells.
-    Returns the result and each rectangle's value."""
+    ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to base plus
+    their sum.  Each cell returns K15xK15, checked against the G7xG7 subset
+    of the same values, in one integrand call on (cells, y, x) grids per 64
+    cells.  Returns the result and each rectangle's value."""
     blocks = []
     for x_lo, x_hi, y_lo, y_hi in rects:
         xs, ys = _cutpoints(x_lo, x_hi), _cutpoints(y_lo, y_hi)
@@ -550,7 +552,7 @@ def _rects(fv2, rects, tol, what):
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
-    q = _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what)
+    q = _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what, base)
     return q, [sum(v for v, o in leaves.values() if o == i) for i in range(len(rects))] if leaves else [q.value]
 
 
@@ -587,28 +589,25 @@ def _split_check(x, w):
 _SPLIT_CHECKS = {len(x): _split_check(x, w) for x, w in ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))}
 
 
-def _slab_level(fv2, sides, x_center, r_prev, r, hot_x):
+def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
     """Level r of the half-strips ``sides``, rows (edge, sign): on each side
     the wings r_prev <= |x - x_center| <= r at distances 0..r_prev from the
     edge and the outer slab |x - x_center| <= r at distances r_prev..r, with
-    GL8xGL8 on every unit cell, or GL4xGL4 once r_prev >= 16.  The wings of
-    all sides share one integrand call and each outer slab takes one.
-    Returns the result and the value on each side.
+    one tensor rule on every unit cell.  The wings of all sides share one
+    integrand call and each outer slab takes one.  Returns the result and
+    the value on each side.
 
     Each slab's rule error is estimated on its cell nearest (hot_x, edge),
     the integrand peak, as the rule there minus the rule on the cell's 2x2
-    split, charged once per cell of the slab; all these checks take one
-    integrand call.  That bounds the error while the per-cell error falls
-    with distance from the peak, as for algebraic decay away from it."""
-    gl = (_GL4_X, _GL4_W) if r_prev >= 16 else (_GL8_X, _GL8_W)
+    split, charged once per cell of the slab.  That bounds the error while
+    the per-cell error falls with distance from the peak, as for algebraic
+    decay away from it.  The first slab level (r_prev < 8) takes GL8xGL8,
+    later ones GL4xGL4 where its estimate meets ``target`` and GL8xGL8
+    otherwise; the checks of both rules take one integrand call."""
     wings = [_cutpoints(x_center - r, x_center - r_prev), _cutpoints(x_center + r_prev, x_center + r)]
     full = _cutpoints(x_center - r, x_center + r)
     near = [_cutpoints(*sorted((edge, edge + sign * r_prev))) for edge, sign in sides]
     far = [_cutpoints(*sorted((edge + sign * r_prev, edge + sign * r))) for edge, sign in sides]
-    sums, evals = _rect_fixed(fv2, wings, near, gl)
-    outer = [_rect_fixed(fv2, [full], [ys], gl) for ys in far]
-    sums += [value[0] for value, _ in outer]
-    evals += sum(n for _, n in outer)
     slabs = [(xs, ys, e) for (e, _), y0, y1 in zip(sides, near, far) for xs, ys in zip(wings + [full], (y0, y0, y1))]
 
     def hot(edges, at):  # lower end and width of the panel nearest `at`
@@ -617,14 +616,22 @@ def _slab_level(fv2, sides, x_center, r_prev, r, hot_x):
 
     x0, hx, y0, hy = np.array([hot(xs, hot_x) + hot(ys, e) for xs, ys, e in slabs]).T[:, :, None]
     cells = np.array([(len(xs) - 1) * (len(ys) - 1) for xs, ys, _ in slabs])
-    u, v, c = _SPLIT_CHECKS[len(gl[0])]
-    diff = hx[:, 0] * hy[:, 0] * (fv2(x0 + hx * u, y0 + hy * v) @ c)
-    err = float(np.abs(diff) @ cells)
-    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals + diff.size * c.size), sums
+    rules = [(_GL8_X, _GL8_W)] if r_prev < 8 else [(_GL4_X, _GL4_W), (_GL8_X, _GL8_W)]
+    u, v, c = (np.concatenate(z) for z in zip(*(_SPLIT_CHECKS[len(x)] for x, _ in rules)))
+    vals = fv2(x0 + hx * u, y0 + hy * v)
+    ends = np.cumsum([5 * len(x) ** 2 for x, _ in rules])[:-1]  # a check: the cell and its 4 quarters
+    blocks = zip(np.split(vals, ends, 1), np.split(c, ends))
+    errs = [float(np.abs(hx[:, 0] * hy[:, 0] * (block @ w)) @ cells) for block, w in blocks]
+    gl, err = (rules[0], errs[0]) if errs[0] <= target else (rules[-1], errs[-1])
+    sums, evals = _rect_fixed(fv2, wings, near, gl)
+    outer = [_rect_fixed(fv2, [full], [ys], gl) for ys in far]
+    sums += [value[0] for value, _ in outer]
+    evals += sum(n for _, n in outer)
+    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals + vals.size), sums
 
 
 def integrate_half_strip(
-    f, y_edge, direction: str, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0
+    f, y_edge, direction: str, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0, base: complex = 0j
 ) -> QuadratureResult:
     """Integrate f over the half-strip x in (-inf, inf), y above (direction
     'up') or below ('down') y_edge, or with direction 'both' over the two
@@ -638,12 +645,16 @@ def integrate_half_strip(
     decay_order, Aitken alone otherwise.  The sides share one tail
     constant, level sequence and stop rule, which act on their sum.
     ``hot_x`` locates the integrand peak along the edges: the first level,
-    one ``_rects`` refinement of the cells of radius 4 of every side at
-    tol/4, is centred on it, and the slabs' rule errors are estimated next
-    to it.  The result's ``sides`` holds each side's level sums, the lower
-    first; the value adds the extrapolation to their total.  NoConvergence
-    is raised once the radius reaches HALF_STRIP_MAX_RADIUS.  f must be
-    finite on the closed strips: the caller keeps poles away."""
+    one ``_rects`` refinement of the cells of radius 4 of every side, is
+    centred on it, and the slabs' rule errors are estimated next to it.
+    Targets are relative to 1 + |base + value| and share tol: 1/4 to the
+    first level, 1/2 to the stop rule and 1/(2 r_prev) to the rule choice
+    of the slab level at r_prev >= 8 (``_slab_level``), 7/8 at most in
+    all.  The result's ``sides`` holds
+    each side's level sums, the lower first; the value adds the
+    extrapolation to their total.  NoConvergence is raised once the radius
+    reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips:
+    the caller keeps poles away."""
     if decay_order <= 2:
         raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
     if direction not in ("up", "down", "both"):
@@ -669,12 +680,13 @@ def integrate_half_strip(
 
     def segment_for(r_prev, r):
         if r_prev is not None:
-            level, parts = _slab_level(fv2, sides, x_center, r_prev, r, hot_x)
+            target = tol / (2 * r_prev) * (1.0 + abs(base + sums.sum()))
+            level, parts = _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target)
             sums[:] += parts
             return level
         rects = [(x_center - r, x_center + r, *sorted((edge, edge + sign * r))) for edge, sign in sides]
-        level, sums[:] = _rects(fv2, rects, tol / 4, f"strips within radius {r}")
+        level, sums[:] = _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
         return level
 
-    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order)
+    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order, base, stop_share=0.5)
     return QuadratureResult(res.value, res.err, res.panels, res.evals, tuple(sums.tolist()))

@@ -118,6 +118,11 @@ def verify_weil(seed: int = 42, tol: float = 1e-8) -> list[CheckResult]:
     q = weil_integral(WeilParams(lat, a, k), tol=inner_tol)
     out.append(CheckResult("weil", "direct-vs-integral", abs(q.value - e) / scale, tol))
 
+    # the same on an unreduced basis of the lattice, a unimodular change
+    other = lattice_new(2 * lat.w1 + lat.w2, 3 * lat.w1 + 2 * lat.w2)
+    q = weil_integral(WeilParams(other, a, k), tol=inner_tol)
+    out.append(CheckResult("weil", "unreduced-basis-direct-vs-integral", abs(q.value - e) / scale, tol))
+
     # the same with the pole 1e-4 off an integer row, which the band holds
     c = lattice_coordinates(lat, -a)
     p = WeilParams(lat, -(c.x0 * lat.w1 + (round(c.y0) + 1e-4) * lat.w2), k)

@@ -76,6 +76,8 @@ class WeilReport:
     j3: complex = 0j
     eps_used: float = 0.0
     row_correction: complex = 0j
+    #: the basis (w1, w2) that the sum ran on and the parts refer to
+    basis: tuple = ()
 
 
 def _row_sum(c: complex, w1: complex, k: int, tol: float):
@@ -143,8 +145,9 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
 def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
     """E_k(a, W) by Eisenstein summation: inner symmetric sums over n, then
     the outer one over m; for k >= 3 on the reduced basis."""
-    value, err = _eisenstein_sum(reduce(p.lat) if p.k >= 3 else p.lat, p.a, p.k, tol)
-    return WeilReport(value=value, method="direct", err=err)
+    lat = reduce(p.lat) if p.k >= 3 else p.lat
+    value, err = _eisenstein_sum(lat, p.a, p.k, tol)
+    return WeilReport(value=value, method="direct", err=err, basis=(lat.w1, lat.w2))
 
 
 def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
@@ -221,20 +224,21 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
 
 def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
     """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
-    the reduced basis (``lattice.reduce``) that the report's parts refer to.
+    the reduced basis (``lattice.reduce``) that the report's parts refer to
+    and its ``basis`` names.
 
     The strips leave out the band (y0 - eps, y0 + eps] around the pole
     row, with eps as given.  The band holds at most one integer row, found
     from the same floats that P1 sees at the edges; it is summed by
     `_band_row` and reported as ``row_correction``.  The pole lies
     eps |det| / |w1| from both band edges in the a-plane; below 1e-6 that
-    raises PoleNearDomain before any integral is taken.  J1 and the row
-    first meet tol/4 relative to their own size, and J2 + J3, one integral
-    (j3 its lower strip's level sums, j2 the rest), tol/2; where the parts
-    cancel (J1 against J2 + J3 at y0 = 1/2) and the sum misses
-    tol * (1 + |value|), they are run once more at that absolute target,
-    shared in proportion, and ConvergenceError, with the report as
-    ``.best``, says the sum missed it still."""
+    raises PoleNearDomain before any integral is taken.  The parts share
+    one absolute target, tol * (1 + |E|): the row takes tol/16, J1 tol/16
+    relative to row + J1, and J2 + J3, one integral (j3 its lower strip's
+    level sums, j2 the rest), 7/8 tol relative to the whole sum.  Where J1
+    cancels J2 + J3 (y0 = 1/2) and misses its share, J1 alone runs again
+    with the strips in its offset; ConvergenceError, with the report as
+    ``.best``, says the sum missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -256,29 +260,17 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     x0, y0 = coords.x0 - n, coords.y0
     y_up, y_dn = y0 + eps, y0 - eps
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
-
-    def parts(part_tol):
-        # J1 on the band edges, J2 + J3 on the half-strips above and below
-        # the band as one integral; decay_order k is a valid (conservative)
-        # bound for terms that decay like |b|^-(k+1)
-        q1 = integrate_line(_edge_integrand(w1, w2, a, k, y_dn, y_up), decay_order=float(k), tol=part_tol)
-        q = integrate_half_strip(
-            _strip_integrand(w1, w2, a, k), (y_dn, y_up), "both", decay_order=float(k), tol=2 * part_tol, hot_x=x0
-        )
-        j2, j3 = q.value - q.sides[0], q.sides[0]
-        row, row_err = _band_row(a, w1, w2, k, hi, part_tol) if hi > lo else (0j, 0.0)
-        return WeilReport(
-            q1.value + j2 + j3 + row, "integral", q1.err + q.err + row_err,
-            j1=q1.value, j2=j2, j3=j3, eps_used=eps, row_correction=row,
-        )
-
-    report = parts(tol / 4)
-    scale = 1.0 + abs(report.value)
-    if report.err > tol * scale:
-        # each part met tol relative to its own size, and the parts cancel:
-        # re-run them so that their errors sum to tol * scale
-        largest = max(abs(v) for v in (report.j1, report.j2 + report.j3, report.row_correction))
-        report = parts(tol / 4 * scale / (1.0 + largest))
-        if report.err > tol * (1.0 + abs(report.value)):
-            raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
+    row, row_err = _band_row(a, w1, w2, k, hi, tol / 16) if hi > lo else (0j, 0.0)
+    # J1 on the band edges, J2 + J3 on the half-strips above and below the
+    # band as one integral; decay_order k bounds terms that decay like |b|^-(k+1)
+    edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
+    q1 = integrate_line(edge, float(k), tol / 16, base=row)
+    strips = _strip_integrand(w1, w2, a, k)
+    q = integrate_half_strip(strips, (y_dn, y_up), "both", float(k), tol * 7 / 8, x0, row + q1.value)
+    if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
+        q1 = integrate_line(edge, float(k), tol / 16, base=row + q.value)
+    j1, j2, j3 = q1.value, q.value - q.sides[0], q.sides[0]
+    report = WeilReport(j1 + j2 + j3 + row, "integral", q1.err + q.err + row_err, j1, j2, j3, eps, row, (w1, w2))
+    if report.err > tol * (1.0 + abs(report.value)):
+        raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
     return report

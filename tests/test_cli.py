@@ -40,6 +40,19 @@ class TestWeil:
         for key in ("j1", "j2", "j3", "row_correction", "eps_used"):
             assert key in doc["integral"]
 
+    def test_breakdown_names_reduced_basis(self, capsys):
+        # (2 + i, 3 + 2i) is an unreduced basis of the square lattice; the
+        # parts refer to its reduced basis, which the breakdown names
+        code, out = run_cli(
+            capsys,
+            "weil", "--w1", "2+i", "--w2", "3+2i", "--a", "0.3+0.2i", "--k", "4",
+            "--method", "integral", "--breakdown",
+        )
+        assert code == 0
+        w1, w2 = map(parse_complex, json.loads(out)["integral"]["basis"])
+        assert abs(w1) == pytest.approx(1.0) and abs(w2) == pytest.approx(1.0)
+        assert abs((w2 / w1).real) <= 0.5
+
     def test_degenerate_lattice_exit_2(self, capsys):
         code, out = run_cli(capsys, "weil", "--w1", "1", "--w2", "1", "--a", "0.5", "--k", "3")
         assert code == 2
@@ -176,6 +189,11 @@ class TestVerify:
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
             run_suite("nope")
+
+    def test_weil_unreduced_basis_check(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "weil", "--seed", "7", "--json")
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert code == 0 and checks["unreduced-basis-direct-vs-integral"] is True
 
     def test_weil_report_shape(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "weil", "--seed", "7")

@@ -367,7 +367,7 @@ class TestHalfStrip:
 
     # the strips above y = 0.05 and below y = -0.45 around the pole row
     # y0 = -0.2 of the square lattice at a = 0.3 + 0.2i, peak at x = -0.3,
-    # and the levels r = 8 (GL8 cells) and r = 32 (GL4 cells)
+    # and the levels r = 8 (GL8 cells) and r = 32 (GL4 or GL8 cells)
     SIDES, X_CENTER, HOT_X = ((-0.45, -1.0), (0.05, 1.0)), -0.5, -0.3
     LEVELS = ((4, 8), (16, 32))
 
@@ -383,37 +383,71 @@ class TestHalfStrip:
                 slabs.append((_cutpoints(x_lo, x_hi), ys, edge))
         return slabs
 
+    @classmethod
+    def _hot_cells(cls, r_prev, r):
+        """Each slab's cell nearest (HOT_X, edge), as (x ends, y ends)."""
+        hot = []
+        for xs, ys, edge in cls._slabs(r_prev, r):
+            i = int(np.clip(np.searchsorted(xs, cls.HOT_X) - 1, 0, len(xs) - 2))
+            j = int(np.clip(np.searchsorted(ys, edge) - 1, 0, len(ys) - 2))
+            hot.append((xs[i : i + 2], ys[j : j + 2]))
+        return hot
+
+    def _level_bounds_rule_error(self, fv2, r_prev, r, target, tol=1e-14):
+        """Level r at ``target``, checked against each slab integrated
+        adaptively; returns the level and the points of its rule calls per
+        cell (the first call holds the hot-cell checks)."""
+        calls = []
+
+        def counted(x, y):
+            calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
+            return fv2(x, y)
+
+        q, sums = _slab_level(counted, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, target)
+        slabs = self._slabs(r_prev, r)
+        parts = [(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=tol).value, e) for xs, ys, e in slabs]
+        truth = [sum(v for v, e in parts if e == edge) for edge, _ in self.SIDES]
+        assert q.err > 0
+        assert abs(q.value - sum(truth)) <= q.err
+        assert abs(sums - truth).sum() <= q.err and q.value == sum(sums)
+        return q, sum(calls[1:]) / q.panels
+
     def test_slab_err_bounds_rule_error(self):
+        # a target of 0 takes GL8 on every level, an infinite one GL4 from
+        # r_prev = 8 on; the first slab level keeps GL8 either way
         fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        for r_prev, r in self.LEVELS:
-            q, sums = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X)
-            slabs = self._slabs(r_prev, r)
-            parts = [(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=1e-14).value, e) for xs, ys, e in slabs]
-            truth = [sum(v for v, e in parts if e == edge) for edge, _ in self.SIDES]
-            assert q.err > 0
-            assert abs(q.value - sum(truth)) <= q.err
-            assert abs(sums - truth).sum() <= q.err and q.value == sum(sums)
+        for (r_prev, r), target in itertools.product(self.LEVELS, (0.0, math.inf)):
+            _, per_cell = self._level_bounds_rule_error(fv2, r_prev, r, target)
+            assert per_cell == (16 if target and r_prev >= 8 else 64)
+
+    def test_slab_rule_by_check(self):
+        # GL4's check fits a smooth level's share, and a sharp peak in each
+        # hot cell makes it miss, so that level takes GL8
+        smooth = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
+        q, per_cell = self._level_bounds_rule_error(smooth, 16, 32, 1e-9)
+        assert per_cell == 16 and q.err <= 1e-9
+        peaks = [(xs[0] + 0.3, ys[0] + 0.6) for xs, ys in self._hot_cells(16, 32)]
+        sharp = vectorize2(lambda x, y: sum(1 / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
+        _, per_cell = self._level_bounds_rule_error(sharp, 16, 32, 1e-9, tol=1e-12)
+        assert per_cell == 64
 
     def test_slab_err_matches_two_call_estimate(self):
         # each slab's estimate is its hot cell's rule minus the rule on the
         # cell's 2x2 split, here from two separate fixed-rule calls, times
         # the slab's cells; a sharp peak inside every hot cell makes the
         # rule errors dwarf the roundoff of the differences
+        # an infinite target takes GL4 from r_prev = 8 on
         for (r_prev, r), gl in zip(self.LEVELS, ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))):
-            hot = []
-            for xs, ys, edge in self._slabs(r_prev, r):
-                i = int(np.clip(np.searchsorted(xs, self.HOT_X) - 1, 0, len(xs) - 2))
-                j = int(np.clip(np.searchsorted(ys, edge) - 1, 0, len(ys) - 2))
-                hot.append((xs[i : i + 2], ys[j : j + 2], (len(xs) - 1) * (len(ys) - 1)))
-            peaks = [(xs[0] + 0.3 * (xs[1] - xs[0]), ys[0] + 0.6 * (ys[1] - ys[0])) for xs, ys, _ in hot]
+            hot = self._hot_cells(r_prev, r)
+            peaks = [(xs[0] + 0.3 * (xs[1] - xs[0]), ys[0] + 0.6 * (ys[1] - ys[0])) for xs, ys in hot]
             fv2 = vectorize2(lambda x, y: sum((1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
             want = 0.0
-            for xs, ys, cells in hot:
+            for (xs, ys), (x_edges, y_edges, _) in zip(hot, self._slabs(r_prev, r)):
                 coarse, fine = (
                     _rect_fixed(fv2, [np.linspace(*xs, n)], [np.linspace(*ys, n)], gl)[0][0] for n in (2, 3)
                 )
-                want += abs(fine - coarse) * cells
-            q, _ = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X)
+                want += abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
+            q, _ = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
             assert q.err == pytest.approx(want, rel=1e-12)
 
     def test_level_integrand_calls(self):
@@ -429,7 +463,7 @@ class TestHalfStrip:
                 calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
                 return fv2(x, y)
 
-            q, _ = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X)
+            q, _ = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
             assert len(calls) == want or want is None
             assert max(calls) <= _MAX_CALL_POINTS
             assert q.evals == sum(calls)

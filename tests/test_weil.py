@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latzeta import quadrature
+from latzeta import weil as weil_module
 from latzeta.errors import PointOnLattice, PoleNearDomain, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.bernoulli import p1
@@ -177,6 +179,39 @@ class TestIntegral:
             q = weil_integral(p, tol=tol)
             assert q.err <= tol * (1 + abs(q.value)), (lat, x, k)
             assert abs(q.value - d.value) <= q.err + d.err, (lat, x, k)
+
+    def test_strips_meet_tol_relative_to_the_sum(self, weil_ref, monkeypatch):
+        # a = 3/8 on the square lattice, k = 8: the band row holds the
+        # nearest lattice point, so |E| = 2599 against |J2 + J3| = 15.5, and
+        # the strips' first level need only meet tol relative to |E|
+        evals = []
+
+        def recorded(*args, **kwargs):
+            q, sums = rects(*args, **kwargs)
+            evals.append(q.evals)
+            return q, sums
+
+        rects = quadrature._rects
+        monkeypatch.setattr(quadrature, "_rects", recorded)
+        q = weil_integral(WeilParams(SQUARE, 0.375, 8), tol=1e-8)
+        assert len(evals) == 1 and evals[0] <= 103_050
+        assert abs(q.value - weil_ref(1.0, 1j, 0.375, 8)) <= q.err
+
+    def test_strips_run_once_where_parts_cancel(self, monkeypatch):
+        # hexagonal lattice, y = 1/2, k = 8: J1 cancels J2 + J3, and only
+        # J1 may be taken again to meet tol relative to the sum
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return strips(*args, **kwargs)
+
+        strips = weil_module.integrate_half_strip
+        monkeypatch.setattr(weil_module, "integrate_half_strip", counted)
+        for x, tol in itertools.product((0.0, 0.125, 0.875), (1e-8, 1e-10)):
+            calls.clear()
+            q = weil_integral(WeilParams(HEX, x + 0.5 * HEX.w2, 8), tol=tol)
+            assert len(calls) == 1 and q.err <= tol * (1 + abs(q.value)), (x, tol)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_phase_grid_subset(self, weil_ref, tol):
