@@ -384,21 +384,20 @@ def _tail_constant(mags, rads, decay_order):
     return float(scaled.max())
 
 
-def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order, base=0j, stop_share=0.25):
-    """The doubling driver: cumulative integrals at doubling radii plus
-    acceleration.
+def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order, base=0j):
+    """The doubling driver: integrals to doubling radii, accelerated.
 
     ``segment_for(r_prev, r)`` integrates the part of the domain added at
     radius r (r_prev is None on the first level).  ``tail_bound(r)`` is a
     bound on the neglected tail (may be inf).  Stops when either the plain
-    bound or the extrapolation increment meets stop_share * tol * (1 +
-    |base + est|), with ``base`` the rest of a sum that the integral joins
-    and est its running estimate, so that the target follows the whole sum
-    level by level; gives up with the best estimate once r reaches
-    max_radius or the panels of all levels exceed 64 panel budgets (each
-    level's adaptive calls hold their own budget, and fixed-order strip
-    cells are cheap).  Richardson joins the extrapolation only for an
-    integer ``decay_order``, whose tail has integer powers.
+    bound or the extrapolation increment meets tol/4 * (1 + |base + est|),
+    with ``base`` the rest of a sum that the integral joins and est its
+    running estimate, so that the target follows the whole sum level by
+    level; gives up with the best estimate once r reaches max_radius or the
+    panels of all levels exceed 64 panel budgets (each level's adaptive
+    calls hold their own budget, and fixed-order strip cells are cheap).
+    Richardson joins the extrapolation only for an integer ``decay_order``,
+    whose tail has integer powers.
     """
     levels, quad_err, panels, evals, value = [], 0.0, 0, 0, 0j
     r_prev, r = None, start_radius
@@ -411,7 +410,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
         levels.append(value)
         plain_tail = tail_bound(r)
         est, inc = _accelerate(levels, float(decay_order).is_integer())
-        target = stop_share * tol * (1.0 + abs(base + est))
+        target = tol * (1.0 + abs(base + est)) / 4
         if plain_tail <= target and plain_tail <= inc:
             return QuadratureResult(value, quad_err + plain_tail, panels, evals)
         if len(levels) >= 4 and inc <= target:
@@ -437,6 +436,7 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j)
     check_tol(tol)
     fv = vectorize1(f)
     seg_tol = tol / 8
+    done = [0j]  # the levels summed so far, in the offset of each new shell
     probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
     c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
     q = decay_order
@@ -446,7 +446,8 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j)
 
     def segment_for(r_prev, r):
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        parts = [_segment(fv, lo, hi, seg_tol, base) for lo, hi in spans]
+        parts = [_segment(fv, lo, hi, seg_tol, base + done[0]) for lo, hi in spans]
+        done[0] += sum(q.value for q in parts)
         return QuadratureResult(*(sum(getattr(q, n) for q in parts) for n in ("value", "err", "panels", "evals")))
 
     return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order, base)
@@ -602,8 +603,8 @@ def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
     split, charged once per cell of the slab.  That bounds the error while
     the per-cell error falls with distance from the peak, as for algebraic
     decay away from it.  The first slab level (r_prev < 8) takes GL8xGL8,
-    later ones GL4xGL4 where its estimate meets ``target`` and GL8xGL8
-    otherwise; the checks of both rules take one integrand call."""
+    later ones GL4xGL4 where its estimate meets ``target``, else GL8xGL8
+    (its estimate not held to ``target``); one integrand call checks both."""
     wings = [_cutpoints(x_center - r, x_center - r_prev), _cutpoints(x_center + r_prev, x_center + r)]
     full = _cutpoints(x_center - r, x_center + r)
     near = [_cutpoints(*sorted((edge, edge + sign * r_prev))) for edge, sign in sides]
@@ -648,13 +649,12 @@ def integrate_half_strip(
     one ``_rects`` refinement of the cells of radius 4 of every side, is
     centred on it, and the slabs' rule errors are estimated next to it.
     Targets are relative to 1 + |base + value| and share tol: 1/4 to the
-    first level, 1/2 to the stop rule and 1/(2 r_prev) to the rule choice
-    of the slab level at r_prev >= 8 (``_slab_level``), 7/8 at most in
-    all.  The result's ``sides`` holds
-    each side's level sums, the lower first; the value adds the
-    extrapolation to their total.  NoConvergence is raised once the radius
-    reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips:
-    the caller keeps poles away."""
+    first level, 1/2 to the stop rule and 1/(2 r_prev) to each GL4xGL4
+    slab level (``_slab_level``), 7/8 at most; GL8xGL8 levels take no
+    share, their estimated errors join err unchecked.  ``sides`` holds
+    each side's level sums, the lower first.  NoConvergence is raised once
+    the radius reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the
+    closed strips: the caller keeps poles away."""
     if decay_order <= 2:
         raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
     if direction not in ("up", "down", "both"):
@@ -688,5 +688,6 @@ def integrate_half_strip(
         level, sums[:] = _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
         return level
 
-    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol, tail_bound, decay_order, base, stop_share=0.5)
+    # the stop rule takes tol/2: _improper's tol/4 of twice tol
+    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, 2 * tol, tail_bound, decay_order, base)
     return QuadratureResult(res.value, res.err, res.panels, res.evals, tuple(sums.tolist()))

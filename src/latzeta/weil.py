@@ -224,21 +224,20 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
 
 def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
     """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
-    the reduced basis (``lattice.reduce``) that the report's parts refer to
-    and its ``basis`` names.
+    the reduced basis (``lattice.reduce``) that the report's ``basis`` names.
 
-    The strips leave out the band (y0 - eps, y0 + eps] around the pole
-    row, with eps as given.  The band holds at most one integer row, found
-    from the same floats that P1 sees at the edges; it is summed by
-    `_band_row` and reported as ``row_correction``.  The pole lies
-    eps |det| / |w1| from both band edges in the a-plane; below 1e-6 that
-    raises PoleNearDomain before any integral is taken.  The parts share
-    one absolute target, tol * (1 + |E|): the row takes tol/16, J1 tol/16
-    relative to row + J1, and J2 + J3, one integral (j3 its lower strip's
-    level sums, j2 the rest), 7/8 tol relative to the whole sum.  Where J1
-    cancels J2 + J3 (y0 = 1/2) and misses its share, J1 alone runs again
-    with the strips in its offset; ConvergenceError, with the report as
-    ``.best``, says the sum missed tol still."""
+    The strips leave out the band (y0 - eps, y0 + eps] around the pole row,
+    with eps as given.  The band holds at most one integer row, found from the
+    same floats that P1 sees at the edges; it is summed by `_band_row` and
+    reported as ``row_correction``.  The pole lies eps |det| / |w1| from both
+    band edges in the a-plane; below 1e-6 that raises PoleNearDomain before
+    any integral is taken.  The parts share one absolute target, tol * (1 +
+    |E|): the row takes tol/16, J1 tol/16 relative to row + J1, and J2 + J3,
+    one integral (j3 its lower strip's level sums, j2 the rest), 7/8 tol
+    relative to the whole sum.  Where J1 cancels J2 + J3 (y0 = 1/2) and misses
+    its share, J1 alone runs again with the strips in its offset (the strips
+    never run twice); ConvergenceError, with the report as ``.best``, says the
+    sum missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "

@@ -243,6 +243,19 @@ class TestLine:
         q = integrate_line(lambda x: 1.0 / (1.0 + (x - 3.0) ** 2) ** 2, decay_order=4.0, tol=1e-10)
         assert q.value == pytest.approx(math.pi / 2, abs=1e-9)
 
+    def test_shells_meet_tol_relative_to_the_sum(self):
+        # base cancels the bulk, which the first level holds; a narrow peak
+        # of weight 1 at x = 20 falls in the next shell, whose target must
+        # follow base plus the levels before it, not base alone
+        a, h, tol = 1e4, 0.02, 1e-8
+
+        def f(x):
+            return a / (1 + x * x) ** 3 + (2 / math.pi) * h**3 / ((x - 20) ** 2 + h * h) ** 2
+
+        base = -3 * math.pi / 8 * a
+        q = integrate_line(f, decay_order=4.0, tol=tol, base=base)
+        assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
+
     def test_absolute_requires_decay(self):
         with pytest.raises(UnsupportedDecay):
             integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), decay_order=1.0)

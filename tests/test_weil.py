@@ -213,6 +213,22 @@ class TestIntegral:
             q = weil_integral(WeilParams(HEX, x + 0.5 * HEX.w2, 8), tol=tol)
             assert len(calls) == 1 and q.err <= tol * (1 + abs(q.value)), (x, tol)
 
+    @pytest.mark.parametrize("k,tol", [(6, 1e-10), (7, 1e-8)])
+    def test_j1_rerun_meets_its_share(self, k, tol, monkeypatch):
+        # hexagonal lattice, x = 1/8, y = 1/2: J1 misses tol/16 relative to
+        # row + J1, and its one re-run, with the strips in its offset, meets
+        # tol/16 relative to the whole sum
+        lines = []
+
+        def recorded(*args, **kwargs):
+            lines.append(line(*args, **kwargs))
+            return lines[-1]
+
+        line = weil_module.integrate_line
+        monkeypatch.setattr(weil_module, "integrate_line", recorded)
+        q = weil_integral(WeilParams(HEX, 0.125 + 0.5 * HEX.w2, k), tol=tol)
+        assert len(lines) == 2 and lines[-1].err <= tol / 16 * (1 + abs(q.value))
+
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_phase_grid_subset(self, weil_ref, tol):
         # y = 1/2 puts the band edges where J1 cancels J2 + J3; every case
