@@ -106,22 +106,12 @@ def _csv_num(x: float) -> str:
 
 
 def _report_dict(rep, breakdown: bool) -> dict:
-    d = {
-        "value": rep.value,
-        "method": rep.method,
-        "err": rep.err,
-    }
+    d = {"value": rep.value, "method": rep.method, "err": rep.err}
     if breakdown:
-        d.update(
-            {
-                "j1": rep.j1,
-                "j2": rep.j2,
-                "j3": rep.j3,
-                "row_correction": rep.row_correction,
-                "eps_used": rep.eps_used,
-                "basis": list(rep.basis),
-            }
-        )
+        d.update(j1=rep.j1, j2=rep.j2, j3=rep.j3, row_correction=rep.row_correction)
+        d.update(eps_used=rep.eps_used, basis=list(rep.basis))
+        for part, (stop, radius) in zip(("j1", "strips"), rep.stops):
+            d[f"{part}_stop"], d[f"{part}_radius"] = stop, radius
     return d
 
 

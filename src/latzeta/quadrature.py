@@ -17,15 +17,16 @@ Two algorithms, each written once:
 * ``_improper``, the doubling driver of ``integrate_line``,
   ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
-  accelerated (the better of Richardson and iterated Aitken), and a
-  sampled algebraic tail bound stops the doubling too when the decay makes
-  it sharp, up to a fixed radius (``HALF_STRIP_MAX_RADIUS`` for the
-  half-strips).  Both half-strips outside a band take one driver, whose
-  stop rule sees where they cancel: the first level refines the K15xK15
-  cells of radius 4 around the integrand peak on both sides as one sum,
-  and later levels are slabs with one tensor rule per unit cell: GL8xGL8,
-  then the cheaper of GL4xGL4 and GL8xGL8 by the rule error estimated on
-  the cells nearest the peak (``_slab_level``).
+  accelerated (the better of Richardson and iterated Aitken), and the
+  doubling stops at the first level whose sampled algebraic tail bound
+  meets the target, or whose accelerated value has settled, up to a fixed
+  radius (``HALF_STRIP_MAX_RADIUS`` for the half-strips).  Both
+  half-strips outside a band take one driver, whose stop rule sees where
+  they cancel: the first level refines the K15xK15 cells of radius 4
+  around the integrand peak on both sides as one sum, and later levels
+  are slabs with one tensor rule per unit cell: GL8xGL8, then the
+  cheapest of GL2 to GL8 whose rule error, estimated on the cells nearest
+  the peak, meets the level's share (``_slab_level``).
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -34,8 +35,9 @@ plain scalar callables; scalar callables are detected and looped over.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +50,8 @@ HALF_STRIP_MAX_RADIUS = 1024
 #: unit cells one segment or rectangle side may span
 MAX_SPAN_CELLS = 1 << 20
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+#: the slab rules, Gauss-Legendre nodes and weights on [-1, 1] by order
+_GL = {n: np.polynomial.legendre.leggauss(n) for n in (2, 3, 4, 8)}
 
 
 def _kronrod(xs, wk, wg):
@@ -94,6 +96,9 @@ class QuadratureResult:
     evals: int
     #: the level sums of each side of a joint half-strip integral
     sides: tuple = ()
+    #: an improper integral's stop rule ("plain-tail" | "extrapolated") and radius
+    stop: str | None = None
+    radius: float | None = None
 
     def __post_init__(self):
         if not (self.err >= 0 and math.isfinite(self.err)):
@@ -389,39 +394,43 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
 
     ``segment_for(r_prev, r)`` integrates the part of the domain added at
     radius r (r_prev is None on the first level).  ``tail_bound(r)`` is a
-    bound on the neglected tail (may be inf).  Stops when either the plain
-    bound or the extrapolation increment meets tol/4 * (1 + |base + est|),
-    with ``base`` the rest of a sum that the integral joins and est its
-    running estimate, so that the target follows the whole sum level by
-    level; gives up with the best estimate once r reaches max_radius or the
-    panels of all levels exceed 64 panel budgets (each level's adaptive
-    calls hold their own budget, and fixed-order strip cells are cheap).
+    bound on the neglected tail (may be inf).  The target, tol/4 * (1 +
+    |base + est|) with ``base`` the rest of a sum that the integral joins
+    and est its running estimate, follows the whole sum level by level.
+    It stops, and names the rule and radius in its result, on the plain
+    value once the tail bound meets the target ("plain-tail"), or from
+    the fourth level on the accelerated one once its increment meets the
+    target and it lies within 10 targets of the level before (an increment
+    can be small by chance while the value still moves): "extrapolated",
+    taken where both hold and its err is smaller.  Gives up with the best
+    estimate once r reaches max_radius or the panels of all levels exceed
+    64 panel budgets (each level's adaptive calls hold their own budget,
+    and fixed-order strip cells are cheap).
     Richardson joins the extrapolation only for an integer ``decay_order``,
     whose tail has integer powers.
     """
-    levels, quad_err, panels, evals, value = [], 0.0, 0, 0, 0j
+    levels, quad_err, panels, evals, value, prev_est = [], 0.0, 0, 0, 0j, math.nan
     r_prev, r = None, start_radius
     while True:
         res = segment_for(r_prev, r)
-        value += res.value
-        quad_err += res.err
-        panels += res.panels
-        evals += res.evals
+        value, quad_err, panels, evals = value + res.value, quad_err + res.err, panels + res.panels, evals + res.evals
         levels.append(value)
         plain_tail = tail_bound(r)
         est, inc = _accelerate(levels, float(decay_order).is_integer())
         target = tol * (1.0 + abs(base + est)) / 4
-        if plain_tail <= target and plain_tail <= inc:
-            return QuadratureResult(value, quad_err + plain_tail, panels, evals)
-        if len(levels) >= 4 and inc <= target:
-            return QuadratureResult(est, quad_err + inc + _EPS_FLOOR * (1.0 + abs(est)), panels, evals)
+        settled = len(levels) >= 4 and inc <= target and abs(est - prev_est) <= 10 * target
+        if plain_tail <= target and not (settled and inc < plain_tail):
+            return QuadratureResult(value, quad_err + plain_tail, panels, evals, stop="plain-tail", radius=r)
+        if settled:
+            err = quad_err + inc + _EPS_FLOOR * (1.0 + abs(est))
+            return QuadratureResult(est, err, panels, evals, stop="extrapolated", radius=r)
         if r >= max_radius or panels > 64 * DEFAULT_PANEL_BUDGET:
             best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
             if not math.isfinite(best_e):
                 best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
             best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
             raise NoConvergence(f"improper integral not converged at radius {r} (tol {tol})", best=best)
-        r_prev, r = r, 2 * r
+        r_prev, r, prev_est = r, 2 * r, est
 
 
 def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j) -> QuadratureResult:
@@ -482,29 +491,29 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
 # 2-D rectangles
 
 
-def _tensor_nodes(edges, order_x, order_w):
-    """Nodes and weights of a panel rule on each panel between ``edges``."""
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return (half * order_x + mid).ravel(), (half * order_w).ravel()
+def _rule_nodes(blocks, gl):
+    """Nodes and weights of the rule gl = (nodes, weights) on [-1, 1] in
+    every panel between the edges of each of ``blocks``, and the index at
+    which each block's nodes start, then their count."""
+    lo, hi = np.concatenate([e[:-1] for e in blocks]), np.concatenate([e[1:] for e in blocks])
+    half, mid = 0.5 * (hi - lo)[:, None], 0.5 * (hi + lo)[:, None]
+    starts = list(itertools.accumulate((len(gl[0]) * (len(e) - 1) for e in blocks), initial=0))
+    return (half * gl[0] + mid).ravel(), (half * gl[1]).ravel(), starts
 
 
 #: points one fixed-rule integrand call may hold, which bounds peak memory
 _MAX_CALL_POINTS = 1 << 14
 
 
-def _rect_fixed(fv2, x_blocks, y_blocks, gl):
-    """The tensor rule ``gl`` = (nodes, weights) on [-1, 1] in every panel
-    of the grid of all x panels of ``x_blocks`` (edge arrays) by all y
-    panels of ``y_blocks``, in integrand calls of at most _MAX_CALL_POINTS
-    points.  Returns the integral over each y block and the evaluations."""
-    xn, xw = (np.concatenate(z) for z in zip(*(_tensor_nodes(e, *gl) for e in x_blocks)))
-    yn, yw = (np.concatenate(z) for z in zip(*(_tensor_nodes(e, *gl) for e in y_blocks)))
+def _rect_fixed(fv2, xn, xw, yn):
+    """f on the grid of x nodes xn by y nodes yn, summed along x with the
+    weights xw: one value per y node, in integrand calls of at most
+    _MAX_CALL_POINTS points."""
     rows = np.empty(yn.size, complex)
     chunk = max(1, _MAX_CALL_POINTS // xn.size)
     for i in range(0, yn.size, chunk):
         rows[i : i + chunk] = fv2(xn[None, :], yn[i : i + chunk, None]) @ xw
-    ends = np.cumsum([len(gl[0]) * (len(e) - 1) for e in y_blocks[:-1]])
-    return np.array([block.sum() for block in np.split(yw * rows, ends)]), xn.size * yn.size
+    return rows
 
 
 def _rects(fv2, rects, tol, what, base=0j):
@@ -574,20 +583,23 @@ def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: f
 # half-infinite strips
 
 
-def _split_check(x, w):
-    """Offsets (u, v) in the unit cell and signed weights c such that, on a
-    cell with corner (x0, y0) and sides hx, hy,
-    hx * hy * (f(x0 + hx u, y0 + hy v) @ c) is the tensor rule (x, w) on
-    the cell minus the same rule on the cell's 2x2 split."""
-    (u1, w1), (u2, w2) = (_tensor_nodes(np.linspace(0.0, 1.0, n), x, w) for n in (2, 3))
-    u = np.concatenate([np.tile(u1, u1.size), np.tile(u2, u2.size)])
-    v = np.concatenate([np.repeat(u1, u1.size), np.repeat(u2, u2.size)])
-    c = np.concatenate([np.outer(w1, w1).ravel(), -np.outer(w2, w2).ravel()])
-    return u, v, c
+def _split_checks(orders):
+    """Offsets (u, v) in the unit cell and a matrix c, a column per rule
+    order n, such that on a cell with corner (x0, y0) and sides hx, hy,
+    hx * hy * (f(x0 + hx u, y0 + hy v) @ c) is the GLn x GLn rule on the
+    cell minus the same rule on the cell's 2x2 split, for each n."""
+    u, v, c = [], [], []
+    for col, n in enumerate(orders):
+        (u1, w1, _), (u2, w2, _) = (_rule_nodes([np.linspace(0.0, 1.0, m)], _GL[n]) for m in (2, 3))
+        u += [np.tile(u1, u1.size), np.tile(u2, u2.size)]
+        v += [np.repeat(u1, u1.size), np.repeat(u2, u2.size)]
+        w = np.concatenate([np.outer(w1, w1).ravel(), -np.outer(w2, w2).ravel()])
+        c.append(np.outer(w, np.eye(len(orders))[col]))
+    return np.concatenate(u), np.concatenate(v), np.concatenate(c)
 
 
-#: the split checks of the slab rules, by rule order
-_SPLIT_CHECKS = {len(x): _split_check(x, w) for x, w in ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))}
+#: the split checks of the slab rule orders a level chooses from
+_SPLIT_CHECKS = {orders: _split_checks(orders) for orders in ((8,), (2, 3, 4, 8))}
 
 
 def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
@@ -602,33 +614,39 @@ def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
     the integrand peak, as the rule there minus the rule on the cell's 2x2
     split, charged once per cell of the slab.  That bounds the error while
     the per-cell error falls with distance from the peak, as for algebraic
-    decay away from it.  The first slab level (r_prev < 8) takes GL8xGL8,
-    later ones GL4xGL4 where its estimate meets ``target``, else GL8xGL8
-    (its estimate not held to ``target``); one integrand call checks both."""
+    decay away from it.  From r_prev = 8 on a level takes the cheapest of
+    GL2xGL2, GL3xGL3, GL4xGL4 and GL8xGL8 whose estimate, summed over the
+    level's slabs, meets ``target``, else GL8xGL8 (its estimate not held to
+    ``target``); one integrand call checks them all.  The first slab level
+    (r_prev < 8) takes GL8xGL8 whatever its target: next to the pole the
+    cell nearest the peak need not be the worst one, and GL4 by this check
+    there read below the true error on the skew lattice at y = 1/2."""
     wings = [_cutpoints(x_center - r, x_center - r_prev), _cutpoints(x_center + r_prev, x_center + r)]
     full = _cutpoints(x_center - r, x_center + r)
     near = [_cutpoints(*sorted((edge, edge + sign * r_prev))) for edge, sign in sides]
     far = [_cutpoints(*sorted((edge + sign * r_prev, edge + sign * r))) for edge, sign in sides]
     slabs = [(xs, ys, e) for (e, _), y0, y1 in zip(sides, near, far) for xs, ys in zip(wings + [full], (y0, y0, y1))]
 
-    def hot(edges, at):  # lower end and width of the panel nearest `at`
-        i = int(np.clip(np.searchsorted(edges, at) - 1, 0, len(edges) - 2))
+    def hot(edges, at):  # lower end and width of the panel nearest `at`; edges cut at integers
+        i = min(max(math.ceil(at) - math.floor(edges[0]) - 1, 0), len(edges) - 2)
         return edges[i], edges[i + 1] - edges[i]
 
     x0, hx, y0, hy = np.array([hot(xs, hot_x) + hot(ys, e) for xs, ys, e in slabs]).T[:, :, None]
     cells = np.array([(len(xs) - 1) * (len(ys) - 1) for xs, ys, _ in slabs])
-    rules = [(_GL8_X, _GL8_W)] if r_prev < 8 else [(_GL4_X, _GL4_W), (_GL8_X, _GL8_W)]
-    u, v, c = (np.concatenate(z) for z in zip(*(_SPLIT_CHECKS[len(x)] for x, _ in rules)))
+    orders = (8,) if r_prev < 8 else (2, 3, 4, 8)  # cheapest first
+    u, v, c = _SPLIT_CHECKS[orders]
     vals = fv2(x0 + hx * u, y0 + hy * v)
-    ends = np.cumsum([5 * len(x) ** 2 for x, _ in rules])[:-1]  # a check: the cell and its 4 quarters
-    blocks = zip(np.split(vals, ends, 1), np.split(c, ends))
-    errs = [float(np.abs(hx[:, 0] * hy[:, 0] * (block @ w)) @ cells) for block, w in blocks]
-    gl, err = (rules[0], errs[0]) if errs[0] <= target else (rules[-1], errs[-1])
-    sums, evals = _rect_fixed(fv2, wings, near, gl)
-    outer = [_rect_fixed(fv2, [full], [ys], gl) for ys in far]
-    sums += [value[0] for value, _ in outer]
-    evals += sum(n for _, n in outer)
-    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals + vals.size), sums
+    errs = (cells * hx[:, 0] * hy[:, 0]) @ np.abs(vals @ c)
+    order, err = next(((n, e) for n, e in zip(orders, errs.tolist()) if e <= target), (8, float(errs[-1])))
+    # the wings by the near blocks of all sides, then the full width by each far block
+    xn, xw, (_, _, m, _) = _rule_nodes(wings + [full], _GL[order])
+    yn, yw, ys = _rule_nodes(near + far, _GL[order])
+    n, far_ys = ys[len(sides)], ys[len(sides) :]
+    grids = [(xn[:m], xw[:m], yn[:n])] + [(xn[m:], xw[m:], yn[a:b]) for a, b in zip(far_ys, far_ys[1:])]
+    blocks = np.add.reduceat(yw * np.concatenate([_rect_fixed(fv2, *grid) for grid in grids]), ys[:-1])
+    sums = blocks[: len(sides)] + blocks[len(sides) :]
+    evals = m * n + (xn.size - m) * (yn.size - n) + vals.size
+    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals), sums
 
 
 def integrate_half_strip(
@@ -649,12 +667,13 @@ def integrate_half_strip(
     one ``_rects`` refinement of the cells of radius 4 of every side, is
     centred on it, and the slabs' rule errors are estimated next to it.
     Targets are relative to 1 + |base + value| and share tol: 1/4 to the
-    first level, 1/2 to the stop rule and 1/(2 r_prev) to each GL4xGL4
-    slab level (``_slab_level``), 7/8 at most; GL8xGL8 levels take no
-    share, their estimated errors join err unchecked.  ``sides`` holds
-    each side's level sums, the lower first.  NoConvergence is raised once
-    the radius reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the
-    closed strips: the caller keeps poles away."""
+    first level, 1/2 to the stop rule and 1/(2 r_prev) to each slab level
+    from r_prev = 8 on (``_slab_level``), 7/8 in all; the first slab level
+    and a level whose GL8xGL8 check misses take no share, their estimated
+    errors join err unchecked.  ``sides`` holds each side's level sums, the
+    lower first.  NoConvergence is raised once the radius reaches
+    HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips: the
+    caller keeps poles away."""
     if decay_order <= 2:
         raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
     if direction not in ("up", "down", "both"):
@@ -690,4 +709,4 @@ def integrate_half_strip(
 
     # the stop rule takes tol/2: _improper's tol/4 of twice tol
     res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, 2 * tol, tail_bound, decay_order, base)
-    return QuadratureResult(res.value, res.err, res.panels, res.evals, tuple(sums.tolist()))
+    return replace(res, sides=tuple(sums.tolist()))

@@ -78,6 +78,8 @@ class WeilReport:
     row_correction: complex = 0j
     #: the basis (w1, w2) that the sum ran on and the parts refer to
     basis: tuple = ()
+    #: (stop rule, radius) of J1's line and of the strips (``_improper``)
+    stops: tuple = ()
 
 
 def _row_sum(c: complex, w1: complex, k: int, tol: float):
@@ -269,7 +271,8 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, float(k), tol / 16, base=row + q.value)
     j1, j2, j3 = q1.value, q.value - q.sides[0], q.sides[0]
-    report = WeilReport(j1 + j2 + j3 + row, "integral", q1.err + q.err + row_err, j1, j2, j3, eps, row, (w1, w2))
+    stops = tuple((part.stop, part.radius) for part in (q1, q))
+    report = WeilReport(j1 + j2 + j3 + row, "integral", q1.err + q.err + row_err, j1, j2, j3, eps, row, (w1, w2), stops)
     if report.err > tol * (1.0 + abs(report.value)):
         raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
     return report

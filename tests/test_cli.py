@@ -40,6 +40,19 @@ class TestWeil:
         for key in ("j1", "j2", "j3", "row_correction", "eps_used"):
             assert key in doc["integral"]
 
+    def test_breakdown_names_stop_rules(self, capsys):
+        # k = 8 on the square lattice: the strips' plain tail bound meets
+        # its share by radius 16, before the extrapolation could stop
+        code, out = run_cli(
+            capsys,
+            "weil", "--w1", "1", "--w2", "i", "--a", "0.3+i", "--k", "8",
+            "--tol", "1e-8", "--method", "integral", "--breakdown",
+        )
+        assert code == 0
+        doc = json.loads(out)["integral"]
+        assert doc["strips_stop"] == "plain-tail" and doc["strips_radius"] <= 16
+        assert doc["j1_stop"] in ("plain-tail", "extrapolated") and doc["j1_radius"] >= 16
+
     def test_breakdown_names_reduced_basis(self, capsys):
         # (2 + i, 3 + 2i) is an unreduced basis of the square lattice; the
         # parts refer to its reduced basis, which the breakdown names

@@ -12,10 +12,7 @@ from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.quadrature import (
-    _GL4_W,
-    _GL4_X,
-    _GL8_W,
-    _GL8_X,
+    _GL,
     _K15,
     _EPS_FLOOR,
     _eval_panel_batch,
@@ -23,6 +20,7 @@ from latzeta.quadrature import (
     _cutpoints,
     _MAX_CALL_POINTS,
     _rect_fixed,
+    _rule_nodes,
     _slab_level,
     integrate_half_strip,
     integrate_line,
@@ -256,6 +254,21 @@ class TestLine:
         q = integrate_line(f, decay_order=4.0, tol=tol, base=base)
         assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
 
+    def test_extrapolation_stops_once_settled(self):
+        # base cancels the bulk, so the stop target is about 2.5e-9; the
+        # peak at x = 20 enters at radius 32, and the increments run
+        # 1.4e-2, 1.1e-2, 6.2e-10: the last is met by chance while the
+        # accelerated estimate still moves, and stopping there gave err
+        # 8.1e-10 against a true error of 8.6e-8
+        a, h, tol = 1e4, 0.05, 1e-8
+
+        def f(x):
+            return a / (1 + x * x) ** 2 + (2 / math.pi) * h**3 / ((x - 20) ** 2 + h * h) ** 2
+
+        base = -a * math.pi / 2
+        q = integrate_line(f, decay_order=4.0, tol=tol, base=base)
+        assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
+
     def test_absolute_requires_decay(self):
         with pytest.raises(UnsupportedDecay):
             integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), decay_order=1.0)
@@ -365,6 +378,14 @@ class TestHalfStrip:
             )
         assert cmath.isfinite(ei.value.best.value)
 
+    def test_stops_on_plain_tail_before_extrapolation(self):
+        # integral of (1 + x^2 + y^2)^-3 over the upper half-plane is pi/4;
+        # at radius 16, the third level, the plain tail bound meets tol/2,
+        # before an extrapolated stop may be taken (from the fourth level)
+        q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -3.0, 0.0, "up", decay_order=6.0, tol=1e-4)
+        assert (q.stop, q.radius) == ("plain-tail", 16)
+        assert abs(q.value - math.pi / 4) <= q.err
+
     def test_rejects_slow_decay(self):
         with pytest.raises(UnsupportedDecay):
             integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, 0.0, "up", decay_order=2.0)
@@ -426,12 +447,13 @@ class TestHalfStrip:
         return q, sum(calls[1:]) / q.panels
 
     def test_slab_err_bounds_rule_error(self):
-        # a target of 0 takes GL8 on every level, an infinite one GL4 from
-        # r_prev = 8 on; the first slab level keeps GL8 either way
+        # a target of 0 takes GL8 on every level, an infinite one the
+        # cheapest rule, GL2, from r_prev = 8 on; the first slab level keeps
+        # GL8 either way
         fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
         for (r_prev, r), target in itertools.product(self.LEVELS, (0.0, math.inf)):
             _, per_cell = self._level_bounds_rule_error(fv2, r_prev, r, target)
-            assert per_cell == (16 if target and r_prev >= 8 else 64)
+            assert per_cell == (4 if target and r_prev >= 8 else 64)
 
     def test_slab_rule_by_check(self):
         # GL4's check fits a smooth level's share, and a sharp peak in each
@@ -444,21 +466,32 @@ class TestHalfStrip:
         _, per_cell = self._level_bounds_rule_error(sharp, 16, 32, 1e-9, tol=1e-12)
         assert per_cell == 64
 
+    @pytest.mark.parametrize("target, want", [(1e-5, 4), (1e-8, 9)], ids=["GL2", "GL3"])
+    def test_slab_ladder_takes_cheaper_rules(self, target, want):
+        # on the smooth level GL2's check reads about 1.4e-6 and GL3's
+        # about 1e-9, so a loose share takes GL2 and a tighter one GL3
+        smooth = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
+        q, per_cell = self._level_bounds_rule_error(smooth, 16, 32, target)
+        assert per_cell == want and q.err <= target
+
     def test_slab_err_matches_two_call_estimate(self):
         # each slab's estimate is its hot cell's rule minus the rule on the
         # cell's 2x2 split, here from two separate fixed-rule calls, times
         # the slab's cells; a sharp peak inside every hot cell makes the
         # rule errors dwarf the roundoff of the differences
-        # an infinite target takes GL4 from r_prev = 8 on
-        for (r_prev, r), gl in zip(self.LEVELS, ((_GL8_X, _GL8_W), (_GL4_X, _GL4_W))):
+        # an infinite target takes GL2 from r_prev = 8 on
+        for (r_prev, r), gl in zip(self.LEVELS, (_GL[8], _GL[2])):
             hot = self._hot_cells(r_prev, r)
             peaks = [(xs[0] + 0.3 * (xs[1] - xs[0]), ys[0] + 0.6 * (ys[1] - ys[0])) for xs, ys in hot]
             fv2 = vectorize2(lambda x, y: sum((1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
+
+            def rule(xs, ys):  # the rule gl on each cell between the edges xs by ys, summed
+                (xn, xw, _), (yn, yw, _) = (_rule_nodes([edges], gl) for edges in (xs, ys))
+                return yw @ _rect_fixed(fv2, xn, xw, yn)
+
             want = 0.0
             for (xs, ys), (x_edges, y_edges, _) in zip(hot, self._slabs(r_prev, r)):
-                coarse, fine = (
-                    _rect_fixed(fv2, [np.linspace(*xs, n)], [np.linspace(*ys, n)], gl)[0][0] for n in (2, 3)
-                )
+                coarse, fine = (rule(np.linspace(*xs, n), np.linspace(*ys, n)) for n in (2, 3))
                 want += abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
             q, _ = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
             assert q.err == pytest.approx(want, rel=1e-12)
