@@ -20,13 +20,13 @@ Two algorithms, each written once:
   accelerated (the better of Richardson and iterated Aitken), and the
   doubling stops at the first level whose sampled algebraic tail bound
   meets the target, or whose accelerated value has settled, up to a fixed
-  radius (``HALF_STRIP_MAX_RADIUS`` for the half-strips).  Both
-  half-strips outside a band take one driver, whose stop rule sees where
-  they cancel: the first level refines the K15xK15 cells of radius 4
-  around the integrand peak on both sides as one sum, and later levels
-  are slabs with one tensor rule per unit cell: GL8xGL8, then the
-  cheapest of GL2 to GL8 whose rule error, estimated on the cells nearest
-  the peak, meets the level's share (``_slab_level``).
+  radius (``HALF_STRIP_MAX_RADIUS`` for the half-strips).  The two
+  half-strips outside a band are one integral with one value, their sum,
+  so the stop rule sees where they cancel: the first level refines the
+  K15xK15 cells of radius 4 around the integrand peak on both sides as
+  one sum, and later levels are slabs with one tensor rule per unit cell:
+  GL8xGL8, then the cheapest of GL2 to GL8 whose rule error, estimated on
+  the cells nearest the peak, meets the level's share (``_slab_level``).
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,8 +94,6 @@ class QuadratureResult:
     err: float
     panels: int
     evals: int
-    #: the level sums of each side of a joint half-strip integral
-    sides: tuple = ()
     #: an improper integral's stop rule ("plain-tail" | "extrapolated") and radius
     stop: str | None = None
     radius: float | None = None
@@ -392,11 +390,12 @@ def _tail_constant(mags, rads, decay_order):
 def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order, base=0j):
     """The doubling driver: integrals to doubling radii, accelerated.
 
-    ``segment_for(r_prev, r)`` integrates the part of the domain added at
-    radius r (r_prev is None on the first level).  ``tail_bound(r)`` is a
-    bound on the neglected tail (may be inf).  The target, tol/4 * (1 +
-    |base + est|) with ``base`` the rest of a sum that the integral joins
-    and est its running estimate, follows the whole sum level by level.
+    ``segment_for(r_prev, r, done)`` integrates the part of the domain added
+    at radius r (r_prev is None on the first level), ``done`` being the sum
+    of the levels before it.  ``tail_bound(r)`` is a bound on the neglected
+    tail (may be inf).  The target, tol/4 * (1 + |base + est|) with
+    ``base`` the rest of a sum that the integral joins and est its running
+    estimate, follows the whole sum level by level.
     It stops, and names the rule and radius in its result, on the plain
     value once the tail bound meets the target ("plain-tail"), or from
     the fourth level on the accelerated one once its increment meets the
@@ -412,7 +411,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
     levels, quad_err, panels, evals, value, prev_est = [], 0.0, 0, 0, 0j, math.nan
     r_prev, r = None, start_radius
     while True:
-        res = segment_for(r_prev, r)
+        res = segment_for(r_prev, r, value)
         value, quad_err, panels, evals = value + res.value, quad_err + res.err, panels + res.panels, evals + res.evals
         levels.append(value)
         plain_tail = tail_bound(r)
@@ -445,7 +444,6 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j)
     check_tol(tol)
     fv = vectorize1(f)
     seg_tol = tol / 8
-    done = [0j]  # the levels summed so far, in the offset of each new shell
     probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
     c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
     q = decay_order
@@ -453,10 +451,9 @@ def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j)
     def tail_bound(r):
         return 2.0 * c * r ** (1.0 - q) / (q - 1.0)
 
-    def segment_for(r_prev, r):
+    def segment_for(r_prev, r, done):
         spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        parts = [_segment(fv, lo, hi, seg_tol, base + done[0]) for lo, hi in spans]
-        done[0] += sum(q.value for q in parts)
+        parts = [_segment(fv, lo, hi, seg_tol, base + done) for lo, hi in spans]
         return QuadratureResult(*(sum(getattr(q, n) for q in parts) for n in ("value", "err", "panels", "evals")))
 
     return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order, base)
@@ -481,7 +478,7 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
     def tail_bound(r):
         return c * r ** (1.0 - q) / (q - 1.0)
 
-    def segment_for(r_prev, r):
+    def segment_for(r_prev, r, _):
         return _segment(fv, start + (r_prev or 0), start + r, seg_tol)
 
     return _improper(segment_for, 16, 1 << 14, tol, tail_bound, decay_order)
@@ -521,7 +518,7 @@ def _rects(fv2, rects, tol, what, base=0j):
     ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to base plus
     their sum.  Each cell returns K15xK15, checked against the G7xG7 subset
     of the same values, in one integrand call on (cells, y, x) grids per 64
-    cells.  Returns the result and each rectangle's value."""
+    cells."""
     blocks = []
     for x_lo, x_hi, y_lo, y_hi in rects:
         xs, ys = _cutpoints(x_lo, x_hi), _cutpoints(y_lo, y_hi)
@@ -532,7 +529,6 @@ def _rects(fv2, rects, tol, what, base=0j):
     items = np.concatenate(blocks)
     wk, wg = _K15[1], _K15[2]
     weights = np.stack([wk, wg], 1)
-    leaves = {}  # with several rectangles, the partition's cells: (value, rectangle)
 
     def evaluate(batch):
         parts = []
@@ -545,15 +541,7 @@ def _rects(fv2, rects, tol, what, base=0j):
             rows = vals @ weights  # (cells, y, [K15, G7]) after the x sums
             value, check = (hx * hy * (rows[..., j] @ w) for j, w in enumerate((wk, wg)))
             parts.append((value, np.abs(value - check), hx * hy * (np.abs(vals) @ wk @ wk)))
-        value, err, mass = (np.concatenate(p) for p in zip(*parts))
-        if len(rects) > 1:
-            if batch is items:
-                owner = np.repeat(np.arange(len(rects)), [len(b) for b in blocks])
-            else:  # the four children of each split cell, in split's order, replace it
-                groups = batch.reshape(-1, 4, 4).tolist()
-                owner = np.repeat([leaves.pop((g[0][0], g[3][1], g[0][2], g[3][3]))[1] for g in groups], 4)
-            leaves.update(zip(map(tuple, batch.tolist()), zip(value.tolist(), owner.tolist())))
-        return value, err, mass, 225 * len(batch)
+        return (*(np.concatenate(p) for p in zip(*parts)), 225 * len(batch))
 
     def split(cell):
         a, b, c, d = cell
@@ -562,8 +550,7 @@ def _rects(fv2, rects, tol, what, base=0j):
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
-    q = _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what, base)
-    return q, [sum(v for v, o in leaves.values() if o == i) for i in range(len(rects))] if leaves else [q.value]
+    return _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what, base)
 
 
 def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: float = 1e-10) -> QuadratureResult:
@@ -576,7 +563,7 @@ def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: f
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
     check_tol(tol)
-    return _rects(vectorize2(f), [(x_lo, x_hi, y_lo, y_hi)], tol, f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")[0]
+    return _rects(vectorize2(f), [(x_lo, x_hi, y_lo, y_hi)], tol, f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +594,7 @@ def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
     the wings r_prev <= |x - x_center| <= r at distances 0..r_prev from the
     edge and the outer slab |x - x_center| <= r at distances r_prev..r, with
     one tensor rule on every unit cell.  The wings of all sides share one
-    integrand call and each outer slab takes one.  Returns the result and
-    the value on each side.
+    integrand call and each outer slab takes one.
 
     Each slab's rule error is estimated on its cell nearest (hot_x, edge),
     the integrand peak, as the rule there minus the rule on the cell's 2x2
@@ -643,45 +629,43 @@ def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
     yn, yw, ys = _rule_nodes(near + far, _GL[order])
     n, far_ys = ys[len(sides)], ys[len(sides) :]
     grids = [(xn[:m], xw[:m], yn[:n])] + [(xn[m:], xw[m:], yn[a:b]) for a, b in zip(far_ys, far_ys[1:])]
-    blocks = np.add.reduceat(yw * np.concatenate([_rect_fixed(fv2, *grid) for grid in grids]), ys[:-1])
-    sums = blocks[: len(sides)] + blocks[len(sides) :]
+    value = complex(yw @ np.concatenate([_rect_fixed(fv2, *grid) for grid in grids]))
     evals = m * n + (xn.size - m) * (yn.size - n) + vals.size
-    return QuadratureResult(complex(sums.sum()), err, int(cells.sum()), evals), sums
+    return QuadratureResult(value, err, int(cells.sum()), evals)
 
 
 def integrate_half_strip(
-    f, y_edge, direction: str, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0, base: complex = 0j
+    f, band, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0, base: complex = 0j
 ) -> QuadratureResult:
-    """Integrate f over the half-strip x in (-inf, inf), y above (direction
-    'up') or below ('down') y_edge, or with direction 'both' over the two
-    half-strips outside the band (y_dn, y_up] = y_edge as one sum.
+    """Integrate f over the two half-strips x in (-inf, inf) outside the
+    band (y_dn, y_up] = ``band``, y <= y_dn and y > y_up, as one sum; a
+    band (e, e) makes the whole plane.
 
     Requires decay_order > 2 (slower 2-D decay is not absolutely
     convergent).  The strips are truncated to rectangles whose radius
     doubles; the truncated values carry a smooth expansion in the inverse
     radius when the cuts are integer-aligned, so extrapolation supplies
     the tail: the better of Richardson and iterated Aitken for an integer
-    decay_order, Aitken alone otherwise.  The sides share one tail
+    decay_order, Aitken alone otherwise.  Both strips share one tail
     constant, level sequence and stop rule, which act on their sum.
     ``hot_x`` locates the integrand peak along the edges: the first level,
-    one ``_rects`` refinement of the cells of radius 4 of every side, is
+    one ``_rects`` refinement of the cells of radius 4 of both strips, is
     centred on it, and the slabs' rule errors are estimated next to it.
     Targets are relative to 1 + |base + value| and share tol: 1/4 to the
     first level, 1/2 to the stop rule and 1/(2 r_prev) to each slab level
     from r_prev = 8 on (``_slab_level``), 7/8 in all; the first slab level
     and a level whose GL8xGL8 check misses take no share, their estimated
-    errors join err unchecked.  ``sides`` holds each side's level sums, the
-    lower first.  NoConvergence is raised once the radius reaches
-    HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips: the
-    caller keeps poles away."""
+    errors join err unchecked.  NoConvergence is raised once the radius
+    reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips:
+    the caller keeps poles away."""
     if decay_order <= 2:
         raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
-    if direction not in ("up", "down", "both"):
-        raise ValueError("direction must be 'up', 'down' or 'both'")
+    if not band[0] <= band[1]:
+        raise ValueError(f"need y_dn <= y_up, got band {band}")
     check_tol(tol)
-    sides = {"up": ((y_edge, 1.0),), "down": ((y_edge, -1.0),)}.get(direction) or tuple(zip(y_edge, (-1.0, 1.0)))
+    sides = ((band[0], -1.0), (band[1], 1.0))
     fv2 = vectorize2(f)
-    # the sides' tail constants, summed, from |f| r^q along three rays from
+    # the strips' tail constants, summed, from |f| r^q along three rays from
     # the peak (a row per radius) at four phases of the unit cell each, as
     # P1-weighted integrands can vanish at every probe of one phase
     phases = np.array([0.0, 0.25, 0.5, 0.75])
@@ -695,18 +679,13 @@ def integrate_half_strip(
         return 2.0 * math.pi * c * r ** (2.0 - decay_order) / (decay_order - 2.0)
 
     x_center = math.floor(hot_x) + 0.5
-    sums = np.zeros(len(sides), complex)
 
-    def segment_for(r_prev, r):
+    def segment_for(r_prev, r, done):
         if r_prev is not None:
-            target = tol / (2 * r_prev) * (1.0 + abs(base + sums.sum()))
-            level, parts = _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target)
-            sums[:] += parts
-            return level
+            target = tol / (2 * r_prev) * (1.0 + abs(base + done))
+            return _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target)
         rects = [(x_center - r, x_center + r, *sorted((edge, edge + sign * r))) for edge, sign in sides]
-        level, sums[:] = _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
-        return level
+        return _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
 
     # the stop rule takes tol/2: _improper's tol/4 of twice tol
-    res = _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, 2 * tol, tail_bound, decay_order, base)
-    return replace(res, sides=tuple(sums.tolist()))
+    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, 2 * tol, tail_bound, decay_order, base)

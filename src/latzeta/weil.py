@@ -11,12 +11,12 @@ Two independent evaluation routes:
   with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
-  along the two edges y0 +/- eps of the excluded band around the pole
-  row, plus the half-strip double integrals above and below the band,
-  taken as one sum by one doubling driver.  Only supported for k >= 3
-  (the 2-D pieces are not absolutely convergent below that), where E_k
-  depends on the lattice alone, so both routes sum on its Lagrange-Gauss
-  reduced basis.  For integer j >= 2 and c off the line,
+  J1 along the two edges y0 +/- eps of the excluded band around the pole
+  row, plus the half-strip double integrals J2 and J3 above and below the
+  band, taken as one integral J2 + J3 (``strips``) by one doubling
+  driver.  Only supported for k >= 3 (the 2-D pieces are not absolutely
+  convergent below that), where E_k depends on the lattice alone, so both
+  routes sum on its Lagrange-Gauss reduced basis.  For integer j >= 2 and c off the line,
   int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
   integrates to exactly 0 and is left out of the integrands.  What is
   left decays like |b|^-(k+1), faster than the decay order k passed to
@@ -72,8 +72,8 @@ class WeilReport:
     method: str  # "direct" | "integral"
     err: float
     j1: complex = 0j
-    j2: complex = 0j
-    j3: complex = 0j
+    #: J2 + J3, the half-strips above and below the band as one integral
+    strips: complex = 0j
     eps_used: float = 0.0
     row_correction: complex = 0j
     #: the basis (w1, w2) that the sum ran on and the parts refer to
@@ -235,11 +235,11 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     band edges in the a-plane; below 1e-6 that raises PoleNearDomain before
     any integral is taken.  The parts share one absolute target, tol * (1 +
     |E|): the row takes tol/16, J1 tol/16 relative to row + J1, and J2 + J3,
-    one integral (j3 its lower strip's level sums, j2 the rest), 7/8 tol
-    relative to the whole sum.  Where J1 cancels J2 + J3 (y0 = 1/2) and misses
-    its share, J1 alone runs again with the strips in its offset (the strips
-    never run twice); ConvergenceError, with the report as ``.best``, says the
-    sum missed tol still."""
+    one integral whose value the report gives as ``strips``, 7/8 tol
+    relative to the whole sum.  Where J1 cancels J2 + J3 (y0 = 1/2) and
+    misses its share, J1 alone runs again with the strips in its offset (the
+    strips never run twice); ConvergenceError, with the report as ``.best``,
+    says the sum missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -267,12 +267,12 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
     q1 = integrate_line(edge, float(k), tol / 16, base=row)
     strips = _strip_integrand(w1, w2, a, k)
-    q = integrate_half_strip(strips, (y_dn, y_up), "both", float(k), tol * 7 / 8, x0, row + q1.value)
+    q = integrate_half_strip(strips, (y_dn, y_up), float(k), tol * 7 / 8, x0, row + q1.value)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, float(k), tol / 16, base=row + q.value)
-    j1, j2, j3 = q1.value, q.value - q.sides[0], q.sides[0]
     stops = tuple((part.stop, part.radius) for part in (q1, q))
-    report = WeilReport(j1 + j2 + j3 + row, "integral", q1.err + q.err + row_err, j1, j2, j3, eps, row, (w1, w2), stops)
+    value = q1.value + q.value + row
+    report = WeilReport(value, "integral", q1.err + q.err + row_err, q1.value, q.value, eps, row, (w1, w2), stops)
     if report.err > tol * (1.0 + abs(report.value)):
         raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
     return report

@@ -32,7 +32,7 @@ from latzeta.quadrature import (
     vectorize1,
     vectorize2,
 )
-from latzeta.weil import WeilParams, _strip_integrand, weil_direct, weil_integral
+from latzeta.weil import WeilParams, _band_row, _edge_integrand, _strip_integrand, weil_direct, weil_integral
 
 
 class TestSegment:
@@ -223,7 +223,7 @@ class TestRefine:
         lambda tol: integrate_rect(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=tol),
         lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=tol),
         lambda tol: integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=tol),
-        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, "up", 4.0, tol=tol),
+        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, (0.0, 0.0), 4.0, tol=tol),
     ],
     ids=["segment", "rect", "line", "ray", "half_strip"],
 )
@@ -355,49 +355,66 @@ class TestVectorize:
         assert np.all(got == 1.0)
 
 
+def _outside_band(band):
+    """The integral of (1 + x^2 + y^2)^-2 over the plane outside ``band``:
+    (pi/2)(1 - |e|/sqrt(1 + e^2)) on each side, its edge at e."""
+    return sum(math.pi / 2 * (1 - abs(e) / math.hypot(1, e)) for e in band)
+
+
+def _strips_truth(a, k, band, tol=1e-13):
+    """J2 + J3 of the square lattice outside ``band``, as E_k(a) (direct)
+    less J1 on the band edges and the integer row inside the band; returns
+    the value and the summed error estimates of the three."""
+    p = WeilParams(lattice_new(1.0, 1j), a, k)
+    direct = weil_direct(p, tol=tol)
+    line = integrate_line(_edge_integrand(1.0, 1j, a, k, *band), float(k), tol)
+    n = math.floor(band[1])
+    row, row_err = _band_row(a, 1.0, 1j, k, n, tol) if n > math.floor(band[0]) else (0j, 0.0)
+    return direct.value - line.value - row, direct.err + line.err + row_err
+
+
 class TestHalfStrip:
     def test_radial_closed_form(self):
-        # integral of (1 + x^2 + y^2)^-2 over the upper half-plane is pi/2
-        q = integrate_half_strip(
-            lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, "up", decay_order=4.0, tol=1e-8
-        )
-        assert q.value == pytest.approx(math.pi / 2, abs=1e-7)
-        assert abs(q.value - math.pi / 2) <= 10 * q.err
+        # (1 + x^2 + y^2)^-2 over the whole plane (band (0, 0)) is pi, and
+        # outside an asymmetric band its closed form on each side, summed
+        for band in ((0.0, 0.0), (-0.3, 0.7)):
+            q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, band, decay_order=4.0, tol=1e-8)
+            want = _outside_band(band)
+            assert abs(q.value - want) <= min(q.err, 1e-7), band
 
-    def test_down_direction(self):
-        q = integrate_half_strip(
-            lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, "down", decay_order=4.0, tol=1e-8
-        )
-        assert q.value == pytest.approx(math.pi / 2, abs=1e-7)
+    def test_rejects_inverted_band(self):
+        with pytest.raises(ValueError, match="y_dn <= y_up"):
+            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, (0.5, 0.25), decay_order=4.0)
 
     def test_radius_exhaustion(self, monkeypatch):
         monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 16)
         with pytest.raises(NoConvergence) as ei:
-            integrate_half_strip(
-                lambda x, y: (1.0 + x * x + y * y) ** -1.5, 0.0, "up", decay_order=3.0, tol=1e-12
-            )
-        assert cmath.isfinite(ei.value.best.value)
+            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -1.5, (0.0, 0.0), decay_order=3.0, tol=1e-12)
+        best = ei.value.best
+        # the whole-plane integral of (1 + r^2)^-1.5 is 2 pi
+        assert cmath.isfinite(best.value) and abs(best.value - 2 * math.pi) <= best.err
 
     def test_stops_on_plain_tail_before_extrapolation(self):
-        # integral of (1 + x^2 + y^2)^-3 over the upper half-plane is pi/4;
-        # at radius 16, the third level, the plain tail bound meets tol/2,
+        # integral of (1 + x^2 + y^2)^-3 over the whole plane is pi/2; at
+        # radius 16, the third level, the plain tail bound meets tol/2,
         # before an extrapolated stop may be taken (from the fourth level)
-        q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -3.0, 0.0, "up", decay_order=6.0, tol=1e-4)
+        q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -3.0, (0.0, 0.0), decay_order=6.0, tol=1e-4)
         assert (q.stop, q.radius) == ("plain-tail", 16)
-        assert abs(q.value - math.pi / 4) <= q.err
+        assert abs(q.value - math.pi / 2) <= q.err
 
     def test_rejects_slow_decay(self):
         with pytest.raises(UnsupportedDecay):
-            integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, 0.0, "up", decay_order=2.0)
+            integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, (0.0, 0.0), decay_order=2.0)
 
     def test_weil_strip_converges_by_radius_32(self, monkeypatch):
-        # square lattice, a = 0.3 + 0.2i, k = 8: the strip above the band
-        # y in (-0.45, 0.05) around the pole row y0 = -0.2
+        # square lattice, a = 0.3 + 0.2i, k = 8: the strips outside the band
+        # y in (-0.45, 0.05] around the pole row y0 = -0.2
         monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 32)
-        f = _strip_integrand(1.0, 1j, 0.3 + 0.2j, 8)
-        q = integrate_half_strip(f, 0.05, "up", decay_order=8.0, tol=2.5e-9, hot_x=-0.3)
-        assert cmath.isfinite(q.value)
+        a, band = 0.3 + 0.2j, (-0.45, 0.05)
+        q = integrate_half_strip(_strip_integrand(1.0, 1j, a, 8), band, decay_order=8.0, tol=2.5e-9, hot_x=-0.3)
         assert q.err <= 2.5e-9 * (1 + abs(q.value))
+        want, want_err = _strips_truth(a, 8, band)
+        assert abs(q.value - want) <= q.err + want_err
 
     # the strips above y = 0.05 and below y = -0.45 around the pole row
     # y0 = -0.2 of the square lattice at a = 0.3 + 0.2i, peak at x = -0.3,
@@ -437,13 +454,10 @@ class TestHalfStrip:
             calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
             return fv2(x, y)
 
-        q, sums = _slab_level(counted, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, target)
+        q = _slab_level(counted, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, target)
         slabs = self._slabs(r_prev, r)
-        parts = [(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=tol).value, e) for xs, ys, e in slabs]
-        truth = [sum(v for v, e in parts if e == edge) for edge, _ in self.SIDES]
-        assert q.err > 0
-        assert abs(q.value - sum(truth)) <= q.err
-        assert abs(sums - truth).sum() <= q.err and q.value == sum(sums)
+        truth = sum(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=tol).value for xs, ys, _ in slabs)
+        assert 0 < q.err and abs(q.value - truth) <= q.err
         return q, sum(calls[1:]) / q.panels
 
     def test_slab_err_bounds_rule_error(self):
@@ -493,7 +507,7 @@ class TestHalfStrip:
             for (xs, ys), (x_edges, y_edges, _) in zip(hot, self._slabs(r_prev, r)):
                 coarse, fine = (rule(np.linspace(*xs, n), np.linspace(*ys, n)) for n in (2, 3))
                 want += abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
-            q, _ = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
+            q = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
             assert q.err == pytest.approx(want, rel=1e-12)
 
     def test_level_integrand_calls(self):
@@ -509,7 +523,7 @@ class TestHalfStrip:
                 calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
                 return fv2(x, y)
 
-            q, _ = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
+            q = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
             assert len(calls) == want or want is None
             assert max(calls) <= _MAX_CALL_POINTS
             assert q.evals == sum(calls)
@@ -517,19 +531,13 @@ class TestHalfStrip:
     @pytest.mark.parametrize("k", [3, 8])
     @pytest.mark.parametrize("a", [0.3 + 0.2j, 0.3 + 0.5j], ids=["generic", "cancelling"])
     def test_joint_strips_equal_sum_of_sides(self, a, k):
-        # the band (y0 - 1/4, y0 + 1/4] around the pole row y0 = -Im a
+        # the band (y0 - 1/4, y0 + 1/4] around the pole row y0 = -Im a; the
+        # sides' sum J2 + J3 is E_k less J1 and the band's row
         y0 = -a.imag
-        f = _strip_integrand(1.0, 1j, a, k)
-        tol, hot_x = 1e-9, -a.real
-        joint = integrate_half_strip(f, (y0 - 0.25, y0 + 0.25), "both", float(k), tol=tol, hot_x=hot_x)
-        up = integrate_half_strip(f, y0 + 0.25, "up", float(k), tol=tol, hot_x=hot_x)
-        down = integrate_half_strip(f, y0 - 0.25, "down", float(k), tol=tol, hot_x=hot_x)
-        assert abs(joint.value - (up.value + down.value)) <= joint.err + up.err + down.err
-        # the per-side split, the lower side's level sums and the rest,
-        # lies near each side alone (its tail is a part of the rest)
-        lower, upper = joint.sides[0], joint.value - joint.sides[0]
-        assert abs(lower - down.value) <= 1e-5 * (1 + abs(down.value))
-        assert abs(upper - up.value) <= 1e-5 * (1 + abs(up.value))
+        band = (y0 - 0.25, y0 + 0.25)
+        joint = integrate_half_strip(_strip_integrand(1.0, 1j, a, k), band, float(k), tol=1e-9, hot_x=-a.real)
+        want, want_err = _strips_truth(a, k, band)
+        assert abs(joint.value - want) <= joint.err + want_err
 
     def test_weil_err_bounds_true_error(self):
         for w2, x, y, k in itertools.product(

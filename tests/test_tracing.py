@@ -20,8 +20,9 @@ def _load_spans():
 
 def test_traced_weil_integral_records_layers():
     # J2 + J3 is one integrate_half_strip call, which spans.py names by its
-    # direction ("both", so as the piece below the band); its first level
-    # no longer goes through integrate_rect
+    # third positional argument, now the decay order rather than a side, so
+    # as the piece below the band; its first level does not go through
+    # integrate_rect
     tracer = _load_spans().Tracer()
     original = quadrature.integrate_half_strip
     with tracer:
