@@ -22,7 +22,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,24 +167,8 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite, seed=args.seed, tol=args.tol)
     ok = all(c.passed for c in results)
     if args.json:
-        _emit_json(
-            {
-                "suite": args.suite,
-                "seed": args.seed,
-                "tol": args.tol,
-                "passed": ok,
-                "checks": [
-                    {
-                        "suite": c.suite,
-                        "name": c.name,
-                        "error": c.error,
-                        "tol": c.tol,
-                        "passed": c.passed,
-                    }
-                    for c in results
-                ],
-            }
-        )
+        checks = [{**asdict(c), "passed": c.passed} for c in results]
+        _emit_json({"suite": args.suite, "seed": args.seed, "tol": args.tol, "passed": ok, "checks": checks})
     else:
         for c in results:
             status = "PASS" if c.passed else "FAIL"
@@ -216,16 +200,7 @@ def cmd_em2d(args) -> int:
     f = EM2D_FUNCTIONS[args.phi]
     r = Rect(args.alpha1, args.beta1, args.alpha2, args.beta2)
     br = em_sum_2d(f, r, tol=args.tol)
-    out = {
-        "phi": args.phi,
-        "rect": [r.alpha1, r.beta1, r.alpha2, r.beta2],
-        "i1": br.i1,
-        "i2": br.i2,
-        "i3": br.i3,
-        "i4": br.i4,
-        "total": br.total,
-        "err": br.err,
-    }
+    out = {"phi": args.phi, "rect": [r.alpha1, r.beta1, r.alpha2, r.beta2], **asdict(br)}
     n_points = len(integer_range(r.alpha1, r.beta1)) * len(integer_range(r.alpha2, r.beta2))
     if n_points <= BRUTE_FORCE_POINT_BUDGET:
         bf = brute_force_sum_2d(f.phi, r)

@@ -167,14 +167,15 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     """Coffey's integral representation on the principal branches.
 
     |z| < 1 integrates g + g' P1 with g = z^x (x+a)^-s (the 1-D twin of
-    em2d's interior integrand) as one segment at tol/2, truncated where the
+    em2d's interior integrand) as one segment at tol/4 relative to the
+    whole value, 1 + |head terms + segment|, truncated where the
     exponential tail bound falls below tol/4; when that needs a radius
     beyond MAX_SPAN_CELLS (2^20), it raises SlowConvergence with the value
-    at that radius as ``.best``; so it does when the segment's err exceeds
-    tol/2 (1 + |value|), as where its terms cancel, or when the segment or
-    ray misses tol in its budget.  At z = 1 the plain integral is the exact
-    (1+a)^(1-s)/(s-1), and only the weighted ray -s (x+a)^(-s-1) P1(x)
-    goes to quadrature."""
+    at that radius as ``.best``; so it does when the segment's err, its
+    roundoff floor included, exceeds tol/2 (1 + |value|), as where its
+    terms cancel, or when the segment or ray misses tol in its budget.
+    At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and only
+    the weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
@@ -205,7 +206,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     ) >= tol / 4 and radius < MAX_SPAN_CELLS:
         radius *= 2
     try:
-        q = _segment(vectorize1(integrand), 1.0, 1.0 + radius, tol / 2)
+        q = _segment(vectorize1(integrand), [(1.0, 1.0 + radius)], tol / 4, f"segment [1, {1 + radius}]", head)
     except NoConvergence as exc:
         raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
     value = head + q.value

@@ -9,24 +9,26 @@ Two algorithms, each written once:
   the worst items and evaluates their children in one batch.  A panel or
   cell returns the value of a Kronrod rule, and its distance from the
   embedded Gauss rule on the same nodes is the error estimate:
-  ``integrate_rect`` takes K15xK15 against G7xG7 on each cell, and
-  ``integrate_segment`` K15 against G7 on each panel, which always lies
-  inside one unit cell.  An item whose split would overrun the panel
-  budget stays as it is, and NoConvergence is raised if tol * (1 + |base +
-  value|) is missed, ``base`` being the rest of a sum the value joins.
-* ``_improper``, the doubling driver of ``integrate_line``,
-  ``integrate_ray`` and ``integrate_half_strip``: the domain is truncated
+  ``_rects`` takes K15xK15 against G7xG7 on the cells of a list of
+  rectangles, and ``_segment`` K15 against G7 on the panels of a list of
+  spans, each panel inside one unit cell.  An item that is too small to
+  split, or whose split would overrun the panel budget, stays as it is;
+  a result either meets tol * (1 + |base + value|), ``base`` being the
+  rest of a sum the value joins, or NoConvergence is raised.
+* ``_improper``, the doubling driver of ``_shells`` (``integrate_line``
+  and ``integrate_ray``, each level one ``_segment`` over the new shell
+  on every side) and of ``integrate_half_strip``: the domain is truncated
   at integer-aligned radii that double per level, the partial values are
   accelerated (the better of Richardson and iterated Aitken), and the
   doubling stops at the first level whose sampled algebraic tail bound
   meets the target, or whose accelerated value has settled, up to a fixed
-  radius (``HALF_STRIP_MAX_RADIUS`` for the half-strips).  The two
-  half-strips outside a band are one integral with one value, their sum,
-  so the stop rule sees where they cancel: the first level refines the
-  K15xK15 cells of radius 4 around the integrand peak on both sides as
-  one sum, and later levels are slabs with one tensor rule per unit cell:
-  GL8xGL8, then the cheapest of GL2 to GL8 whose rule error, estimated on
-  the cells nearest the peak, meets the level's share (``_slab_level``).
+  radius.  The two half-strips outside a band are one integral with one
+  value, their sum, so the stop rule sees where they cancel: the first
+  level refines the K15xK15 cells of radius 4 around the integrand peak
+  on both sides as one sum, and later levels are slabs with one tensor
+  rule per unit cell: GL8xGL8, then the cheapest of GL2 to GL8 whose rule
+  error, estimated on the cells nearest the peak, meets the level's share
+  (``_slab_level``).
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -49,6 +51,8 @@ DEFAULT_PANEL_BUDGET = 1 << 16
 HALF_STRIP_MAX_RADIUS = 1024
 #: unit cells one segment or rectangle side may span
 MAX_SPAN_CELLS = 1 << 20
+#: points one integrand call may hold, which bounds peak memory
+_MAX_CALL_POINTS = 1 << 14
 
 #: the slab rules, Gauss-Legendre nodes and weights on [-1, 1] by order
 _GL = {n: np.polynomial.legendre.leggauss(n) for n in (2, 3, 4, 8)}
@@ -234,13 +238,14 @@ def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
     children, or None when it is too small to split.  The first pass is
     summed in numpy, and only when it misses tol is a heap built: each
     pass then splits up to 64 of the items whose estimates exceed their
-    share of tol, the largest first.  An item whose split would take the
-    panels beyond ``max_panels`` stays in the sums as it is, and
-    NoConvergence, with the result as ``.best``, is raised when tol is
-    missed and no item above its share can be split, or after the first
-    pass when the items beyond the reach of the budget miss tol by
-    themselves.  Panels are the leaves of the partition.  Tol is relative
-    to 1 + |base + value|, ``base`` being the rest of a sum that the value
+    share of tol, the largest first.  An item that is too small to split,
+    or whose split would take the panels beyond ``max_panels``, leaves the
+    heap and stays in the sums as it is.  The result meets tol, or
+    NoConvergence is raised with it as ``.best``: once a pass that misses
+    tol finds no item above its share to split, or after the first pass
+    when the items beyond the reach of the budget miss tol by themselves.
+    Panels are the leaves of the partition.  Tol is relative to
+    1 + |base + value|, ``base`` being the rest of a sum that the value
     joins; the roundoff floor stays the part's own."""
     vals, errs, mass, evals = evaluate(items)
     value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
@@ -269,24 +274,17 @@ def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
     heap = list(zip(*(a.tolist() for a in (-errs[keep], keep, items[keep], vals[keep], errs[keep], mass[keep]))))
     heapq.heapify(heap)  # (-err, id, item, value, err, mass)
     uid = n_panels
-    full = False
     while missed():
         target = tol * (1.0 + abs(base + value)) / n_panels
         popped, children = [], []
         while heap and len(popped) < 64 and -heap[0][0] > target:
-            kids = split(heap[0][2])
-            if kids is None:
-                break
-            if n_panels - len(popped) + len(children) + len(kids) - 1 > max_panels:
-                full = True  # stays in the sums as it is
-                heapq.heappop(heap)
-                continue
-            popped.append(heapq.heappop(heap))
-            children.extend(kids)
+            top = heapq.heappop(heap)
+            kids = split(top[2])
+            if kids is not None and n_panels - len(popped) + len(children) + len(kids) - 1 <= max_panels:
+                popped.append(top)
+                children.extend(kids)
         if not popped:
-            if full:
-                raise NoConvergence(f"{what}: panel budget {max_panels} exhausted", best=result())
-            break
+            raise NoConvergence(f"{what}: tol {tol:g} missed and no item left to split", best=result())
         vals, errs, mass, n = evaluate(np.array(children))
         value += complex(vals.sum()) - sum(p[3] for p in popped)
         err_sum += float(errs.sum()) - sum(p[4] for p in popped)
@@ -317,26 +315,29 @@ def _cutpoints(a, b):
 
 
 def _eval_panel_batch(fv, bounds):
-    """K15 on each (lo, hi) row of ``bounds``, for up to 1024 panels per
-    integrand call, which bounds peak memory.
+    """K15 on each (lo, hi) row of ``bounds``, _MAX_CALL_POINTS // 15
+    panels per integrand call, which bounds peak memory.
 
     Returns arrays over the panels: value, error estimate (|K15 - G7|)
     and integral of |f|."""
     bounds = np.asarray(bounds, float)
     value, err, mass = np.empty(len(bounds), complex), np.empty(len(bounds)), np.empty(len(bounds))
-    for i in range(0, len(bounds), 1024):
-        lo, hi = bounds[i : i + 1024].T
+    step = _MAX_CALL_POINTS // _K15[0].size
+    for i in range(0, len(bounds), step):
+        lo, hi = bounds[i : i + step].T
         h = 0.5 * (hi - lo)
         vals = fv((h[:, None] * _K15[0] + (lo + h)[:, None]).ravel()).reshape(-1, _K15[0].size)
-        value[i : i + 1024], diff = h * (vals @ _K15_PANEL).T
-        err[i : i + 1024], mass[i : i + 1024] = np.abs(diff), h * (np.abs(vals) @ _K15[1])
+        value[i : i + step], diff = h * (vals @ _K15_PANEL).T
+        err[i : i + step], mass[i : i + step] = np.abs(diff), h * (np.abs(vals) @ _K15[1])
     return value, err, mass
 
 
-def _segment(fv, a, b, tol, base=0j):
-    """``integrate_segment`` of a vectorized fv on a < b.  A panel is a row
-    (lo, hi) inside one unit cell, and its budget is DEFAULT_PANEL_BUDGET
-    panels beyond its cells, so that segments of many cells can split."""
+def _segment(fv, spans, tol, what, base=0j):
+    """One ``_refine`` of a vectorized fv over the panels of ``spans``, rows
+    (lo, hi) with lo < hi cut at every integer, to tol relative to base
+    plus their sum.  Each panel returns K15, checked against G7 on the same
+    nodes.  The budget is DEFAULT_PANEL_BUDGET panels beyond the unit
+    cells, so that spans of many cells can split."""
 
     def split(panel):
         lo, hi = panel
@@ -348,9 +349,9 @@ def _segment(fv, a, b, tol, base=0j):
     def evaluate(panels):
         return (*_eval_panel_batch(fv, panels), 15 * len(panels))
 
-    pts = _cutpoints(a, b)
-    panels = np.stack([pts[:-1], pts[1:]], 1)
-    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, f"segment [{a}, {b}]", base)
+    cuts = [_cutpoints(lo, hi) for lo, hi in spans]
+    panels = np.concatenate([np.stack([pts[:-1], pts[1:]], 1) for pts in cuts])
+    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, what, base)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -369,7 +370,7 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
     check_tol(tol)
     if a == b:
         return QuadratureResult(0j, 0.0, 0, 0)
-    return _segment(vectorize1(f), a, b, tol)
+    return _segment(vectorize1(f), [(a, b)], tol, f"segment [{a}, {b}]")
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +394,9 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
     ``segment_for(r_prev, r, done)`` integrates the part of the domain added
     at radius r (r_prev is None on the first level), ``done`` being the sum
     of the levels before it.  ``tail_bound(r)`` is a bound on the neglected
-    tail (may be inf).  The target, tol/4 * (1 + |base + est|) with
-    ``base`` the rest of a sum that the integral joins and est its running
-    estimate, follows the whole sum level by level.
+    tail (may be inf).  The target is tol itself, tol * (1 + |base + est|)
+    with ``base`` the rest of a sum that the integral joins and est its
+    running estimate, and follows the whole sum level by level.
     It stops, and names the rule and radius in its result, on the plain
     value once the tail bound meets the target ("plain-tail"), or from
     the fourth level on the accelerated one once its increment meets the
@@ -416,7 +417,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
         levels.append(value)
         plain_tail = tail_bound(r)
         est, inc = _accelerate(levels, float(decay_order).is_integer())
-        target = tol * (1.0 + abs(base + est)) / 4
+        target = tol * (1.0 + abs(base + est))
         settled = len(levels) >= 4 and inc <= target and abs(est - prev_est) <= 10 * target
         if plain_tail <= target and not (settled and inc < plain_tail):
             return QuadratureResult(value, quad_err + plain_tail, panels, evals, stop="plain-tail", radius=r)
@@ -428,60 +429,52 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
             if not math.isfinite(best_e):
                 best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
             best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
-            raise NoConvergence(f"improper integral not converged at radius {r} (tol {tol})", best=best)
+            raise NoConvergence(f"improper integral not converged at radius {r} (target tol {tol:g})", best=best)
         r_prev, r, prev_est = r, 2 * r, est
+
+
+def _shells(fv, origin, sides, probes, decay_order, tol, max_radius, base=0j):
+    """The integral of a vectorized fv along the rays from ``origin`` in the
+    directions ``sides`` (-1.0 and/or 1.0) to infinity, by ``_improper``.
+
+    Level r is one ``_segment`` at tol/8, relative to base plus the levels
+    before, over the shell r_prev..r from origin on every side (0..16 on
+    the first), and the stop rule takes tol/4.  Requires decay_order
+    q > 1: the tail constant c of |f| <= c |x|^-q is sampled at the
+    positions ``probes``, and the tail beyond radius r is at most
+    len(sides) c r^(1-q) / (q - 1).  NoConvergence is raised once r
+    reaches max_radius."""
+    if decay_order <= 1:
+        raise UnsupportedDecay(f"line and ray integrals need decay_order > 1, got {decay_order}")
+    check_tol(tol)
+    q = decay_order
+    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), q)
+
+    def tail_bound(r):
+        return len(sides) * c * r ** (1.0 - q) / (q - 1.0)
+
+    def segment_for(r_prev, r, done):
+        spans = [sorted((origin + side * (r_prev or 0), origin + side * r)) for side in sides]
+        return _segment(fv, spans, tol / 8, f"shells {r_prev or 0}..{r} from {origin}", base + done)
+
+    return _improper(segment_for, 16, max_radius, tol / 4, tail_bound, q, base)
 
 
 def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j) -> QuadratureResult:
     """Integrate f over the whole real line, an absolutely convergent
-    integral.
-
-    Requires an algebraic decay order |f| ~ |x|^-decay_order with
-    decay_order > 1, validated by sampling on both sides; it sets the tail
-    bound.  Segments take tol/8 and the stop rule tol/4 (``_improper``)."""
-    if decay_order <= 1:
-        raise UnsupportedDecay("integrate_line needs decay_order > 1")
-    check_tol(tol)
-    fv = vectorize1(f)
-    seg_tol = tol / 8
+    integral with |f| ~ |x|^-decay_order, decay_order > 1: ``_shells`` on
+    both sides of 0, the tail constant sampled at +-32, 64, 128 and 256,
+    giving up at radius 2^13."""
     probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
-    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
-    q = decay_order
-
-    def tail_bound(r):
-        return 2.0 * c * r ** (1.0 - q) / (q - 1.0)
-
-    def segment_for(r_prev, r, done):
-        spans = ((-r, r),) if r_prev is None else ((-r, -r_prev), (r_prev, r))
-        parts = [_segment(fv, lo, hi, seg_tol, base + done) for lo, hi in spans]
-        return QuadratureResult(*(sum(getattr(q, n) for q in parts) for n in ("value", "err", "panels", "evals")))
-
-    return _improper(segment_for, 16, 1 << 13, tol, tail_bound, decay_order, base)
+    return _shells(vectorize1(f), 0.0, (-1.0, 1.0), probes, decay_order, tol, 1 << 13, base)
 
 
 def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
-    """Integrate f over [start, infinity).
-
-    Requires an algebraic decay order |f| ~ x^-decay_order with
-    decay_order > 1, validated by sampling; it sets the tail bound.  Each
-    level, [start, start + 16] and then the doubling shells, is one
-    ``_segment`` on K15 unit-cell panels."""
-    if decay_order <= 1:
-        raise UnsupportedDecay("integrate_ray needs decay_order > 1")
-    check_tol(tol)
-    fv = vectorize1(f)
-    seg_tol = tol / 8
+    """Integrate f over [start, infinity), with |f| ~ x^-decay_order,
+    decay_order > 1: ``_shells`` on one side of start, the tail constant
+    sampled at start + 32, 128 and 512, giving up at radius 2^14."""
     probes = start + np.array([32.0, 128.0, 512.0])
-    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), decay_order)
-    q = decay_order
-
-    def tail_bound(r):
-        return c * r ** (1.0 - q) / (q - 1.0)
-
-    def segment_for(r_prev, r, _):
-        return _segment(fv, start + (r_prev or 0), start + r, seg_tol)
-
-    return _improper(segment_for, 16, 1 << 14, tol, tail_bound, decay_order)
+    return _shells(vectorize1(f), start, (1.0,), probes, decay_order, tol, 1 << 14)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +489,6 @@ def _rule_nodes(blocks, gl):
     half, mid = 0.5 * (hi - lo)[:, None], 0.5 * (hi + lo)[:, None]
     starts = list(itertools.accumulate((len(gl[0]) * (len(e) - 1) for e in blocks), initial=0))
     return (half * gl[0] + mid).ravel(), (half * gl[1]).ravel(), starts
-
-
-#: points one fixed-rule integrand call may hold, which bounds peak memory
-_MAX_CALL_POINTS = 1 << 14
 
 
 def _rect_fixed(fv2, xn, xw, yn):
@@ -517,8 +506,8 @@ def _rects(fv2, rects, tol, what, base=0j):
     """One ``_refine`` over the integer-grid cells of the rectangles
     ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to base plus
     their sum.  Each cell returns K15xK15, checked against the G7xG7 subset
-    of the same values, in one integrand call on (cells, y, x) grids per 64
-    cells."""
+    of the same values, in one integrand call on (cells, y, x) grids per
+    _MAX_CALL_POINTS // 225 cells."""
     blocks = []
     for x_lo, x_hi, y_lo, y_hi in rects:
         xs, ys = _cutpoints(x_lo, x_hi), _cutpoints(y_lo, y_hi)
@@ -531,9 +520,9 @@ def _rects(fv2, rects, tol, what, base=0j):
     weights = np.stack([wk, wg], 1)
 
     def evaluate(batch):
-        parts = []
-        for i in range(0, len(batch), 64):
-            a, b, c, d = batch[i : i + 64].T
+        parts, step = [], _MAX_CALL_POINTS // wk.size**2
+        for i in range(0, len(batch), step):
+            a, b, c, d = batch[i : i + step].T
             hx, hy = 0.5 * (b - a), 0.5 * (d - c)
             xn = hx[:, None] * _K15[0] + (a + hx)[:, None]
             yn = hy[:, None] * _K15[0] + (c + hy)[:, None]
@@ -687,5 +676,4 @@ def integrate_half_strip(
         rects = [(x_center - r, x_center + r, *sorted((edge, edge + sign * r))) for edge, sign in sides]
         return _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
 
-    # the stop rule takes tol/2: _improper's tol/4 of twice tol
-    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, 2 * tol, tail_bound, decay_order, base)
+    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol / 2, tail_bound, decay_order, base)

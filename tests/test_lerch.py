@@ -178,6 +178,33 @@ class TestCoffeyNearUnitCircle:
         got = lerch_coffey(LerchParams(z, s, a), tol=tol)
         assert abs(got - want) <= tol * (1 + abs(want))
 
+    @pytest.mark.parametrize(
+        "z,s,a,tol",
+        [
+            (
+                0.009665104976799566 + 0.9394765850287508j,
+                -1.007578751505938 - 1.344440238902707j,
+                0.7234985702161199 + 0.3684454578650953j,
+                1e-12,
+            ),
+            (
+                -0.8319181392719471 + 0.49826393846679035j,
+                -1.6731484608407161 - 1.0005465681261159j,
+                1.1468586928843747 + 0.3761189332442766j,
+                1e-8,
+            ),
+        ],
+    )
+    def test_segment_cancelling_head_terms_meets_tol(self, z, s, a, tol):
+        # the head terms and the segment cancel in part: the segment's
+        # target follows |head + segment|, the size its err is checked
+        # against, where one relative to the segment alone stopped short
+        # and raised
+        mpmath = pytest.importorskip("mpmath")
+        want = complex(mpmath.lerchphi(z, s, a))
+        got = lerch_coffey(LerchParams(z, s, a), tol=tol)
+        assert abs(got - want) <= tol * (1 + abs(want))
+
     def test_cancelling_segment_raises(self):
         # the segment's |f| mass is about 2e6 against a value of 4.5, so it
         # stops on its roundoff floor, far above tol

@@ -75,7 +75,8 @@ class TestSegment:
         assert cmath.isfinite(ei.value.best.value)
 
     def test_panel_batch_matches_per_panel_rule(self):
-        # 1500 panels: more than one integrand call of 1024 panels
+        # 1500 panels: more than one integrand call of _MAX_CALL_POINTS // 15
+        # (1092) panels
         rng = np.random.default_rng(5)
         lo = rng.uniform(0.0, 20.0, 1500)
         hi = lo + rng.uniform(0.05, 2.0, 1500)
@@ -161,6 +162,16 @@ class TestSegment:
             assert info.value.best.panels == 8 + budget
             assert info.value.best.err >= abs(info.value.best.value - truth)
 
+    def test_unsplittable_panels_raise_with_best(self):
+        # bisection towards the singularity at 0.3 ends on panels too small
+        # to split while tol is still missed: NoConvergence, not a silent
+        # return, and the best result's err bounds its true error
+        truth = 2 * (math.sqrt(0.3) + math.sqrt(0.7))
+        with pytest.raises(NoConvergence) as info:
+            integrate_segment(lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0, tol=1e-10)
+        best = info.value.best
+        assert best.err >= abs(best.value - truth)
+
     def test_scalar_only_integrand_over_many_panels(self):
         # 1200 integer panels; math.exp rejects the node arrays, so every
         # batch goes through the scalar fallback
@@ -201,6 +212,21 @@ class TestRefine:
             _refine(items, self.evaluate(lambda d: 1e-6), self.split, 1e-6, 4, "test")
         assert (info.value.best.panels, info.value.best.value) == (4, 1.0)
         assert info.value.best.err == pytest.approx(4e-6, rel=1e-6)
+
+    def test_unsplittable_worst_item_does_not_block_the_rest(self):
+        # the worst item (depth 0, error 2e-6) cannot split; the other
+        # (depth 1, error 1.5e-6) is above its share, 1.25e-6, and splits
+        # into two children without error, after which tol * (1 + 1.5)
+        # is met with the worst item kept as it is
+        items = np.array([(0.0,), (1.0,)])
+        evaluate = self.evaluate(lambda d: {0: 2e-6, 1: 1.5e-6}.get(d, 0.0))
+
+        def split(row):
+            return None if row[0] == 0 else self.split(row)
+
+        q = _refine(items, evaluate, split, 1e-6, 64, "test")
+        assert (q.panels, q.evals, q.value) == (3, 2 + 2, 1.5)
+        assert q.err == pytest.approx(2e-6, rel=1e-6)
 
     def test_budget_too_small_raises_before_splitting(self):
         # eight items of depth 3 with error 1e-6 each: a budget of 10 lets
