@@ -17,18 +17,12 @@ Two algorithms, each written once:
   rest of a sum the value joins, or NoConvergence is raised.
 * ``_improper``, the doubling driver of ``_shells`` (``integrate_line``
   and ``integrate_ray``, each level one ``_segment`` over the new shell
-  on every side) and of ``integrate_half_strip``: the domain is truncated
-  at integer-aligned radii that double per level, the partial values are
-  accelerated (the better of Richardson and iterated Aitken), and the
-  doubling stops at the first level whose sampled algebraic tail bound
-  meets the target, or whose accelerated value has settled, up to a fixed
-  radius.  The two half-strips outside a band are one integral with one
-  value, their sum, so the stop rule sees where they cancel: the first
-  level refines the K15xK15 cells of radius 4 around the integrand peak
-  on both sides as one sum, and later levels are slabs with one tensor
-  rule per unit cell: GL8xGL8, then the cheapest of GL2 to GL8 whose rule
-  error, estimated on the cells nearest the peak, meets the level's share
-  (``_slab_level``).
+  on every side): the domain is truncated at integer-aligned radii that
+  double per level, the partial values are accelerated (the better of
+  Richardson and iterated Aitken), and the doubling stops at the first
+  level whose sampled algebraic tail bound meets the target, or whose
+  accelerated value has settled, up to a fixed radius.  The half-strips
+  take no doubling: the caller gives boxes and closed forms beyond them.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -37,7 +31,6 @@ plain scalar callables; scalar callables are detected and looped over.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,15 +40,10 @@ from .errors import NoConvergence, TailEstimateFailed, UnsupportedDecay
 
 #: panels one adaptive segment or rectangle may hold, read at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
-#: radius at which a half-strip gives up, read at each call
-HALF_STRIP_MAX_RADIUS = 1024
 #: unit cells one segment or rectangle side may span
 MAX_SPAN_CELLS = 1 << 20
 #: points one integrand call may hold, which bounds peak memory
 _MAX_CALL_POINTS = 1 << 14
-
-#: the slab rules, Gauss-Legendre nodes and weights on [-1, 1] by order
-_GL = {n: np.polynomial.legendre.leggauss(n) for n in (2, 3, 4, 8)}
 
 
 def _kronrod(xs, wk, wg):
@@ -98,7 +86,7 @@ class QuadratureResult:
     err: float
     panels: int
     evals: int
-    #: an improper integral's stop rule ("plain-tail" | "extrapolated") and radius
+    #: stop rule and radius: "plain-tail" | "extrapolated" at the last doubling radius, or "box"
     stop: str | None = None
     radius: float | None = None
 
@@ -379,11 +367,10 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
 
 def _tail_constant(mags, rads, decay_order):
     """Estimate C in |f| <= C r^(-q) from sampled |f| at radii rads, and
-    reject non-decay.  Entries (or rows of probes) run from the first
-    radius to the last."""
+    reject non-decay.  Entries run from the first radius to the last."""
     scaled = mags * rads**decay_order
     # growth of |f| r^q across the probe span means the claimed decay is absent
-    if scaled[-1].max() > 50.0 * (scaled[0].max() + 1e-300) and mags[-1].max() > 1e-13:
+    if scaled[-1] > 50.0 * (scaled[0] + 1e-300) and mags[-1] > 1e-13:
         raise TailEstimateFailed(f"integrand does not decay like r^-{decay_order} (sampled growth)")
     return float(scaled.max())
 
@@ -404,8 +391,7 @@ def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_orde
     can be small by chance while the value still moves): "extrapolated",
     taken where both hold and its err is smaller.  Gives up with the best
     estimate once r reaches max_radius or the panels of all levels exceed
-    64 panel budgets (each level's adaptive calls hold their own budget,
-    and fixed-order strip cells are cheap).
+    64 panel budgets (each level's adaptive calls hold their own budget).
     Richardson joins the extrapolation only for an integer ``decay_order``,
     whose tail has integer powers.
     """
@@ -481,27 +467,6 @@ def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> Qua
 # 2-D rectangles
 
 
-def _rule_nodes(blocks, gl):
-    """Nodes and weights of the rule gl = (nodes, weights) on [-1, 1] in
-    every panel between the edges of each of ``blocks``, and the index at
-    which each block's nodes start, then their count."""
-    lo, hi = np.concatenate([e[:-1] for e in blocks]), np.concatenate([e[1:] for e in blocks])
-    half, mid = 0.5 * (hi - lo)[:, None], 0.5 * (hi + lo)[:, None]
-    starts = list(itertools.accumulate((len(gl[0]) * (len(e) - 1) for e in blocks), initial=0))
-    return (half * gl[0] + mid).ravel(), (half * gl[1]).ravel(), starts
-
-
-def _rect_fixed(fv2, xn, xw, yn):
-    """f on the grid of x nodes xn by y nodes yn, summed along x with the
-    weights xw: one value per y node, in integrand calls of at most
-    _MAX_CALL_POINTS points."""
-    rows = np.empty(yn.size, complex)
-    chunk = max(1, _MAX_CALL_POINTS // xn.size)
-    for i in range(0, yn.size, chunk):
-        rows[i : i + chunk] = fv2(xn[None, :], yn[i : i + chunk, None]) @ xw
-    return rows
-
-
 def _rects(fv2, rects, tol, what, base=0j):
     """One ``_refine`` over the integer-grid cells of the rectangles
     ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to base plus
@@ -547,8 +512,8 @@ def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: f
 
     Cells follow the integer grid; each cell returns K15xK15, and its
     difference from G7xG7 on the same nodes is the cell's error estimate
-    (``_rects``, which also takes the half-strips' first level).  The
-    worst cells are subdivided until the summed estimate meets tol."""
+    (``_rects``, which also takes the half-strips' box).  The worst cells
+    are subdivided until the summed estimate meets tol."""
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
     check_tol(tol)
@@ -559,121 +524,19 @@ def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: f
 # half-infinite strips
 
 
-def _split_checks(orders):
-    """Offsets (u, v) in the unit cell and a matrix c, a column per rule
-    order n, such that on a cell with corner (x0, y0) and sides hx, hy,
-    hx * hy * (f(x0 + hx u, y0 + hy v) @ c) is the GLn x GLn rule on the
-    cell minus the same rule on the cell's 2x2 split, for each n."""
-    u, v, c = [], [], []
-    for col, n in enumerate(orders):
-        (u1, w1, _), (u2, w2, _) = (_rule_nodes([np.linspace(0.0, 1.0, m)], _GL[n]) for m in (2, 3))
-        u += [np.tile(u1, u1.size), np.tile(u2, u2.size)]
-        v += [np.repeat(u1, u1.size), np.repeat(u2, u2.size)]
-        w = np.concatenate([np.outer(w1, w1).ravel(), -np.outer(w2, w2).ravel()])
-        c.append(np.outer(w, np.eye(len(orders))[col]))
-    return np.concatenate(u), np.concatenate(v), np.concatenate(c)
-
-
-#: the split checks of the slab rule orders a level chooses from
-_SPLIT_CHECKS = {orders: _split_checks(orders) for orders in ((8,), (2, 3, 4, 8))}
-
-
-def _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target):
-    """Level r of the half-strips ``sides``, rows (edge, sign): on each side
-    the wings r_prev <= |x - x_center| <= r at distances 0..r_prev from the
-    edge and the outer slab |x - x_center| <= r at distances r_prev..r, with
-    one tensor rule on every unit cell.  The wings of all sides share one
-    integrand call and each outer slab takes one.
-
-    Each slab's rule error is estimated on its cell nearest (hot_x, edge),
-    the integrand peak, as the rule there minus the rule on the cell's 2x2
-    split, charged once per cell of the slab.  That bounds the error while
-    the per-cell error falls with distance from the peak, as for algebraic
-    decay away from it.  From r_prev = 8 on a level takes the cheapest of
-    GL2xGL2, GL3xGL3, GL4xGL4 and GL8xGL8 whose estimate, summed over the
-    level's slabs, meets ``target``, else GL8xGL8 (its estimate not held to
-    ``target``); one integrand call checks them all.  The first slab level
-    (r_prev < 8) takes GL8xGL8 whatever its target: next to the pole the
-    cell nearest the peak need not be the worst one, and GL4 by this check
-    there read below the true error on the skew lattice at y = 1/2."""
-    wings = [_cutpoints(x_center - r, x_center - r_prev), _cutpoints(x_center + r_prev, x_center + r)]
-    full = _cutpoints(x_center - r, x_center + r)
-    near = [_cutpoints(*sorted((edge, edge + sign * r_prev))) for edge, sign in sides]
-    far = [_cutpoints(*sorted((edge + sign * r_prev, edge + sign * r))) for edge, sign in sides]
-    slabs = [(xs, ys, e) for (e, _), y0, y1 in zip(sides, near, far) for xs, ys in zip(wings + [full], (y0, y0, y1))]
-
-    def hot(edges, at):  # lower end and width of the panel nearest `at`; edges cut at integers
-        i = min(max(math.ceil(at) - math.floor(edges[0]) - 1, 0), len(edges) - 2)
-        return edges[i], edges[i + 1] - edges[i]
-
-    x0, hx, y0, hy = np.array([hot(xs, hot_x) + hot(ys, e) for xs, ys, e in slabs]).T[:, :, None]
-    cells = np.array([(len(xs) - 1) * (len(ys) - 1) for xs, ys, _ in slabs])
-    orders = (8,) if r_prev < 8 else (2, 3, 4, 8)  # cheapest first
-    u, v, c = _SPLIT_CHECKS[orders]
-    vals = fv2(x0 + hx * u, y0 + hy * v)
-    errs = (cells * hx[:, 0] * hy[:, 0]) @ np.abs(vals @ c)
-    order, err = next(((n, e) for n, e in zip(orders, errs.tolist()) if e <= target), (8, float(errs[-1])))
-    # the wings by the near blocks of all sides, then the full width by each far block
-    xn, xw, (_, _, m, _) = _rule_nodes(wings + [full], _GL[order])
-    yn, yw, ys = _rule_nodes(near + far, _GL[order])
-    n, far_ys = ys[len(sides)], ys[len(sides) :]
-    grids = [(xn[:m], xw[:m], yn[:n])] + [(xn[m:], xw[m:], yn[a:b]) for a, b in zip(far_ys, far_ys[1:])]
-    value = complex(yw @ np.concatenate([_rect_fixed(fv2, *grid) for grid in grids]))
-    evals = m * n + (xn.size - m) * (yn.size - n) + vals.size
-    return QuadratureResult(value, err, int(cells.sum()), evals)
-
-
-def integrate_half_strip(
-    f, band, decay_order: float, tol: float = 1e-8, hot_x: float = 0.0, base: complex = 0j
-) -> QuadratureResult:
-    """Integrate f over the two half-strips x in (-inf, inf) outside the
-    band (y_dn, y_up] = ``band``, y <= y_dn and y > y_up, as one sum; a
-    band (e, e) makes the whole plane.
-
-    Requires decay_order > 2 (slower 2-D decay is not absolutely
-    convergent).  The strips are truncated to rectangles whose radius
-    doubles; the truncated values carry a smooth expansion in the inverse
-    radius when the cuts are integer-aligned, so extrapolation supplies
-    the tail: the better of Richardson and iterated Aitken for an integer
-    decay_order, Aitken alone otherwise.  Both strips share one tail
-    constant, level sequence and stop rule, which act on their sum.
-    ``hot_x`` locates the integrand peak along the edges: the first level,
-    one ``_rects`` refinement of the cells of radius 4 of both strips, is
-    centred on it, and the slabs' rule errors are estimated next to it.
-    Targets are relative to 1 + |base + value| and share tol: 1/4 to the
-    first level, 1/2 to the stop rule and 1/(2 r_prev) to each slab level
-    from r_prev = 8 on (``_slab_level``), 7/8 in all; the first slab level
-    and a level whose GL8xGL8 check misses take no share, their estimated
-    errors join err unchecked.  NoConvergence is raised once the radius
-    reaches HALF_STRIP_MAX_RADIUS.  f must be finite on the closed strips:
-    the caller keeps poles away."""
-    if decay_order <= 2:
-        raise UnsupportedDecay(f"half-strip integration needs decay_order > 2, got {decay_order}")
-    if not band[0] <= band[1]:
-        raise ValueError(f"need y_dn <= y_up, got band {band}")
+def integrate_half_strip(f, tail, boxes, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
+    """Half-strips as finite boxes plus the caller's closed forms beyond
+    them: f over the rectangles ``boxes``, rows (x_lo, x_hi, y_lo, y_hi),
+    by one ``_rects`` at tol/3, plus ``tail``, the integral of f beyond the
+    boxes' x ends as a function of y, over their y-spans by one
+    ``_segment`` at tol/8, each relative to 1 + |base + value| and checked
+    by its rule's error estimate, else NoConvergence.  ``bound``, the
+    caller's absolute bound on the rest, joins err; the stop rule is "box"."""
     check_tol(tol)
-    sides = ((band[0], -1.0), (band[1], 1.0))
-    fv2 = vectorize2(f)
-    # the strips' tail constants, summed, from |f| r^q along three rays from
-    # the peak (a row per radius) at four phases of the unit cell each, as
-    # P1-weighted integrands can vanish at every probe of one phase
-    phases = np.array([0.0, 0.25, 0.5, 0.75])
-    radii = np.array([16.0, 32.0, 64.0, 128.0])[:, None, None]
-    dx, dy = ((radii * np.array(d)[:, None] + phases).reshape(4, -1) for d in ((0.0, 1.0, -1.0), (1.0, 0.5, 0.5)))
-    mags = np.abs(fv2(hot_x + dx, np.array([edge + sign * dy for edge, sign in sides])))
-    c = sum(_tail_constant(m, np.hypot(dx, dy), decay_order) for m in mags)
-
-    def tail_bound(r):
-        # 2-D tail of C r^-q over the region beyond radius r
-        return 2.0 * math.pi * c * r ** (2.0 - decay_order) / (decay_order - 2.0)
-
-    x_center = math.floor(hot_x) + 0.5
-
-    def segment_for(r_prev, r, done):
-        if r_prev is not None:
-            target = tol / (2 * r_prev) * (1.0 + abs(base + done))
-            return _slab_level(fv2, sides, x_center, r_prev, r, hot_x, target)
-        rects = [(x_center - r, x_center + r, *sorted((edge, edge + sign * r))) for edge, sign in sides]
-        return _rects(fv2, rects, tol / 4, f"strips within radius {r}", base)
-
-    return _improper(segment_for, 4, HALF_STRIP_MAX_RADIUS, tol / 2, tail_bound, decay_order, base)
+    if not all(x_lo < x_hi and y_lo < y_hi for x_lo, x_hi, y_lo, y_hi in boxes):
+        raise ValueError(f"box bounds must be increasing, got {boxes}")
+    box = _rects(vectorize2(f), boxes, tol / 3, "the strips' box", base)
+    spans = [(y_lo, y_hi) for _, _, y_lo, y_hi in boxes]
+    tails = _segment(vectorize1(tail), spans, tol / 8, "the strips' x-tails", base + box.value)
+    panels, evals = box.panels + tails.panels, box.evals + tails.evals
+    return QuadratureResult(box.value + tails.value, box.err + tails.err + bound, panels, evals, "box")

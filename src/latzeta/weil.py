@@ -13,10 +13,11 @@ Two independent evaluation routes:
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   J1 along the two edges y0 +/- eps of the excluded band around the pole
   row, plus the half-strip double integrals J2 and J3 above and below the
-  band, taken as one integral J2 + J3 (``strips``) by one doubling
-  driver.  Only supported for k >= 3 (the 2-D pieces are not absolutely
-  convergent below that), where E_k depends on the lattice alone, so both
-  routes sum on its Lagrange-Gauss reduced basis.  For integer j >= 2 and c off the line,
+  band, taken as one integral J2 + J3 (``strips``) on one finite box per
+  side with closed forms beyond it (``_strip_box``).  Only supported for
+  k >= 3 (the 2-D pieces are not absolutely convergent below that),
+  where E_k depends on the lattice alone, so both routes sum on its
+  Lagrange-Gauss reduced basis.  For integer j >= 2 and c off the line,
   int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
   integrates to exactly 0 and is left out of the integrands.  What is
   left decays like |b|^-(k+1), faster than the decay order k passed to
@@ -34,6 +35,7 @@ Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,7 @@ import numpy as np
 from .bernoulli import frac, p1
 from .errors import ConvergenceError, PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
 from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords, reduce
-from .lerch import _hurwitz_em
+from .lerch import _BERNOULLI_2J, _hurwitz_em
 from .quadrature import _EPS_FLOOR, _accelerate, check_tol, integrate_half_strip, integrate_line
 
 #: lattice-coordinate distance below which a counts as a lattice point
@@ -78,7 +80,8 @@ class WeilReport:
     row_correction: complex = 0j
     #: the basis (w1, w2) that the sum ran on and the parts refer to
     basis: tuple = ()
-    #: (stop rule, radius) of J1's line and of the strips (``_improper``)
+    #: (stop rule, radius) of J1's line (``_improper``) and of the strips
+    #: ("box", the depth of the box)
     stops: tuple = ()
 
 
@@ -91,7 +94,10 @@ def _row_sum(c: complex, w1: complex, k: int, tol: float):
     The pairs are centred on the row point nearest the pole; a finite
     shift of the centre leaves the symmetric limit unchanged.  A term at
     c + n w1 = 0 is left out (the origin of G_k)."""
-    c += round(-(c / w1).real) * w1
+    shift = round(-(c / w1).real) * w1
+    # forming c next to a lattice point rounds it by up to delta
+    delta = _EPS_FLOOR * (abs(c) + abs(shift))
+    c += shift
     partial = complex(c ** (-k)) if c else 0j
     levels = []
     prev_n = 0
@@ -102,7 +108,7 @@ def _row_sum(c: complex, w1: complex, k: int, tol: float):
         levels.append(partial)
         est, inc = _accelerate(levels)
         if inc <= tol:
-            return est, inc
+            return est, inc + (k * delta * abs(c) ** -(k + 1) if c else 0.0)
         prev_n, n_hi = n_hi, 2 * n_hi
     raise SlowConvergence(f"row sum at c = {c} did not converge to {tol}", best=partial)
 
@@ -224,6 +230,84 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
     return (lead + zp + (-1) ** k * zm) / w1**k, err / scale
 
 
+def _row_bound(k: int, w1: complex, tau: complex, h: float, lift: int = 0) -> float:
+    """A bound on |int_R f(x, y) dx|, f = P1(x) k w1^-k [(k+1) tau P1(y)
+    z^-(k+2) - z^-(k+1)] the strip integrand, z = b / w1, on the row at
+    h = |Im tau| |y - y0| (lift 0), or on its integral over the rows from h
+    on (lift 1: m^-1 / (2 pi |Im tau|) per term).  By P1's Fourier series
+    (DLMF 24.8.1) and residues, |int_R P1(x) z^-n dx| <= (2 pi)^(n-1)/(n-1)!
+    sum_m m^(n-2) e^(-2 pi m h), summed up to the first term whose ratio to
+    the next, falling with m, is below 1/4, then as a geometric series."""
+    j, c, q = k - 1 - lift, math.pi * abs(tau), math.exp(-2 * math.pi * h)
+    total, m = 0.0, 1
+    while (ratio := (1 + 1 / m) ** (j + 1) * q) >= 0.25:
+        total, m = total + m**j * (1 + c * m) * q**m, m + 1
+    total += m**j * (1 + c * m) * q**m / (1 - ratio)
+    return k * abs(w1) ** -k * (2 * math.pi) ** k / math.factorial(k) / (2 * math.pi * abs(tau.imag)) ** lift * total
+
+
+def _x_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, boxes, share: float):
+    """T(y), the strip integrand's x-tails beyond the integer ends X_lo, X_hi
+    of the row's box (the upper one above the pole), to the fewest terms p
+    whose remainder bound meets ``share`` (else p = 10), and that bound.
+    Integrating P1(x) G by parts with the periodic Bernoulli functions
+    (DLMF 24.2), T = sum_{j<=p} B_2j/(2j)! [d^(2j-2)G(X_lo, y) -
+    d^(2j-2)G(X_hi, y)], d = d/dx, where for even m, d^m G =
+    k w1^(m+1) b^-(k+1+m) [(k+1)_(m+1) w2 P1(y) / b - (k+1)_m].  The
+    remainder is int B~_2p(x)/(2p)! d^(2p-1)G dx beyond each end, with
+    |B~_2p| <= |B_2p| (DLMF 24.9.1).  |b| = |w1| (t^2 + h^2)^(1/2), where
+    t = |x - x0 + Re tau (y - y0)| >= u, the end's distance from the pole,
+    and h = |Im tau| |y - y0|; as t^2 - u^2 >= 2u (t - u), int |b|^-s dx <=
+    |w1|^-s D^(2-s) / (u (s - 2)), D^2 = u^2 + h^2.  u and h are linear in
+    y, so each span of at most one row spacing takes both at their least."""
+    tau = w2 / w1
+    x_lo, x_hi, y_lo, y_hi = np.array(boxes, float).T[:, :, None]
+    ys = y_lo + (y_hi - y_lo) * np.linspace(0.0, 1.0, math.ceil(np.max(y_hi - y_lo)) + 1)
+    xp, hy = x0 - tau.real * (ys - y0), abs(tau.imag) * np.abs(ys - y0)
+    u, h = (np.minimum(t[..., :-1], t[..., 1:]) for t in (np.stack([xp - x_lo, x_hi - xp]), hy))
+    d, weight = np.hypot(u, h).ravel(), (np.diff(ys) / u).ravel()  # h and the spans broadcast over both ends
+    n = k + np.arange(1, 2 * len(_BERNOULLI_2J), 2)[:, None]  # d^(2p-1)G has b^-(n+1) and b^-(n+2)
+    per_d = (d ** (1 - n) / (n - 1) + (n + 1) * abs(tau) / 2 * d**-n / n) @ weight
+    coefs = []
+    for p, (b2p, per) in enumerate(zip(_BERNOULLI_2J, per_d.tolist()), start=1):
+        rising = math.factorial(k + 2 * p - 2) / math.factorial(k) / math.factorial(2 * p)  # (k+1)_(2p-2) / (2p)!
+        coefs.append(k * w1 ** (2 * p - 1) * b2p * rising)
+        bound = k * abs(w1) ** -k * abs(b2p) * rising * (k + 2 * p - 1) * per
+        if bound <= share:
+            break
+    (lo_dn, hi_dn, _, _), (lo_up, hi_up, _, _) = boxes
+
+    def f(y):
+        up, py = y > y0, p1(y)
+        total = 0j
+        for x, sign in ((np.where(up, lo_up, lo_dn), 1), (np.where(up, hi_up, hi_dn), -1)):
+            r = 1 / (a + x * w1 + y * w2)
+            power = sign * _ipow(r, k + 1)
+            for j, c in enumerate(coefs):
+                total = total + c * power * ((k + 1 + 2 * j) * w2 * py * r - 1)
+                power = power * r * r
+        return total
+
+    return f, bound
+
+
+def _strip_box(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, band, share: float):
+    """The strips outside ``band`` = (y_dn, y_up) as boxes |x - c| <= 8, c the
+    integer nearest the pole at the middle row, 0 <= +/-(y - edge) <= Y:
+    returns the boxes, the x-tails, a bound on the rest and Y, the least
+    half-integer (at most 16) whose y-cut meets ``share``, as the tails'
+    remainder does."""
+    tau = w2 / w1
+    gap, depth = min(y0 - band[0], band[1] - y0), 0.5
+    while (cut := 2 * _row_bound(k, w1, tau, abs(tau.imag) * (gap + depth), 1)) > share and depth < 16:
+        depth += 0.5
+    spans = ((band[0] - depth, band[0]), (band[1], band[1] + depth))
+    centres = [round(x0 - tau.real * ((lo + hi) / 2 - y0)) for lo, hi in spans]
+    boxes = [(c - 8, c + 8, lo, hi) for c, (lo, hi) in zip(centres, spans)]
+    tail, rem = _x_tails(w1, w2, a, k, x0, y0, boxes, share)
+    return boxes, tail, cut + rem, depth
+
+
 def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
     """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
     the reduced basis (``lattice.reduce``) that the report's ``basis`` names.
@@ -266,11 +350,12 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     # band as one integral; decay_order k bounds terms that decay like |b|^-(k+1)
     edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
     q1 = integrate_line(edge, float(k), tol / 16, base=row)
-    strips = _strip_integrand(w1, w2, a, k)
-    q = integrate_half_strip(strips, (y_dn, y_up), float(k), tol * 7 / 8, x0, row + q1.value)
+    # the strips' y-cut and x-tail remainder take 1/32 of their 7/8 tol each
+    boxes, tail, bound, depth = _strip_box(w1, w2, a, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
+    q = integrate_half_strip(_strip_integrand(w1, w2, a, k), tail, boxes, tol * 7 / 8, row + q1.value, bound)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, float(k), tol / 16, base=row + q.value)
-    stops = tuple((part.stop, part.radius) for part in (q1, q))
+    stops = ((q1.stop, q1.radius), (q.stop, depth))
     value = q1.value + q.value + row
     report = WeilReport(value, "integral", q1.err + q.err + row_err, q1.value, q.value, eps, row, (w1, w2), stops)
     if report.err > tol * (1.0 + abs(report.value)):

@@ -42,8 +42,8 @@ class TestWeil:
         assert "j2" not in doc["integral"] and "j3" not in doc["integral"]
 
     def test_breakdown_names_stop_rules(self, capsys):
-        # k = 8 on the square lattice: the strips' plain tail bound meets
-        # its share by radius 16, before the extrapolation could stop
+        # k = 8 on the square lattice: the strips run on a box whose depth,
+        # a half-integer, is where their y-cut bound meets its share
         code, out = run_cli(
             capsys,
             "weil", "--w1", "1", "--w2", "i", "--a", "0.3+i", "--k", "8",
@@ -51,7 +51,7 @@ class TestWeil:
         )
         assert code == 0
         doc = json.loads(out)["integral"]
-        assert doc["strips_stop"] == "plain-tail" and doc["strips_radius"] <= 16
+        assert doc["strips_stop"] == "box" and doc["strips_radius"] == 4.5
         assert doc["j1_stop"] in ("plain-tail", "extrapolated") and doc["j1_radius"] >= 16
 
     def test_breakdown_names_reduced_basis(self, capsys):

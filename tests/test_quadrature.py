@@ -12,16 +12,10 @@ from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.quadrature import (
-    _GL,
     _K15,
     _EPS_FLOOR,
     _eval_panel_batch,
     _refine,
-    _cutpoints,
-    _MAX_CALL_POINTS,
-    _rect_fixed,
-    _rule_nodes,
-    _slab_level,
     integrate_half_strip,
     integrate_line,
     integrate_ray,
@@ -32,7 +26,15 @@ from latzeta.quadrature import (
     vectorize1,
     vectorize2,
 )
-from latzeta.weil import WeilParams, _band_row, _edge_integrand, _strip_integrand, weil_direct, weil_integral
+from latzeta.weil import (
+    WeilParams,
+    _band_row,
+    _edge_integrand,
+    _strip_box,
+    _strip_integrand,
+    weil_direct,
+    weil_integral,
+)
 
 
 class TestSegment:
@@ -249,7 +251,7 @@ class TestRefine:
         lambda tol: integrate_rect(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=tol),
         lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=tol),
         lambda tol: integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=tol),
-        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, (0.0, 0.0), 4.0, tol=tol),
+        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, np.cos, [(-8.0, 8.0, 0.0, 4.0)], tol=tol),
     ],
     ids=["segment", "rect", "line", "ray", "half_strip"],
 )
@@ -399,160 +401,44 @@ def _strips_truth(a, k, band, tol=1e-13):
     return direct.value - line.value - row, direct.err + line.err + row_err
 
 
+def _weil_strips(a, k, band, tol):
+    """J2 + J3 of the square lattice outside ``band`` on the box of
+    ``weil._strip_box``, the pole at x0 = -Re a on row y0 = -Im a."""
+    boxes, tail, bound, _ = _strip_box(1.0, 1j, a, k, -a.real, -a.imag, band, tol / 32)
+    return integrate_half_strip(_strip_integrand(1.0, 1j, a, k), tail, boxes, tol, bound=bound)
+
+
 class TestHalfStrip:
     def test_radial_closed_form(self):
-        # (1 + x^2 + y^2)^-2 over the whole plane (band (0, 0)) is pi, and
-        # outside an asymmetric band its closed form on each side, summed
+        # (1 + x^2 + y^2)^-2 outside a band, each side's edge at e: boxes
+        # |x| <= 8 of depth 4, and the x-tails beyond |x| = 8 in closed
+        # form; the rows beyond the boxes, (pi/2)(1 - Y/sqrt(1 + Y^2)) at
+        # |y| = Y, are left out and given as the bound
+        def tail(y):
+            c = np.sqrt(1.0 + y * y)
+            return 2 * (math.pi / 2 - np.arctan(8.0 / c)) / (2 * c**3) - 2 * 8.0 / (2 * c**2 * (c**2 + 64.0))
+
         for band in ((0.0, 0.0), (-0.3, 0.7)):
-            q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, band, decay_order=4.0, tol=1e-8)
+            boxes = [(-8.0, 8.0, band[0] - 4.0, band[0]), (-8.0, 8.0, band[1], band[1] + 4.0)]
+            cut = _outside_band((band[0] - 4.0, band[1] + 4.0))
+            f = lambda x, y: (1.0 + x * x + y * y) ** -2.0  # noqa: E731
+            q = integrate_half_strip(f, tail, boxes, tol=1e-8, bound=cut)
             want = _outside_band(band)
-            assert abs(q.value - want) <= min(q.err, 1e-7), band
+            assert q.stop == "box"
+            assert abs(q.value - want) <= q.err and abs(q.value + cut - want) <= 1e-7, band
 
     def test_rejects_inverted_band(self):
-        with pytest.raises(ValueError, match="y_dn <= y_up"):
-            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, (0.5, 0.25), decay_order=4.0)
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, lambda y: 0 * y, [(-8.0, 8.0, 0.5, 0.25)])
 
-    def test_radius_exhaustion(self, monkeypatch):
-        monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 16)
-        with pytest.raises(NoConvergence) as ei:
-            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -1.5, (0.0, 0.0), decay_order=3.0, tol=1e-12)
-        best = ei.value.best
-        # the whole-plane integral of (1 + r^2)^-1.5 is 2 pi
-        assert cmath.isfinite(best.value) and abs(best.value - 2 * math.pi) <= best.err
-
-    def test_stops_on_plain_tail_before_extrapolation(self):
-        # integral of (1 + x^2 + y^2)^-3 over the whole plane is pi/2; at
-        # radius 16, the third level, the plain tail bound meets tol/2,
-        # before an extrapolated stop may be taken (from the fourth level)
-        q = integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -3.0, (0.0, 0.0), decay_order=6.0, tol=1e-4)
-        assert (q.stop, q.radius) == ("plain-tail", 16)
-        assert abs(q.value - math.pi / 2) <= q.err
-
-    def test_rejects_slow_decay(self):
-        with pytest.raises(UnsupportedDecay):
-            integrate_half_strip(lambda x, y: (1 + x * x + y * y) ** -1.0, (0.0, 0.0), decay_order=2.0)
-
-    def test_weil_strip_converges_by_radius_32(self, monkeypatch):
+    def test_weil_strip_on_box(self):
         # square lattice, a = 0.3 + 0.2i, k = 8: the strips outside the band
         # y in (-0.45, 0.05] around the pole row y0 = -0.2
-        monkeypatch.setattr("latzeta.quadrature.HALF_STRIP_MAX_RADIUS", 32)
         a, band = 0.3 + 0.2j, (-0.45, 0.05)
-        q = integrate_half_strip(_strip_integrand(1.0, 1j, a, 8), band, decay_order=8.0, tol=2.5e-9, hot_x=-0.3)
-        assert q.err <= 2.5e-9 * (1 + abs(q.value))
+        q = _weil_strips(a, 8, band, 2.5e-9)
+        assert q.stop == "box" and q.err <= 2.5e-9 * (1 + abs(q.value))
         want, want_err = _strips_truth(a, 8, band)
         assert abs(q.value - want) <= q.err + want_err
-
-    # the strips above y = 0.05 and below y = -0.45 around the pole row
-    # y0 = -0.2 of the square lattice at a = 0.3 + 0.2i, peak at x = -0.3,
-    # and the levels r = 8 (GL8 cells) and r = 32 (GL4 or GL8 cells)
-    SIDES, X_CENTER, HOT_X = ((-0.45, -1.0), (0.05, 1.0)), -0.5, -0.3
-    LEVELS = ((4, 8), (16, 32))
-
-    @classmethod
-    def _slabs(cls, r_prev, r):
-        """Each side's slabs of level r as (x edges, y edges, edge), left
-        wing, right wing and outer slab, from the geometry of the strips."""
-        xc, slabs = cls.X_CENTER, []
-        for edge, sign in cls.SIDES:
-            near = _cutpoints(*sorted((edge, edge + sign * r_prev)))
-            far = _cutpoints(*sorted((edge + sign * r_prev, edge + sign * r)))
-            for x_lo, x_hi, ys in ((xc - r, xc - r_prev, near), (xc + r_prev, xc + r, near), (xc - r, xc + r, far)):
-                slabs.append((_cutpoints(x_lo, x_hi), ys, edge))
-        return slabs
-
-    @classmethod
-    def _hot_cells(cls, r_prev, r):
-        """Each slab's cell nearest (HOT_X, edge), as (x ends, y ends)."""
-        hot = []
-        for xs, ys, edge in cls._slabs(r_prev, r):
-            i = int(np.clip(np.searchsorted(xs, cls.HOT_X) - 1, 0, len(xs) - 2))
-            j = int(np.clip(np.searchsorted(ys, edge) - 1, 0, len(ys) - 2))
-            hot.append((xs[i : i + 2], ys[j : j + 2]))
-        return hot
-
-    def _level_bounds_rule_error(self, fv2, r_prev, r, target, tol=1e-14):
-        """Level r at ``target``, checked against each slab integrated
-        adaptively; returns the level and the points of its rule calls per
-        cell (the first call holds the hot-cell checks)."""
-        calls = []
-
-        def counted(x, y):
-            calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
-            return fv2(x, y)
-
-        q = _slab_level(counted, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, target)
-        slabs = self._slabs(r_prev, r)
-        truth = sum(integrate_rect(fv2, xs[0], xs[-1], ys[0], ys[-1], tol=tol).value for xs, ys, _ in slabs)
-        assert 0 < q.err and abs(q.value - truth) <= q.err
-        return q, sum(calls[1:]) / q.panels
-
-    def test_slab_err_bounds_rule_error(self):
-        # a target of 0 takes GL8 on every level, an infinite one the
-        # cheapest rule, GL2, from r_prev = 8 on; the first slab level keeps
-        # GL8 either way
-        fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        for (r_prev, r), target in itertools.product(self.LEVELS, (0.0, math.inf)):
-            _, per_cell = self._level_bounds_rule_error(fv2, r_prev, r, target)
-            assert per_cell == (4 if target and r_prev >= 8 else 64)
-
-    def test_slab_rule_by_check(self):
-        # GL4's check fits a smooth level's share, and a sharp peak in each
-        # hot cell makes it miss, so that level takes GL8
-        smooth = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        q, per_cell = self._level_bounds_rule_error(smooth, 16, 32, 1e-9)
-        assert per_cell == 16 and q.err <= 1e-9
-        peaks = [(xs[0] + 0.3, ys[0] + 0.6) for xs, ys in self._hot_cells(16, 32)]
-        sharp = vectorize2(lambda x, y: sum(1 / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
-        _, per_cell = self._level_bounds_rule_error(sharp, 16, 32, 1e-9, tol=1e-12)
-        assert per_cell == 64
-
-    @pytest.mark.parametrize("target, want", [(1e-5, 4), (1e-8, 9)], ids=["GL2", "GL3"])
-    def test_slab_ladder_takes_cheaper_rules(self, target, want):
-        # on the smooth level GL2's check reads about 1.4e-6 and GL3's
-        # about 1e-9, so a loose share takes GL2 and a tighter one GL3
-        smooth = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        q, per_cell = self._level_bounds_rule_error(smooth, 16, 32, target)
-        assert per_cell == want and q.err <= target
-
-    def test_slab_err_matches_two_call_estimate(self):
-        # each slab's estimate is its hot cell's rule minus the rule on the
-        # cell's 2x2 split, here from two separate fixed-rule calls, times
-        # the slab's cells; a sharp peak inside every hot cell makes the
-        # rule errors dwarf the roundoff of the differences
-        # an infinite target takes GL2 from r_prev = 8 on
-        for (r_prev, r), gl in zip(self.LEVELS, (_GL[8], _GL[2])):
-            hot = self._hot_cells(r_prev, r)
-            peaks = [(xs[0] + 0.3 * (xs[1] - xs[0]), ys[0] + 0.6 * (ys[1] - ys[0])) for xs, ys in hot]
-            fv2 = vectorize2(lambda x, y: sum((1 + 2j) / ((x - px) ** 2 + (y - py) ** 2 + 0.04) for px, py in peaks))
-
-            def rule(xs, ys):  # the rule gl on each cell between the edges xs by ys, summed
-                (xn, xw, _), (yn, yw, _) = (_rule_nodes([edges], gl) for edges in (xs, ys))
-                return yw @ _rect_fixed(fv2, xn, xw, yn)
-
-            want = 0.0
-            for (xs, ys), (x_edges, y_edges, _) in zip(hot, self._slabs(r_prev, r)):
-                coarse, fine = (rule(np.linspace(*xs, n), np.linspace(*ys, n)) for n in (2, 3))
-                want += abs(fine - coarse) * (len(x_edges) - 1) * (len(y_edges) - 1)
-            q = _slab_level(fv2, self.SIDES, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
-            assert q.err == pytest.approx(want, rel=1e-12)
-
-    def test_level_integrand_calls(self):
-        # the wings of both sides in one call, each outer slab in one and
-        # the six hot-cell checks in one; one side alone takes three.  Far
-        # levels split a grid into calls of at most _MAX_CALL_POINTS
-        fv2 = vectorize2(_strip_integrand(1.0, 1j, 0.3 + 0.2j, 3))
-        levels = ((self.SIDES, 4, 8, 4), (self.SIDES[1:], 4, 8, 3), (self.SIDES, 32, 64, None))
-        for sides, r_prev, r, want in levels:
-            calls = []
-
-            def counted(x, y):
-                calls.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
-                return fv2(x, y)
-
-            q = _slab_level(counted, sides, self.X_CENTER, r_prev, r, self.HOT_X, math.inf)
-            assert len(calls) == want or want is None
-            assert max(calls) <= _MAX_CALL_POINTS
-            assert q.evals == sum(calls)
 
     @pytest.mark.parametrize("k", [3, 8])
     @pytest.mark.parametrize("a", [0.3 + 0.2j, 0.3 + 0.5j], ids=["generic", "cancelling"])
@@ -561,7 +447,7 @@ class TestHalfStrip:
         # sides' sum J2 + J3 is E_k less J1 and the band's row
         y0 = -a.imag
         band = (y0 - 0.25, y0 + 0.25)
-        joint = integrate_half_strip(_strip_integrand(1.0, 1j, a, k), band, float(k), tol=1e-9, hot_x=-a.real)
+        joint = _weil_strips(a, k, band, 1e-9)
         want, want_err = _strips_truth(a, k, band)
         assert abs(joint.value - want) <= joint.err + want_err
 

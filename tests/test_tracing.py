@@ -20,8 +20,8 @@ def _load_spans():
 
 def test_traced_weil_integral_records_layers():
     # J2 + J3 is one integrate_half_strip call, which spans.py names by its
-    # third positional argument, now the decay order rather than a side, so
-    # as the piece below the band; its first level does not go through
+    # third positional argument, now the list of boxes rather than a side,
+    # so as the piece below the band; its box does not go through
     # integrate_rect
     tracer = _load_spans().Tracer()
     original = quadrature.integrate_half_strip

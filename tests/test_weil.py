@@ -14,11 +14,14 @@ from latzeta import weil as weil_module
 from latzeta.errors import PointOnLattice, PoleNearDomain, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.bernoulli import p1
+from latzeta.quadrature import integrate_line, integrate_ray
 from latzeta.weil import (
     WeilParams,
     _band_row,
     _edge_integrand,
+    _row_bound,
     _strip_integrand,
+    _x_tails,
     eisenstein_series,
     weil_direct,
     weil_integral,
@@ -29,6 +32,8 @@ HEX = lattice_new(1.0, cmath.exp(1j * cmath.pi / 3))
 #: the skew bench lattice, jittered as the benchmark draws it
 _RNG = random.Random(16)
 SKEW = lattice_new(1.0, complex(0.35 + _RNG.uniform(-0.01, 0.01), 1.15 + _RNG.uniform(-0.01, 0.01)))
+#: a basis with |w1| != 1, turned off the real axis
+TURNED = lattice_new(1.3 + 0.4j, (1.3 + 0.4j) * (0.35 + 1.15j))
 ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
 
@@ -88,6 +93,13 @@ class TestDirect:
         # full Eisenstein limit; here we only check the reported err
         rep = weil_direct(WeilParams(SQUARE, 0.3 + 0.2j, 1), tol=1e-10)
         assert rep.err < 1e-8
+
+    def test_err_covers_row_roundoff(self, weil_ref):
+        # |E_5| = 2.4e4 next to a lattice point: forming a + n w1 + m w2 there
+        # rounds by about 8e-15 |E|, above the rows' extrapolation increments
+        a = 1.0972160812817076 - 1.8227485559223178j
+        rep = weil_direct(WeilParams(HEX, a, 5), tol=1e-10)
+        assert abs(rep.value - weil_ref(HEX.w1, HEX.w2, a, 5)) <= rep.err
 
     def test_err_covers_roundoff(self):
         # |E_8| is about 1.7e7 here, so one ulp of the value (3.7e-9) is far
@@ -306,6 +318,45 @@ def test_unreduced_bases_match_reference(weil_ref):
         for rep, tol in ((weil_integral(p, tol=1e-8), 1e-8), (weil_direct(p, tol=1e-10), 1e-10)):
             off = abs(rep.value - ref)
             assert off <= rep.err and off <= tol * (1 + abs(ref)), (lat, a, k, rep.method)
+
+
+class TestStripClosedForms:
+    """The strips' x-tails and y-cut against quadrature of the strip
+    integrand: a = 0.3 w1 + 0.2 w2 puts the pole at x0 = -0.3 on row
+    y0 = -0.2."""
+
+    X0, Y0 = -0.3, -0.2
+
+    @pytest.mark.parametrize("lat", [SQUARE, HEX, SKEW, TURNED], ids=["square", "hex", "skew", "turned"])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_x_tail_expansion(self, lat, k):
+        # the tails beyond |x - c| <= 8, c nearest the pole on row y, by
+        # integrate_ray from both ends outward; the same thin box serves
+        # rows above and below the pole, so the bound counts its span twice
+        w1, w2, a = lat.w1, lat.w2, 0.3 * lat.w1 + 0.2 * lat.w2
+        tau, f = w2 / w1, _strip_integrand(w1, w2, a, k)
+        for y in (-3.7, -0.45, 0.05, 2.3):
+            c = round(self.X0 - tau.real * (y - self.Y0))
+            boxes, span = [(c - 8, c + 8, y, y + 1e-6)] * 2, 2e-6
+            up = integrate_ray(lambda x: f(x, y), c + 8, float(k + 1), tol=1e-13)
+            dn = integrate_ray(lambda x: f(-x, y), 8 - c, float(k + 1), tol=1e-13)
+            for share in (1e-4, 1e-8, 1e-12):
+                tail, bound = _x_tails(w1, w2, a, k, self.X0, self.Y0, boxes, share * span * abs(w1) ** -k)
+                off = abs(tail(np.array([y]))[0] - up.value - dn.value)
+                assert off <= bound / span + up.err + dn.err and bound <= share * span * abs(w1) ** -k, (y, share)
+
+    @pytest.mark.parametrize("lat", [SQUARE, HEX, SKEW, TURNED], ids=["square", "hex", "skew", "turned"])
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_row_bound_covers_rows(self, lat, k):
+        # whole-line row integrals 1 to 4 row spacings from the pole row,
+        # where the rows beyond a y-cut start, against the residue bound
+        w1, w2 = lat.w1, lat.w2
+        tau, f = w2 / w1, _strip_integrand(w1, w2, 0.3 * w1 + 0.2 * w2, k)
+        for dy in (-3.75, -1.25, 1.0, 2.5, 4.0):
+            y = self.Y0 + dy
+            q = integrate_line(lambda x: f(x, y), float(k + 1), tol=1e-14)
+            bound = _row_bound(k, w1, tau, abs(tau.imag * dy))
+            assert abs(q.value) <= bound + q.err, dy
 
 
 class TestIntegrands:
