@@ -2,8 +2,9 @@
 
 Public surface: the first-order Euler-MacLaurin summation identities in
 one and two dimensions (``em_sum_1d``, ``em_sum_2d``), adaptive
-quadrature on segments, lines and half-strips, Weil's elliptic functions
-E_k(a, W) by direct Eisenstein summation and by an integral
+quadrature on segments and rectangles, and on lines, rays and
+half-strips with the caller's closed-form tails, Weil's elliptic
+functions E_k(a, W) by direct Eisenstein summation and by an integral
 representation, and the Hurwitz-Lerch zeta by series and by an integral
 representation.
 """
@@ -29,7 +30,6 @@ from .errors import (
     PointOnLattice,
     PoleNearDomain,
     SlowConvergence,
-    TailEstimateFailed,
     UnsupportedDecay,
     ZeroGenerator,
 )

@@ -52,9 +52,5 @@ class SlowConvergence(ConvergenceError):
     """A series needed more terms than the term budget allows."""
 
 
-class TailEstimateFailed(ConvergenceError):
-    """Sampling found no usable decay in an infinite-domain integrand."""
-
-
 class BudgetExceeded(LatzetaError):
     """A brute-force enumeration would exceed its hard size limit."""

@@ -14,8 +14,10 @@ z = 1 exactly on the unit circle) so that all branches are unambiguous
 and the two methods are directly comparable.
 
 At z = 1 (Hurwitz zeta) ln z = 0.  The integral route then takes the plain
-integral in closed form and integrates only the P1-weighted ray; the series
-route adds an Euler-MacLaurin tail (DLMF 2.10.1) and uses no quadrature.
+integral in closed form and integrates the P1-weighted ray as a segment
+[1, N] plus its Bernoulli tail beyond N; the series route sums N terms,
+adds the Euler-MacLaurin tail (DLMF 2.10.1) with the same Bernoulli tail
+(`_em_tail`) and uses no quadrature.
 """
 
 from __future__ import annotations
@@ -132,35 +134,45 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     )
 
 
-def _hurwitz_em(s: complex, a: complex, tol: float) -> tuple[complex, float]:
-    """sum_{n>=0} (n+a)^-s for Re s > 1: the first N terms directly, then the
-    Euler-MacLaurin tail at N (DLMF 2.10.1) of f(x) = (x+a)^-s,
+def _em_start(s: complex, a: complex) -> int:
+    """N with N + Re a >= |s| + 12, which keeps `_em_tail` decreasing."""
+    return max(0, math.ceil(abs(s) - a.real)) + 12
 
-        (N+a)^(1-s)/(s-1) + f(N)/2 - sum_{j<p} B_2j/(2j)! f^(2j-1)(N),
 
-    with f^(m)(x) = (-1)^m (s)_m (x+a)^(-s-m).  Since the periodic
+def _em_tail(s: complex, a: complex, n: int, share: float, head: complex = 0j) -> tuple[complex, float]:
+    """int_N^inf P1(x) f'(x) dx for f(x) = (x+a)^-s, Re s > 1, by parts with
+    the periodic Bernoulli functions (DLMF 24.2): -sum_{j<p} B_2j/(2j)!
+    f^(2j-1)(N), with f^(m)(x) = (-1)^m (s)_m (x+a)^(-s-m).  Since the periodic
     |B~_2p| <= |B_2p| (DLMF 24.9.1, 24.17), the remainder after p - 1
     corrections is at most 2 |B_2p|/(2p)! int_N^inf |f^(2p)|; the loop
-    stops once that is below tol and returns (value, bound).  For x >= N,
-    |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
-    N + Re a >= |s| + 12 keeps the corrections decreasing."""
-    sigma = s.real
-    n = max(0, math.ceil(abs(s) - a.real)) + 12
-    b = a + n
+    stops once that is below ``share`` and returns (value, bound).  For
+    x >= N, |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
+    SlowConvergence carries head + the partial sum as ``.best``."""
+    sigma, b = s.real, a + n
     fb = b ** (-s)
-    total = sum((a + k) ** (-s) for k in range(n)) + b * fb / (s - 1.0) + 0.5 * fb
     growth = math.exp(abs(s.imag * cmath.phase(b)))
-    poch = s  # (s)_(2j-1)
+    total, poch = 0j, s  # (s)_(2j-1)
     for j, b2j in enumerate(_BERNOULLI_2J, start=1):
         m = 2 * j
         scale = b2j / math.factorial(m)
         poch_m = poch * (s + m - 1)  # (s)_2j
         bound = 2 * abs(scale * poch_m) * growth * (n + a.real) ** (1 - sigma - m) / (sigma + m - 1)
-        if bound < tol:
+        if bound < share:
             return total, bound
         total += scale * poch * fb * b ** (1 - m)
         poch = poch_m * (s + m)
-    raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > tol {tol}", best=total)
+    raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > {share:g}", best=head + total)
+
+
+def _hurwitz_em(s: complex, a: complex, tol: float) -> tuple[complex, float]:
+    """sum_{n>=0} (n+a)^-s for Re s > 1 and its remainder bound: N terms
+    (`_em_start`), then the Euler-MacLaurin tail (DLMF 2.10.1) of
+    f(x) = (x+a)^-s, (N+a)^(1-s)/(s-1) + f(N)/2 + `_em_tail` to tol."""
+    n = _em_start(s, a)
+    fb = (a + n) ** (-s)
+    head = sum((a + k) ** (-s) for k in range(n)) + (a + n) * fb / (s - 1.0) + 0.5 * fb
+    tail, bound = _em_tail(s, a, n, tol, head)
+    return head + tail, bound
 
 
 def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
@@ -174,17 +186,19 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     at that radius as ``.best``; so it does when the segment's err, its
     roundoff floor included, exceeds tol/2 (1 + |value|), as where its
     terms cancel, or when the segment or ray misses tol in its budget.
-    At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and only
-    the weighted ray -s (x+a)^(-s-1) P1(x) goes to quadrature."""
+    At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and the
+    weighted ray -s (x+a)^(-s-1) P1(x) is `_em_tail` beyond N to tol/64
+    plus the segment [1, N] at tol/2, relative to the whole value."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
     head = a ** (-s) + z / (2.0 * (a + 1.0) ** s)
-    sigma = s.real
     if z == 1:
         head += (1.0 + a) ** (1.0 - s) / (s - 1.0)
+        n = _em_start(s, a)
+        tail, bound = _em_tail(s, a, n, tol / 64, head)
         try:
-            q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=sigma + 1.0, tol=tol / 2)
+            q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), tail, (1.0, n), tol / 2, head, bound)
         except NoConvergence as exc:
             raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
         return head + q.value
@@ -194,7 +208,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         g = np.exp(np.asarray(x, float) * log_z) * (x + a) ** (-s)
         return g * (1.0 + (log_z - s / (x + a)) * p1(x))
 
-    rate = -math.log(abs(z))
+    rate, sigma = -math.log(abs(z)), s.real
     # truncation radius from the exponential tail bound: the integral
     # of |z|^x beyond the radius R is |z|^R / rate
     radius = 16

@@ -1,28 +1,18 @@
 """Numerical integration of piecewise-smooth complex-valued integrands.
 
-Two algorithms, each written once:
-
-* ``_refine``, adaptive refinement on a finite domain, cut at integers
-  (the periodized Bernoulli weight P1 is non-smooth exactly there).  The
-  first pass evaluates the whole partition in array batches; only if it
-  misses tol is a max-heap built, and each pass then splits up to 64 of
-  the worst items and evaluates their children in one batch.  A panel or
-  cell returns the value of a Kronrod rule, and its distance from the
-  embedded Gauss rule on the same nodes is the error estimate:
-  ``_rects`` takes K15xK15 against G7xG7 on the cells of a list of
-  rectangles, and ``_segment`` K15 against G7 on the panels of a list of
-  spans, each panel inside one unit cell.  An item that is too small to
-  split, or whose split would overrun the panel budget, stays as it is;
-  a result either meets tol * (1 + |base + value|), ``base`` being the
-  rest of a sum the value joins, or NoConvergence is raised.
-* ``_improper``, the doubling driver of ``_shells`` (``integrate_line``
-  and ``integrate_ray``, each level one ``_segment`` over the new shell
-  on every side): the domain is truncated at integer-aligned radii that
-  double per level, the partial values are accelerated (the better of
-  Richardson and iterated Aitken), and the doubling stops at the first
-  level whose sampled algebraic tail bound meets the target, or whose
-  accelerated value has settled, up to a fixed radius.  The half-strips
-  take no doubling: the caller gives boxes and closed forms beyond them.
+One algorithm, ``_refine``: adaptive refinement on a finite domain, cut
+at integers (the periodized Bernoulli weight P1 is non-smooth exactly
+there).  The first pass evaluates the whole partition in array batches;
+only if it misses tol is a max-heap built, and each pass then splits up
+to 64 of the worst items and evaluates their children in one batch.  A
+panel or cell returns the value of a Kronrod rule, and its distance from
+the embedded Gauss rule on the same nodes is the error estimate:
+``_rects`` takes K15xK15 against G7xG7 on the cells of a list of
+rectangles, and ``_segment`` K15 against G7 on the panels of a list of
+spans, each panel inside one unit cell.  A result meets tol * (1 +
+|base + value|), ``base`` being the rest of a sum the value joins, or
+NoConvergence is raised.  Lines, rays and half-strips are such a finite
+domain plus the caller's closed form beyond it and its remainder bound.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -36,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, TailEstimateFailed, UnsupportedDecay
+from .errors import NoConvergence
 
 #: panels one adaptive segment or rectangle may hold, read at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
@@ -86,7 +76,8 @@ class QuadratureResult:
     err: float
     panels: int
     evals: int
-    #: stop rule and radius: "plain-tail" | "extrapolated" at the last doubling radius, or "box"
+    #: stop rule and radius: "tail" beyond a line's or ray's span, its radius
+    #: the span's largest |end|, or "box" (half-strips; radius left to the caller)
     stop: str | None = None
     radius: float | None = None
 
@@ -183,11 +174,8 @@ def shanks_extrapolate(seq):
 
 def richardson_extrapolate(seq):
     """Richardson (Neville) extrapolation assuming an error expansion in
-    successive integer powers of 1/2 per level.
-
-    This is the natural accelerator for domain truncations at
-    integer-aligned radii that double per level.  Returns (best,
-    increment) with the increment taken along the table diagonal."""
+    successive integer powers of 1/2 per level, as of partial sums at
+    doubling N.  Returns (best, increment along the table diagonal)."""
     s = [complex(v) for v in seq]
     rows = [[s[0]]]
     for j in range(1, len(s)):
@@ -202,13 +190,9 @@ def richardson_extrapolate(seq):
     return diag[-1], abs(diag[-1] - diag[-2])
 
 
-def _accelerate(levels, integer_powers=True):
-    """Best of Richardson (integer powers) and iterated Aitken, or Aitken
-    alone where the tail has non-integer powers: there Richardson can
-    settle on a wrong limit with a small increment."""
+def _accelerate(levels):
+    """The better of Richardson and iterated Aitken, by their increments."""
     est_a, inc_a = shanks_extrapolate(levels)
-    if not integer_powers:
-        return est_a, inc_a
     est_r, inc_r = richardson_extrapolate(levels)
     return (est_r, inc_r) if inc_r <= inc_a else (est_a, inc_a)
 
@@ -365,102 +349,34 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
 # improper 1-D integrals
 
 
-def _tail_constant(mags, rads, decay_order):
-    """Estimate C in |f| <= C r^(-q) from sampled |f| at radii rads, and
-    reject non-decay.  Entries run from the first radius to the last."""
-    scaled = mags * rads**decay_order
-    # growth of |f| r^q across the probe span means the claimed decay is absent
-    if scaled[-1] > 50.0 * (scaled[0] + 1e-300) and mags[-1] > 1e-13:
-        raise TailEstimateFailed(f"integrand does not decay like r^-{decay_order} (sampled growth)")
-    return float(scaled.max())
-
-
-def _improper(segment_for, start_radius, max_radius, tol, tail_bound, decay_order, base=0j):
-    """The doubling driver: integrals to doubling radii, accelerated.
-
-    ``segment_for(r_prev, r, done)`` integrates the part of the domain added
-    at radius r (r_prev is None on the first level), ``done`` being the sum
-    of the levels before it.  ``tail_bound(r)`` is a bound on the neglected
-    tail (may be inf).  The target is tol itself, tol * (1 + |base + est|)
-    with ``base`` the rest of a sum that the integral joins and est its
-    running estimate, and follows the whole sum level by level.
-    It stops, and names the rule and radius in its result, on the plain
-    value once the tail bound meets the target ("plain-tail"), or from
-    the fourth level on the accelerated one once its increment meets the
-    target and it lies within 10 targets of the level before (an increment
-    can be small by chance while the value still moves): "extrapolated",
-    taken where both hold and its err is smaller.  Gives up with the best
-    estimate once r reaches max_radius or the panels of all levels exceed
-    64 panel budgets (each level's adaptive calls hold their own budget).
-    Richardson joins the extrapolation only for an integer ``decay_order``,
-    whose tail has integer powers.
-    """
-    levels, quad_err, panels, evals, value, prev_est = [], 0.0, 0, 0, 0j, math.nan
-    r_prev, r = None, start_radius
-    while True:
-        res = segment_for(r_prev, r, value)
-        value, quad_err, panels, evals = value + res.value, quad_err + res.err, panels + res.panels, evals + res.evals
-        levels.append(value)
-        plain_tail = tail_bound(r)
-        est, inc = _accelerate(levels, float(decay_order).is_integer())
-        target = tol * (1.0 + abs(base + est))
-        settled = len(levels) >= 4 and inc <= target and abs(est - prev_est) <= 10 * target
-        if plain_tail <= target and not (settled and inc < plain_tail):
-            return QuadratureResult(value, quad_err + plain_tail, panels, evals, stop="plain-tail", radius=r)
-        if settled:
-            err = quad_err + inc + _EPS_FLOOR * (1.0 + abs(est))
-            return QuadratureResult(est, err, panels, evals, stop="extrapolated", radius=r)
-        if r >= max_radius or panels > 64 * DEFAULT_PANEL_BUDGET:
-            best_v, best_e = (est, inc) if inc < plain_tail else (value, plain_tail)
-            if not math.isfinite(best_e):
-                best_e = abs(levels[-1] - levels[-2]) if len(levels) > 1 else abs(best_v)
-            best = QuadratureResult(best_v, quad_err + best_e, panels, evals)
-            raise NoConvergence(f"improper integral not converged at radius {r} (target tol {tol:g})", best=best)
-        r_prev, r, prev_est = r, 2 * r, est
-
-
-def _shells(fv, origin, sides, probes, decay_order, tol, max_radius, base=0j):
-    """The integral of a vectorized fv along the rays from ``origin`` in the
-    directions ``sides`` (-1.0 and/or 1.0) to infinity, by ``_improper``.
-
-    Level r is one ``_segment`` at tol/8, relative to base plus the levels
-    before, over the shell r_prev..r from origin on every side (0..16 on
-    the first), and the stop rule takes tol/4.  Requires decay_order
-    q > 1: the tail constant c of |f| <= c |x|^-q is sampled at the
-    positions ``probes``, and the tail beyond radius r is at most
-    len(sides) c r^(1-q) / (q - 1).  NoConvergence is raised once r
-    reaches max_radius."""
-    if decay_order <= 1:
-        raise UnsupportedDecay(f"line and ray integrals need decay_order > 1, got {decay_order}")
+def _span_and_tail(f, tail, span, tol, base, bound):
+    lo, hi = span
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {span}")
     check_tol(tol)
-    q = decay_order
-    c = _tail_constant(np.abs(fv(probes)), np.abs(probes), q)
-
-    def tail_bound(r):
-        return len(sides) * c * r ** (1.0 - q) / (q - 1.0)
-
-    def segment_for(r_prev, r, done):
-        spans = [sorted((origin + side * (r_prev or 0), origin + side * r)) for side in sides]
-        return _segment(fv, spans, tol / 8, f"shells {r_prev or 0}..{r} from {origin}", base + done)
-
-    return _improper(segment_for, 16, max_radius, tol / 4, tail_bound, q, base)
+    try:
+        q = _segment(vectorize1(f), [span], tol, f"span [{lo}, {hi}]", base + tail)
+    except NoConvergence as exc:
+        q = exc.best
+        exc.best = QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals)
+        raise
+    return QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals, "tail", max(abs(lo), abs(hi)))
 
 
-def integrate_line(f, decay_order: float, tol: float = 1e-8, base: complex = 0j) -> QuadratureResult:
-    """Integrate f over the whole real line, an absolutely convergent
-    integral with |f| ~ |x|^-decay_order, decay_order > 1: ``_shells`` on
-    both sides of 0, the tail constant sampled at +-32, 64, 128 and 256,
-    giving up at radius 2^13."""
-    probes = np.array([32.0, 64.0, 128.0, 256.0, -32.0, -64.0, -128.0, -256.0])
-    return _shells(vectorize1(f), 0.0, (-1.0, 1.0), probes, decay_order, tol, 1 << 13, base)
+def integrate_line(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
+    """The integral of f over the real line as a finite span plus the
+    caller's closed form beyond it: f over ``span`` = (lo, hi) by one
+    ``_segment`` at tol, relative to 1 + |base + value|, plus ``tail``, the
+    integral of f beyond both ends; ``bound``, the caller's absolute bound
+    on the tail's remainder, joins err.  NoConvergence carries the span's
+    best value plus tail."""
+    return _span_and_tail(f, tail, span, tol, base, bound)
 
 
-def integrate_ray(f, start: float, decay_order: float, tol: float = 1e-8) -> QuadratureResult:
-    """Integrate f over [start, infinity), with |f| ~ x^-decay_order,
-    decay_order > 1: ``_shells`` on one side of start, the tail constant
-    sampled at start + 32, 128 and 512, giving up at radius 2^14."""
-    probes = start + np.array([32.0, 128.0, 512.0])
-    return _shells(vectorize1(f), start, (1.0,), probes, decay_order, tol, 1 << 14)
+def integrate_ray(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
+    """``integrate_line`` for a ray [lo, infinity): ``tail`` is the integral
+    of f beyond hi alone."""
+    return _span_and_tail(f, tail, span, tol, base, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,19 @@ Two independent evaluation routes:
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   J1 along the two edges y0 +/- eps of the excluded band around the pole
-  row, plus the half-strip double integrals J2 and J3 above and below the
-  band, taken as one integral J2 + J3 (``strips``) on one finite box per
-  side with closed forms beyond it (``_strip_box``).  Only supported for
-  k >= 3 (the 2-D pieces are not absolutely convergent below that),
-  where E_k depends on the lattice alone, so both routes sum on its
-  Lagrange-Gauss reduced basis.  For integer j >= 2 and c off the line,
-  int_R (c + x w1)^(-j) dx = 0, so by Fubini every term free of P1(x)
-  integrates to exactly 0 and is left out of the integrands.  What is
-  left decays like |b|^-(k+1), faster than the decay order k passed to
-  the quadrature, which therefore stays a valid bound.  The integrands
-  take one reciprocal 1/b per point and build its integer powers from
-  products (``_ipow``), updating arrays in place: numpy's complex ``**``
-  goes through cpow, which cost most of the integrand's time.
+  row, one segment |x| <= 8 with Bernoulli tails beyond it
+  (``_edge_tails``), plus the half-strip double integrals J2 and J3
+  above and below the band, taken as one integral J2 + J3 (``strips``)
+  on one finite box per side with closed forms beyond it
+  (``_strip_box``).  Only supported for k >= 3 (the 2-D pieces are not
+  absolutely convergent below that), where E_k depends on the lattice
+  alone, so both routes sum on its Lagrange-Gauss reduced basis.  For
+  integer j >= 2 and c off the line, int_R (c + x w1)^(-j) dx = 0, so by
+  Fubini every term free of P1(x) integrates to exactly 0 and is left
+  out of the integrands.  The integrands take one reciprocal 1/b per
+  point and build its integer powers from products (``_ipow``), updating
+  arrays in place: numpy's complex ``**`` goes through cpow, which cost
+  most of the integrand's time.
 
 (x0, y0) are the lattice coordinates of -a.  The strips leave out the
 band (y0 - eps, y0 + eps], which holds at most one integer row since
@@ -80,8 +80,8 @@ class WeilReport:
     row_correction: complex = 0j
     #: the basis (w1, w2) that the sum ran on and the parts refer to
     basis: tuple = ()
-    #: (stop rule, radius) of J1's line (``_improper``) and of the strips
-    #: ("box", the depth of the box)
+    #: (stop rule, radius) of J1's line ("tail" beyond |x| = 8) and of the
+    #: strips ("box", the depth of the box)
     stops: tuple = ()
 
 
@@ -213,6 +213,29 @@ def _edge_integrand(w1: complex, w2: complex, a: complex, k: int, y_dn: float, y
     return f
 
 
+def _edge_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, edges, share: float):
+    """J1's tails beyond |x| = 8 and their remainder bound.  On edge y, P1(x) G
+    with G = +/- k w1 P1(y) b^-(k+1) (+ on the lower edge) has the tails
+    sum_{j<=p} B_2j/(2j)! [d^(2j-2)G(-8) - d^(2j-2)G(8)] by parts (DLMF 24.2),
+    d^m b^-(k+1) = (k+1)_m w1^m b^-(k+1+m) for even m, to the fewest p whose
+    bound meets ``share`` (else p = 10).  As |B~_2p| <= |B_2p| (DLMF 24.9.1)
+    and |b| >= |w1| |x - x_p|, x_p = x0 - Re tau (y - y0), the remainder per
+    end and edge is |B_2p|/(2p)! k (k+1)_(2p-2) |P1(y)| |w1|^-k u^(1-k-2p)
+    at most, u = 8 - |x_p|."""
+    tau = w2 / w1
+    sides = [(sign * p1(y), a + y * w2, 8 - abs(x0 - tau.real * (y - y0))) for sign, y in zip((1, -1), edges)]
+    total = 0j
+    for p, b2p in enumerate(_BERNOULLI_2J, start=1):
+        coef = k * b2p * math.factorial(k + 2 * p - 2) / math.factorial(k) / math.factorial(2 * p)
+        n = k + 2 * p - 1
+        for weight, c, _ in sides:
+            total += coef * w1 ** (2 * p - 1) * weight * ((c - 8 * w1) ** -n - (c + 8 * w1) ** -n)
+        bound = sum(2 * abs(coef * weight) * abs(w1) ** -k * u**-n for weight, _, u in sides)
+        if bound <= share:
+            break
+    return total, bound
+
+
 def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
     """Row n, sum_m (c + m w1)^-k with c = a + n w2, by the 1-D Euler-MacLaurin
     formula: with u = c/w1 and d = u - round(Re u) it is
@@ -318,12 +341,13 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     reported as ``row_correction``.  The pole lies eps |det| / |w1| from both
     band edges in the a-plane; below 1e-6 that raises PoleNearDomain before
     any integral is taken.  The parts share one absolute target, tol * (1 +
-    |E|): the row takes tol/16, J1 tol/16 relative to row + J1, and J2 + J3,
+    |E|): the row takes tol/16, J1 tol/16 relative to row + J1 (its segment
+    half of that, its tails' remainder 1/16 of it, absolute), and J2 + J3,
     one integral whose value the report gives as ``strips``, 7/8 tol
     relative to the whole sum.  Where J1 cancels J2 + J3 (y0 = 1/2) and
-    misses its share, J1 alone runs again with the strips in its offset (the
-    strips never run twice); ConvergenceError, with the report as ``.best``,
-    says the sum missed tol still."""
+    misses its share, J1's segment alone runs again with the strips in its
+    offset; ConvergenceError, with the report as ``.best``, says the sum
+    missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -339,22 +363,21 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
         raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     coords = lattice_coordinates(lat, -a)
     # E_k has period w1 for k >= 3: move J1's peak, at x = x0, next to the
-    # x = 0 that integrate_line centres on
+    # x = 0 that J1's span centres on
     n = round(coords.x0)
     a += n * w1
     x0, y0 = coords.x0 - n, coords.y0
     y_up, y_dn = y0 + eps, y0 - eps
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
     row, row_err = _band_row(a, w1, w2, k, hi, tol / 16) if hi > lo else (0j, 0.0)
-    # J1 on the band edges, J2 + J3 on the half-strips above and below the
-    # band as one integral; decay_order k bounds terms that decay like |b|^-(k+1)
     edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
-    q1 = integrate_line(edge, float(k), tol / 16, base=row)
+    edge_tail, edge_bound = _edge_tails(w1, w2, a, k, x0, y0, (y_dn, y_up), tol / 256)
+    q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row, edge_bound)
     # the strips' y-cut and x-tail remainder take 1/32 of their 7/8 tol each
     boxes, tail, bound, depth = _strip_box(w1, w2, a, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
     q = integrate_half_strip(_strip_integrand(w1, w2, a, k), tail, boxes, tol * 7 / 8, row + q1.value, bound)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
-        q1 = integrate_line(edge, float(k), tol / 16, base=row + q.value)
+        q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row + q.value, edge_bound)
     stops = ((q1.stop, q1.radius), (q.stop, depth))
     value = q1.value + q.value + row
     report = WeilReport(value, "integral", q1.err + q.err + row_err, q1.value, q.value, eps, row, (w1, w2), stops)

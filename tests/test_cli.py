@@ -43,7 +43,8 @@ class TestWeil:
 
     def test_breakdown_names_stop_rules(self, capsys):
         # k = 8 on the square lattice: the strips run on a box whose depth,
-        # a half-integer, is where their y-cut bound meets its share
+        # a half-integer, is where their y-cut bound meets its share, and J1
+        # on the span |x| <= 8 with its Bernoulli tails beyond
         code, out = run_cli(
             capsys,
             "weil", "--w1", "1", "--w2", "i", "--a", "0.3+i", "--k", "8",
@@ -52,7 +53,7 @@ class TestWeil:
         assert code == 0
         doc = json.loads(out)["integral"]
         assert doc["strips_stop"] == "box" and doc["strips_radius"] == 4.5
-        assert doc["j1_stop"] in ("plain-tail", "extrapolated") and doc["j1_radius"] >= 16
+        assert doc["j1_stop"] == "tail" and doc["j1_radius"] == 8
 
     def test_breakdown_names_reduced_basis(self, capsys):
         # (2 + i, 3 + 2i) is an unreduced basis of the square lattice; the

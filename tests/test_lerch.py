@@ -233,10 +233,11 @@ class TestCoffeyNearUnitCircle:
 
     @pytest.mark.parametrize("s,a", [(2.5, 0.5), (3.0, 1.0)])
     def test_ray_budget_raise_carries_lerch_value(self, monkeypatch, s, a):
-        # z = 1 with a budget of one panel: the ray stops inside a segment
-        # (s = 2.5) or in its doubling driver (s = 3)
+        # z = 1 with no panel beyond the ray's unit cells: its segment [1, N]
+        # misses tol at once, and the raise carries head terms, tail and
+        # segment
         mpmath = pytest.importorskip("mpmath")
-        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 1)
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 0)
         with pytest.raises(SlowConvergence) as info:
             lerch_coffey(LerchParams(1.0, s, a), tol=1e-12)
         want = complex(mpmath.zeta(s, a))
@@ -367,7 +368,8 @@ class TestUnitCircle:
         a=st.floats(0.2, 4.0),
         route=st.sampled_from(sorted(ROUTES)),
     )
-    # the ray's Richardson estimate at a + 1 settled 8e-10 off its limit
+    # an earlier ray driver, extrapolating with Richardson's integer powers,
+    # settled 8e-10 off the limit at a + 1
     @example(s=3.1165095527776816, a=3.115234375, route="coffey")
     def test_hurwitz_shift(self, s, a, route):
         # zeta(s, a) - zeta(s, a+1) = a^-s

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from latzeta.bernoulli import p1
-from latzeta.errors import NoConvergence, UnsupportedDecay
+from latzeta.errors import NoConvergence
 from latzeta.lattice import lattice_new
+from latzeta.lerch import _em_start, _em_tail
 from latzeta.quadrature import (
     _K15,
     _EPS_FLOOR,
@@ -29,7 +30,6 @@ from latzeta.quadrature import (
 from latzeta.weil import (
     WeilParams,
     _band_row,
-    _edge_integrand,
     _strip_box,
     _strip_integrand,
     weil_direct,
@@ -243,14 +243,18 @@ class TestRefine:
         assert (q.panels, q.evals, q.value) == (16, 8 + 16, 1.0)
 
 
+#: the integral of 1 / (1 + x^2) beyond |x| = 8
+_LORENTZ_TAIL = 2 * (math.pi / 2 - math.atan(8.0))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize(
     "integrate",
     [
         lambda tol: integrate_segment(np.cos, 0.0, 1.0, tol=tol),
         lambda tol: integrate_rect(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=tol),
-        lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=tol),
-        lambda tol: integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=tol),
+        lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=tol),
+        lambda tol: integrate_ray(lambda x: x**-2.0, 1 / 64, (1.0, 64.0), tol=tol),
         lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, np.cos, [(-8.0, 8.0, 0.0, 4.0)], tol=tol),
     ],
     ids=["segment", "rect", "line", "ray", "half_strip"],
@@ -260,71 +264,74 @@ def test_rejects_unmeetable_tol(integrate, tol):
         integrate(tol)
 
 
+def _peak_cdf(u):
+    """An antiderivative of (1 + u^2)^-2, tending to +-pi/4."""
+    return u / (2 * (1 + u * u)) + math.atan(u) / 2
+
+
 class TestLine:
     def test_lorentzian(self):
-        q = integrate_line(lambda x: 1.0 / (1.0 + x * x), decay_order=2.0, tol=1e-10)
+        q = integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=1e-10)
         assert q.value == pytest.approx(math.pi, abs=1e-9)
+        assert (q.stop, q.radius) == ("tail", 8.0)
 
     def test_shifted_peak(self):
-        q = integrate_line(lambda x: 1.0 / (1.0 + (x - 3.0) ** 2) ** 2, decay_order=4.0, tol=1e-10)
+        tail = math.pi / 2 - _peak_cdf(5.0) + _peak_cdf(-11.0)
+        q = integrate_line(lambda x: 1.0 / (1.0 + (x - 3.0) ** 2) ** 2, tail, (-8.0, 8.0), tol=1e-10)
         assert q.value == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_shells_meet_tol_relative_to_the_sum(self):
-        # base cancels the bulk, which the first level holds; a narrow peak
-        # of weight 1 at x = 20 falls in the next shell, whose target must
-        # follow base plus the levels before it, not base alone
-        a, h, tol = 1e4, 0.02, 1e-8
+        # base cancels the bulk; a narrow peak of weight 1 at x = 20 lies
+        # inside the span, whose target must follow base plus the tail and
+        # the span's value, not base alone.  The tails beyond |x| = 32 are
+        # in closed form: (x/(4(1+x^2)^2) + 3x/(8(1+x^2)) + 3 atan(x)/8)' =
+        # (1 + x^2)^-3, and the peak's is _peak_cdf's in (x - 20)/h
+        a, h, tol, r = 1e4, 0.02, 1e-8, 32.0
 
         def f(x):
             return a / (1 + x * x) ** 3 + (2 / math.pi) * h**3 / ((x - 20) ** 2 + h * h) ** 2
 
+        bulk = r / (4 * (1 + r * r) ** 2) + 3 * r / (8 * (1 + r * r)) + 3 * math.atan(r) / 8
+        peak = math.pi / 2 - _peak_cdf((r - 20) / h) + _peak_cdf((-r - 20) / h)
+        tail = 2 * a * (3 * math.pi / 16 - bulk) + 2 / math.pi * peak
         base = -3 * math.pi / 8 * a
-        q = integrate_line(f, decay_order=4.0, tol=tol, base=base)
+        q = integrate_line(f, tail, (-r, r), tol=tol, base=base)
         assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
 
-    def test_extrapolation_stops_once_settled(self):
-        # base cancels the bulk, so the stop target is about 2.5e-9; the
-        # peak at x = 20 enters at radius 32, and the increments run
-        # 1.4e-2, 1.1e-2, 6.2e-10: the last is met by chance while the
-        # accelerated estimate still moves, and stopping there gave err
-        # 8.1e-10 against a true error of 8.6e-8
-        a, h, tol = 1e4, 0.05, 1e-8
-
-        def f(x):
-            return a / (1 + x * x) ** 2 + (2 / math.pi) * h**3 / ((x - 20) ** 2 + h * h) ** 2
-
-        base = -a * math.pi / 2
-        q = integrate_line(f, decay_order=4.0, tol=tol, base=base)
-        assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
-
-    def test_absolute_requires_decay(self):
-        with pytest.raises(UnsupportedDecay):
-            integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), decay_order=1.0)
+    def test_bound_joins_err_and_raise_carries_tail(self, monkeypatch):
+        q = integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=1e-10, bound=1e-3)
+        assert 1e-3 <= q.err <= 1e-3 + 1e-9
+        monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 0)
+        with pytest.raises(NoConvergence) as info:
+            integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=1e-14)
+        assert info.value.best.value == pytest.approx(math.pi, abs=1e-6)
 
 
 class TestRay:
     def test_algebraic(self):
-        q = integrate_ray(lambda x: x**-2.0, 1.0, decay_order=2.0, tol=1e-10)
+        q = integrate_ray(lambda x: x**-2.0, 1 / 64, (1.0, 64.0), tol=1e-10)
         assert q.value == pytest.approx(1.0, abs=1e-8)
 
     def test_non_integer_decay_is_not_richardson_extrapolated(self):
-        # -s (x+a)^(-s-1) P1(x), the Hurwitz ray: Richardson's integer
-        # powers do not fit its tail, and at radius 256 its last two
-        # diagonal entries agreed to 8e-13 while both lay 8e-10 off the
-        # limit (from mpmath.zeta at 30 digits)
-        s, a = 3.1165095527776816, 4.115234375
-        q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), 1.0, decay_order=s + 1.0, tol=5e-11)
+        # -s (x+a)^(-s-1) P1(x), the Hurwitz ray, kept as a regression input
+        # for the z = 1 ray: the segment [1, N] plus its Bernoulli tail at N.
+        # An earlier driver, extrapolating the ray with Richardson's integer
+        # powers, settled 8e-10 off the limit (from mpmath.zeta at 30 digits)
+        s, a, tol = 3.1165095527776816, 4.115234375, 5e-11
+        n = _em_start(s, a)
+        tail, bound = _em_tail(s, a, n, tol / 64)
+        q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), tail, (1.0, n), tol=tol, bound=bound)
         limit = 3.095910874793238e-04
         assert abs(q.value - limit) <= q.err
-        assert abs(q.value - limit) <= 5e-11
+        assert abs(q.value - limit) <= tol
 
     def test_slow_algebraic(self):
-        q = integrate_ray(lambda x: x**-1.2, 1.0, decay_order=1.2, tol=1e-8)
+        q = integrate_ray(lambda x: x**-1.2, 5 * 64.0**-0.2, (1.0, 64.0), tol=1e-8)
         assert q.value == pytest.approx(5.0, rel=1e-7)
 
-    def test_rejects_nonintegrable(self):
-        with pytest.raises(UnsupportedDecay):
-            integrate_ray(lambda x: 1.0 / x, 1.0, decay_order=1.0)
+    def test_rejects_empty_span(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            integrate_ray(lambda x: x**-2.0, 1.0, (1.0, 1.0))
 
 
 class TestRect:
@@ -389,16 +396,18 @@ def _outside_band(band):
     return sum(math.pi / 2 * (1 - abs(e) / math.hypot(1, e)) for e in band)
 
 
-def _strips_truth(a, k, band, tol=1e-13):
+def _strips_truth(row_ref, a, k, band, tol=1e-13):
     """J2 + J3 of the square lattice outside ``band``, as E_k(a) (direct)
     less J1 on the band edges and the integer row inside the band; returns
-    the value and the summed error estimates of the three."""
+    the value and the summed error estimates of the direct sum and the row.
+    By the first-order EM identity J1 = P1(y_up) R_k(c_up) - P1(y_dn)
+    R_k(c_dn), R_k(c) = sum_n (c + n)^-k and c = a + i y on edge y."""
     p = WeilParams(lattice_new(1.0, 1j), a, k)
     direct = weil_direct(p, tol=tol)
-    line = integrate_line(_edge_integrand(1.0, 1j, a, k, *band), float(k), tol)
+    line = sum(sign * p1(y) * row_ref(a + 1j * y, 1.0, k) for sign, y in zip((-1, 1), band))
     n = math.floor(band[1])
     row, row_err = _band_row(a, 1.0, 1j, k, n, tol) if n > math.floor(band[0]) else (0j, 0.0)
-    return direct.value - line.value - row, direct.err + line.err + row_err
+    return direct.value - line - row, direct.err + row_err
 
 
 def _weil_strips(a, k, band, tol):
@@ -431,24 +440,24 @@ class TestHalfStrip:
         with pytest.raises(ValueError, match="increasing"):
             integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, lambda y: 0 * y, [(-8.0, 8.0, 0.5, 0.25)])
 
-    def test_weil_strip_on_box(self):
+    def test_weil_strip_on_box(self, row_ref):
         # square lattice, a = 0.3 + 0.2i, k = 8: the strips outside the band
         # y in (-0.45, 0.05] around the pole row y0 = -0.2
         a, band = 0.3 + 0.2j, (-0.45, 0.05)
         q = _weil_strips(a, 8, band, 2.5e-9)
         assert q.stop == "box" and q.err <= 2.5e-9 * (1 + abs(q.value))
-        want, want_err = _strips_truth(a, 8, band)
+        want, want_err = _strips_truth(row_ref, a, 8, band)
         assert abs(q.value - want) <= q.err + want_err
 
     @pytest.mark.parametrize("k", [3, 8])
     @pytest.mark.parametrize("a", [0.3 + 0.2j, 0.3 + 0.5j], ids=["generic", "cancelling"])
-    def test_joint_strips_equal_sum_of_sides(self, a, k):
+    def test_joint_strips_equal_sum_of_sides(self, a, k, row_ref):
         # the band (y0 - 1/4, y0 + 1/4] around the pole row y0 = -Im a; the
         # sides' sum J2 + J3 is E_k less J1 and the band's row
         y0 = -a.imag
         band = (y0 - 0.25, y0 + 0.25)
         joint = _weil_strips(a, k, band, 1e-9)
-        want, want_err = _strips_truth(a, k, band)
+        want, want_err = _strips_truth(row_ref, a, k, band)
         assert abs(joint.value - want) <= joint.err + want_err
 
     def test_weil_err_bounds_true_error(self):

@@ -29,13 +29,16 @@ def test_traced_weil_integral_records_layers():
         weil_integral(WeilParams(latzeta.lattice_new(1.0, 1j), 0.3 + 0.2j, 8), tol=1e-6)
     names = [span[2] for span in tracer.spans]
     assert "weil.j1" in names
+    # J1's segment is counted under the traced name integrate_line
+    assert any(span[2] == "quadrature.integrate_line" and span[5]["evals"] > 0 for span in tracer.spans)
     assert names.count("weil.j2") + names.count("weil.j3") == names.count("quadrature.integrate_half_strip") == 1
     assert quadrature.integrate_half_strip is original
 
 
 def test_traced_lerch_and_em2d_record_layers():
     # the layers of the lerch and em2d workloads: the z = 1 ray of
-    # hurwitz_zeta, and em_sum_2d's rectangle and boundary segments
+    # hurwitz_zeta, whose segment is counted under integrate_ray, and
+    # em_sum_2d's rectangle and boundary segments
     tracer = _load_spans().Tracer()
     with tracer:
         lerch.hurwitz_zeta(2.5, 0.5, tol=1e-8)
@@ -47,3 +50,4 @@ def test_traced_lerch_and_em2d_record_layers():
         "quadrature.integrate_rect",
         "em2d.em_sum_2d",
     } <= names
+    assert any(span[2] == "quadrature.integrate_ray" and span[5]["evals"] > 0 for span in tracer.spans)
