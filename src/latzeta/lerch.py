@@ -30,7 +30,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, NoConvergence, SlowConvergence
-from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, _segment, check_tol, integrate_ray, vectorize1
+from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, _cells, check_tol, integrate_ray, vectorize1
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -220,7 +220,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     ) >= tol / 4 and radius < MAX_SPAN_CELLS:
         radius *= 2
     try:
-        q = _segment(vectorize1(integrand), [(1.0, 1.0 + radius)], tol / 4, f"segment [1, {1 + radius}]", head)
+        q = _cells(vectorize1(integrand), [(1.0, 1.0 + radius)], tol / 4, f"segment [1, {1 + radius}]", head)
     except NoConvergence as exc:
         raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
     value = head + q.value

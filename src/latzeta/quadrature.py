@@ -1,18 +1,18 @@
 """Numerical integration of piecewise-smooth complex-valued integrands.
 
-One algorithm, ``_refine``: adaptive refinement on a finite domain, cut
-at integers (the periodized Bernoulli weight P1 is non-smooth exactly
-there).  The first pass evaluates the whole partition in array batches;
-only if it misses tol is a max-heap built, and each pass then splits up
-to 64 of the worst items and evaluates their children in one batch.  A
-panel or cell returns the value of a Kronrod rule, and its distance from
-the embedded Gauss rule on the same nodes is the error estimate:
-``_rects`` takes K15xK15 against G7xG7 on the cells of a list of
-rectangles, and ``_segment`` K15 against G7 on the panels of a list of
-spans, each panel inside one unit cell.  A result meets tol * (1 +
-|base + value|), ``base`` being the rest of a sum the value joins, or
-NoConvergence is raised.  Lines, rays and half-strips are such a finite
-domain plus the caller's closed form beyond it and its remainder bound.
+One rule and one algorithm in one and two dimensions.  ``_cells`` cuts
+segments or rectangles at every integer (the periodized Bernoulli weight
+P1 is non-smooth exactly there) and refines the unit cells by
+``_refine``: the first pass evaluates them all in array batches; only if
+it misses tol is a max-heap built, and each pass then halves up to 64 of
+the worst cells along every axis and evaluates their children in one
+batch.  A cell returns the tensor K15 rule, and its distance from the G7
+subset on the same nodes is the error estimate.  A call may use
+DEFAULT_PANEL_BUDGET panels beyond its unit cells, and holds at most
+MAX_SPAN_CELLS of them.  A result meets tol * (1 + |base + value|),
+``base`` being the rest of a sum the value joins, or NoConvergence is
+raised.  Lines, rays and half-strips are such a finite domain plus the
+caller's closed form beyond it and its remainder bound.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
 plain scalar callables; scalar callables are detected and looped over.
@@ -28,9 +28,10 @@ import numpy as np
 
 from .errors import NoConvergence
 
-#: panels one adaptive segment or rectangle may hold, read at each call
+#: panels one adaptive segment or rectangle may add to its unit cells, read
+#: at each call
 DEFAULT_PANEL_BUDGET = 1 << 16
-#: unit cells one segment or rectangle side may span
+#: unit cells one adaptive segment or rectangle call may hold in all
 MAX_SPAN_CELLS = 1 << 20
 #: points one integrand call may hold, which bounds peak memory
 _MAX_CALL_POINTS = 1 << 14
@@ -271,82 +272,117 @@ def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
 
 
 # ---------------------------------------------------------------------------
-# finite segments
+# unit cells: segments and rectangles
 
 
 def _cutpoints(a, b):
-    """The ends of [a, b] and the integers inside it, as a sorted array.
-    A span of more than MAX_SPAN_CELLS unit cells raises NoConvergence."""
-    n0 = math.floor(a) + 1
-    n1 = math.ceil(b) - 1
-    if n1 - n0 + 2 > MAX_SPAN_CELLS:
-        raise NoConvergence(f"[{a}, {b}] spans more than {MAX_SPAN_CELLS} unit cells")
-    pts = np.arange(n0 - 1, n1 + 2, dtype=float)
+    """The ends of [a, b] and the integers inside it, as a sorted array."""
+    pts = np.arange(math.floor(a), math.ceil(b) + 1, dtype=float)
     pts[0], pts[-1] = a, b
     return pts
 
 
-def _eval_panel_batch(fv, bounds):
-    """K15 on each (lo, hi) row of ``bounds``, _MAX_CALL_POINTS // 15
-    panels per integrand call, which bounds peak memory.
+def _eval_cells(fv, cells):
+    """The tensor K15 rule on each row of ``cells``, (lo, hi) per axis with
+    x first, _MAX_CALL_POINTS // 15**dim cells per integrand call, which
+    bounds peak memory.  A 1-D fv gets its nodes as one flat array, a 2-D
+    fv as (cells, 1, x) and (cells, y, 1) grids.
 
-    Returns arrays over the panels: value, error estimate (|K15 - G7|)
-    and integral of |f|."""
-    bounds = np.asarray(bounds, float)
-    value, err, mass = np.empty(len(bounds), complex), np.empty(len(bounds)), np.empty(len(bounds))
-    step = _MAX_CALL_POINTS // _K15[0].size
-    for i in range(0, len(bounds), step):
-        lo, hi = bounds[i : i + step].T
+    Returns arrays over the cells of the value, the error estimate
+    |K15xK15 - G7xG7| (|K15 - G7| on one axis) and the integral of |f|,
+    and the evaluations spent."""
+    dim = cells.shape[1] // 2
+    value, err, mass = np.empty(len(cells), complex), np.empty(len(cells)), np.empty(len(cells))
+    step = _MAX_CALL_POINTS // 15**dim
+    for i in range(0, len(cells), step):
+        lo, hi = cells[i : i + step, 0::2], cells[i : i + step, 1::2]
         h = 0.5 * (hi - lo)
-        vals = fv((h[:, None] * _K15[0] + (lo + h)[:, None]).ravel()).reshape(-1, _K15[0].size)
-        value[i : i + step], diff = h * (vals @ _K15_PANEL).T
-        err[i : i + step], mass[i : i + step] = np.abs(diff), h * (np.abs(vals) @ _K15[1])
-    return value, err, mass
+        nodes = h[..., None] * _K15[0] + (lo + h)[..., None]  # (cells, axis, node)
+        vals = fv(nodes.ravel()).reshape(-1, 15) if dim == 1 else fv(nodes[:, 0, None], nodes[:, 1, :, None])
+        # sum out x, the last axis, first: the K15 sums and their K15 - G7
+        # differences; each further axis takes K15 - G7 of the sums plus
+        # G7 of the differences.  One (-1, 15) matrix per axis keeps each
+        # product one matrix call
+        sums_diffs, absf, size = vals.reshape(-1, 15) @ _K15_PANEL, np.abs(vals).reshape(-1, 15) @ _K15[1], h[:, 0]
+        for axis in range(1, dim):
+            gauss = sums_diffs[:, 1].reshape(-1, 15) @ _K15[2]
+            sums_diffs = sums_diffs[:, 0].reshape(-1, 15) @ _K15_PANEL
+            sums_diffs[:, 1] += gauss
+            absf, size = absf.reshape(-1, 15) @ _K15[1], size * h[:, axis]
+        value[i : i + step], err[i : i + step] = size * sums_diffs[:, 0], np.abs(size * sums_diffs[:, 1])
+        mass[i : i + step] = size * absf
+    return value, err, mass, len(cells) * 15**dim
 
 
-def _segment(fv, spans, tol, what, base=0j):
-    """One ``_refine`` of a vectorized fv over the panels of ``spans``, rows
-    (lo, hi) with lo < hi cut at every integer, to tol relative to base
-    plus their sum.  Each panel returns K15, checked against G7 on the same
-    nodes.  The budget is DEFAULT_PANEL_BUDGET panels beyond the unit
-    cells, so that spans of many cells can split."""
+def _halve1(cell):
+    lo, hi = cell
+    if hi - lo < 1e-13 * (1 + abs(lo)):
+        return None
+    mid = 0.5 * (lo + hi)
+    return [(lo, mid), (mid, hi)]
 
-    def split(panel):
-        lo, hi = panel
-        if hi - lo < 1e-13 * (1 + abs(lo)):
-            return None
-        mid = 0.5 * (lo + hi)
-        return [(lo, mid), (mid, hi)]
 
-    def evaluate(panels):
-        return (*_eval_panel_batch(fv, panels), 15 * len(panels))
+def _halve2(cell):
+    a, b, c, d = cell
+    if min(b - a, d - c) < 1e-12:
+        return None
+    mx, my = 0.5 * (a + b), 0.5 * (c + d)
+    return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
-    cuts = [_cutpoints(lo, hi) for lo, hi in spans]
-    panels = np.concatenate([np.stack([pts[:-1], pts[1:]], 1) for pts in cuts])
-    return _refine(panels, evaluate, split, tol, len(panels) + DEFAULT_PANEL_BUDGET, what, base)
+
+def _cells(fv, boxes, tol, what, base=0j):
+    """One ``_refine`` of a vectorized fv over the unit cells of ``boxes``,
+    rows (lo, hi) per axis with x first and lo < hi, to tol relative to
+    base plus their sum.  Every axis is cut at every integer; each cell
+    returns the tensor K15 rule checked against G7 on the same nodes
+    (``_eval_cells``) and splits in half along every axis.  The budget is
+    DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that domains of
+    many cells can split; more than MAX_SPAN_CELLS unit cells in all raise
+    NoConvergence before any is built."""
+    dim = len(boxes[0]) // 2
+    sides = [list(zip(row[::2], row[1::2])) for row in boxes]
+    n = sum(math.prod(math.ceil(hi) - math.floor(lo) for lo, hi in box) for box in sides)
+    if n > MAX_SPAN_CELLS:
+        raise NoConvergence(f"{what}: {n} unit cells, more than {MAX_SPAN_CELLS}")
+    blocks = []
+    for box in sides:
+        cuts = [_cutpoints(lo, hi) for lo, hi in box]
+        block = np.empty([len(c) - 1 for c in cuts] + [2 * dim])
+        for axis, c in enumerate(cuts):
+            shape = (-1,) + (1,) * (dim - 1 - axis)
+            block[..., 2 * axis], block[..., 2 * axis + 1] = c[:-1].reshape(shape), c[1:].reshape(shape)
+        blocks.append(block.reshape(-1, 2 * dim))
+    split, budget = _halve1 if dim == 1 else _halve2, n + DEFAULT_PANEL_BUDGET
+    return _refine(np.concatenate(blocks), lambda rows: _eval_cells(fv, rows), split, tol, budget, what, base)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
-    """Adaptively integrate f over [a, b].
-
-    Panels are pre-split at every integer, where a P1-weighted integrand
-    has its kinks, and then bisected where the error estimate is largest
-    until the summed estimate satisfies err <= tol * (1 + |value|).  Each
-    panel returns K15, and |K15 - G7| on the same nodes is its error
-    estimate.  The panels may grow to DEFAULT_PANEL_BUDGET beyond the
-    unit cells; NoConvergence is raised when tol is missed within that,
-    or at once when [a, b] spans more than MAX_SPAN_CELLS cells.
-    """
+    """Adaptively integrate f over [a, b] by one ``_cells``: panels cut at
+    every integer, where a P1-weighted integrand has its kinks, and halved
+    where the K15 - G7 estimate is largest until err <= tol * (1 +
+    |value|).  NoConvergence is raised when tol is missed within
+    DEFAULT_PANEL_BUDGET panels beyond the unit cells, or at once when
+    [a, b] spans more than MAX_SPAN_CELLS of them."""
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     check_tol(tol)
     if a == b:
         return QuadratureResult(0j, 0.0, 0, 0)
-    return _segment(vectorize1(f), [(a, b)], tol, f"segment [{a}, {b}]")
+    return _cells(vectorize1(f), [(a, b)], tol, f"segment [{a}, {b}]")
+
+
+def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: float = 1e-10) -> QuadratureResult:
+    """Adaptively integrate f over a finite rectangle by one ``_cells``:
+    the rule, budget and cap of ``integrate_segment`` on the cells of the
+    integer grid, each returning K15xK15 checked against G7xG7."""
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise ValueError("rectangle bounds must be increasing")
+    check_tol(tol)
+    return _cells(vectorize2(f), [(x_lo, x_hi, y_lo, y_hi)], tol, f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
 
 
 # ---------------------------------------------------------------------------
-# improper 1-D integrals
+# improper integrals: lines, rays and half-strips
 
 
 def _span_and_tail(f, tail, span, tol, base, bound):
@@ -355,10 +391,10 @@ def _span_and_tail(f, tail, span, tol, base, bound):
         raise ValueError(f"need lo < hi, got {span}")
     check_tol(tol)
     try:
-        q = _segment(vectorize1(f), [span], tol, f"span [{lo}, {hi}]", base + tail)
+        q = _cells(vectorize1(f), [span], tol, f"span [{lo}, {hi}]", base + tail)
     except NoConvergence as exc:
-        q = exc.best
-        exc.best = QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals)
+        if exc.best is not None:  # None: the span's cells passed the cap
+            exc.best = QuadratureResult(exc.best.value + tail, exc.best.err + bound, exc.best.panels, exc.best.evals)
         raise
     return QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals, "tail", max(abs(lo), abs(hi)))
 
@@ -366,7 +402,7 @@ def _span_and_tail(f, tail, span, tol, base, bound):
 def integrate_line(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
     """The integral of f over the real line as a finite span plus the
     caller's closed form beyond it: f over ``span`` = (lo, hi) by one
-    ``_segment`` at tol, relative to 1 + |base + value|, plus ``tail``, the
+    ``_cells`` at tol, relative to 1 + |base + value|, plus ``tail``, the
     integral of f beyond both ends; ``bound``, the caller's absolute bound
     on the tail's remainder, joins err.  NoConvergence carries the span's
     best value plus tail."""
@@ -379,80 +415,19 @@ def integrate_ray(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResu
     return _span_and_tail(f, tail, span, tol, base, bound)
 
 
-# ---------------------------------------------------------------------------
-# 2-D rectangles
-
-
-def _rects(fv2, rects, tol, what, base=0j):
-    """One ``_refine`` over the integer-grid cells of the rectangles
-    ``rects``, rows (x_lo, x_hi, y_lo, y_hi), to tol relative to base plus
-    their sum.  Each cell returns K15xK15, checked against the G7xG7 subset
-    of the same values, in one integrand call on (cells, y, x) grids per
-    _MAX_CALL_POINTS // 225 cells."""
-    blocks = []
-    for x_lo, x_hi, y_lo, y_hi in rects:
-        xs, ys = _cutpoints(x_lo, x_hi), _cutpoints(y_lo, y_hi)
-        cells = np.empty((len(xs) - 1, len(ys) - 1, 4))
-        cells[..., 0], cells[..., 1] = xs[:-1, None], xs[1:, None]
-        cells[..., 2], cells[..., 3] = ys[:-1], ys[1:]
-        blocks.append(cells.reshape(-1, 4))
-    items = np.concatenate(blocks)
-    wk, wg = _K15[1], _K15[2]
-    weights = np.stack([wk, wg], 1)
-
-    def evaluate(batch):
-        parts, step = [], _MAX_CALL_POINTS // wk.size**2
-        for i in range(0, len(batch), step):
-            a, b, c, d = batch[i : i + step].T
-            hx, hy = 0.5 * (b - a), 0.5 * (d - c)
-            xn = hx[:, None] * _K15[0] + (a + hx)[:, None]
-            yn = hy[:, None] * _K15[0] + (c + hy)[:, None]
-            vals = fv2(xn[:, None, :], yn[:, :, None])
-            rows = vals @ weights  # (cells, y, [K15, G7]) after the x sums
-            value, check = (hx * hy * (rows[..., j] @ w) for j, w in enumerate((wk, wg)))
-            parts.append((value, np.abs(value - check), hx * hy * (np.abs(vals) @ wk @ wk)))
-        return (*(np.concatenate(p) for p in zip(*parts)), 225 * len(batch))
-
-    def split(cell):
-        a, b, c, d = cell
-        if min(b - a, d - c) < 1e-12:
-            return None
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
-
-    return _refine(items, evaluate, split, tol, DEFAULT_PANEL_BUDGET, what, base)
-
-
-def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: float = 1e-10) -> QuadratureResult:
-    """Adaptive tensor-product integration over a finite rectangle.
-
-    Cells follow the integer grid; each cell returns K15xK15, and its
-    difference from G7xG7 on the same nodes is the cell's error estimate
-    (``_rects``, which also takes the half-strips' box).  The worst cells
-    are subdivided until the summed estimate meets tol."""
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise ValueError("rectangle bounds must be increasing")
-    check_tol(tol)
-    return _rects(vectorize2(f), [(x_lo, x_hi, y_lo, y_hi)], tol, f"rectangle [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
-
-
-# ---------------------------------------------------------------------------
-# half-infinite strips
-
-
 def integrate_half_strip(f, tail, boxes, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
     """Half-strips as finite boxes plus the caller's closed forms beyond
     them: f over the rectangles ``boxes``, rows (x_lo, x_hi, y_lo, y_hi),
-    by one ``_rects`` at tol/3, plus ``tail``, the integral of f beyond the
+    by one ``_cells`` at tol/3, plus ``tail``, the integral of f beyond the
     boxes' x ends as a function of y, over their y-spans by one
-    ``_segment`` at tol/8, each relative to 1 + |base + value| and checked
+    ``_cells`` at tol/8, each relative to 1 + |base + value| and checked
     by its rule's error estimate, else NoConvergence.  ``bound``, the
     caller's absolute bound on the rest, joins err; the stop rule is "box"."""
     check_tol(tol)
     if not all(x_lo < x_hi and y_lo < y_hi for x_lo, x_hi, y_lo, y_hi in boxes):
         raise ValueError(f"box bounds must be increasing, got {boxes}")
-    box = _rects(vectorize2(f), boxes, tol / 3, "the strips' box", base)
+    box = _cells(vectorize2(f), boxes, tol / 3, "the strips' box", base)
     spans = [(y_lo, y_hi) for _, _, y_lo, y_hi in boxes]
-    tails = _segment(vectorize1(tail), spans, tol / 8, "the strips' x-tails", base + box.value)
+    tails = _cells(vectorize1(tail), spans, tol / 8, "the strips' x-tails", base + box.value)
     panels, evals = box.panels + tails.panels, box.evals + tails.evals
     return QuadratureResult(box.value + tails.value, box.err + tails.err + bound, panels, evals, "box")

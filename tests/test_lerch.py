@@ -358,7 +358,7 @@ class TestUnitCircle:
         def fail(*args, **kwargs):
             raise AssertionError("quadrature called from lerch_series")
 
-        for name in ("integrate_ray", "_segment", "vectorize1"):
+        for name in ("integrate_ray", "_cells", "vectorize1"):
             monkeypatch.setattr(latzeta.lerch, name, fail)
         self._check(lerch_series(LerchParams(1, 1.1, 0.5)), 1.1, 0.5, 1e-10)
 

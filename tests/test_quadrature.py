@@ -15,7 +15,7 @@ from latzeta.lerch import _em_start, _em_tail
 from latzeta.quadrature import (
     _K15,
     _EPS_FLOOR,
-    _eval_panel_batch,
+    _eval_cells,
     _refine,
     integrate_half_strip,
     integrate_line,
@@ -76,24 +76,34 @@ class TestSegment:
         assert ei.value.best is not None
         assert cmath.isfinite(ei.value.best.value)
 
-    def test_panel_batch_matches_per_panel_rule(self):
-        # 1500 panels: more than one integrand call of _MAX_CALL_POINTS // 15
-        # (1092) panels
+    def test_eval_cells_matches_per_cell_rule(self):
+        # 1500 panels and 150 cells: more than one integrand call of
+        # _MAX_CALL_POINTS // 15 (1092) panels or // 225 (72) cells.  Each
+        # returns K15 (K15xK15), |K15 - G7| (|K15xK15 - G7xG7|) and the
+        # K15 integral of |f|, summed here with np.dot on each cell
         rng = np.random.default_rng(5)
-        lo = rng.uniform(0.0, 20.0, 1500)
-        hi = lo + rng.uniform(0.05, 2.0, 1500)
-        fv = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
         x, wk, wg = _K15
-        got = _eval_panel_batch(fv, list(zip(lo.tolist(), hi.tolist())))
-        assert all(isinstance(arr, np.ndarray) and arr.shape == (1500,) for arr in got)
-        for a, b, value, err, mass in zip(lo, hi, *got):
-            h = 0.5 * (b - a)
-            vals = fv(h * x + a + h)
-            kronrod, gauss = h * np.dot(wk, vals), h * np.dot(wg, vals)
-            want_mass = h * np.dot(wk, np.abs(vals))
-            assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
-            assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
-            assert abs(mass - want_mass) <= 1e-14 * want_mass
+        f1 = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
+        f2 = vectorize2(lambda x, y: np.exp(1j * (x - 0.5 * y)) / (1.0 + x * x + y))
+        for fv, n in ((f1, 1500), (f2, 150)):
+            lo = rng.uniform(0.0, 20.0, (n, 1 if fv is f1 else 2))
+            cells = np.stack([lo, lo + rng.uniform(0.05, 2.0, lo.shape)], 2).reshape(n, -1)
+            *got, evals = _eval_cells(fv, cells)
+            assert evals == n * x.size ** lo.shape[1]
+            assert all(isinstance(arr, np.ndarray) and arr.shape == (n,) for arr in got)
+            for cell, value, err, mass in zip(cells, *got):
+                h = 0.5 * (cell[1::2] - cell[::2])
+                nodes = [h_d * x + lo_d + h_d for h_d, lo_d in zip(h, cell[::2])]
+                if fv is f1:
+                    vals, rule = fv(nodes[0]), np.dot
+                else:
+                    vals = fv(nodes[0][None, :], nodes[1][:, None])  # (y, x)
+                    rule = lambda w, v: np.dot(w, np.dot(v, w))  # noqa: E731
+                pairs = ((wk, vals), (wg, vals), (wk, abs(vals)))
+                kronrod, gauss, want_mass = (h.prod() * rule(w, v) for w, v in pairs)
+                assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
+                assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
+                assert abs(mass - want_mass) <= 1e-14 * want_mass
 
     def test_kronrod_rule_is_exact(self):
         # K15 is exact for x^d, d <= 23, on [-1, 1], and its G7 subset for
@@ -298,6 +308,13 @@ class TestLine:
         q = integrate_line(f, tail, (-r, r), tol=tol, base=base)
         assert abs(q.value + base - 1) <= q.err <= tol * (1 + abs(base + q.value))
 
+    def test_span_beyond_the_cell_cap_raises_no_convergence(self):
+        # the cap's raise carries no best result, and reaches the caller
+        # as NoConvergence, not as an error from adding the tail to it
+        with pytest.raises(NoConvergence, match="unit cells") as info:
+            integrate_line(lambda x: 1.0 / (1.0 + x * x), 0.0, (-(2.0**20), 2.0**20))
+        assert info.value.best is None
+
     def test_bound_joins_err_and_raise_carries_tail(self, monkeypatch):
         q = integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=1e-10, bound=1e-3)
         assert 1e-3 <= q.err <= 1e-3 + 1e-9
@@ -357,7 +374,17 @@ class TestRect:
             integrate_rect(lambda x, y: np.sin(40 * x * y), 0.0, 3.0, 0.0, 3.0, tol=1e-14)
         best = ei.value.best
         assert cmath.isfinite(best.value)
-        assert best.panels <= 20
+        # the budget counts beyond the 9 unit cells
+        assert best.panels <= 9 + 20
+
+    def test_cell_cap_raises_before_evaluation(self):
+        # 2^11 x 2^10 unit cells, twice MAX_SPAN_CELLS in all though each
+        # side is within it: the raise comes before any cell is built
+        def unexpected(x, y):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(NoConvergence, match="unit cells"):
+            integrate_rect(unexpected, 0.0, 2.0**11, 0.0, 2.0**10)
 
 
 class TestVectorize:
