@@ -109,7 +109,7 @@ def _report_dict(rep, breakdown: bool) -> dict:
     d = {"value": rep.value, "method": rep.method, "err": rep.err}
     if breakdown:
         d.update(j1=rep.j1, strips=rep.strips, row_correction=rep.row_correction)
-        d.update(eps_used=rep.eps_used, basis=list(rep.basis))
+        d.update(eps_used=rep.eps_used, band=list(rep.band), basis=list(rep.basis))
         for part, (stop, radius) in zip(("j1", "strips"), rep.stops):
             d[f"{part}_stop"], d[f"{part}_radius"] = stop, radius
     return d
@@ -220,10 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--a", required=True, help='evaluation point, "a+bi"')
     pw.add_argument("--k", type=int, required=True, help="exponent, integer >= 1")
     pw.add_argument("--method", choices=("direct", "integral", "both"), default="direct")
-    pw.add_argument("--eps", type=float, default=0.25, help="band half-width for the integral path")
+    pw.add_argument(
+        "--eps", type=float, default=None,
+        help="band half-width for the integral path (default: the widest band holding one row)",
+    )
     pw.add_argument("--tol", type=float, default=1e-8)
     pw.add_argument(
-        "--breakdown", action="store_true", help="include J1, the strips J2 + J3, row_correction and their basis"
+        "--breakdown", action="store_true",
+        help="include J1, the strips J2 + J3, row_correction, the band and their basis",
     )
     pw.add_argument("--csv", action="store_true", help="CSV instead of the default JSON")
     pw.set_defaults(func=cmd_weil)

@@ -1,13 +1,15 @@
 """Numerical integration of piecewise-smooth complex-valued integrands.
 
-One rule and one algorithm in one and two dimensions.  ``_cells`` cuts
-segments or rectangles at every integer (the periodized Bernoulli weight
-P1 is non-smooth exactly there) and refines the unit cells by
+One checked rule and one algorithm in one and two dimensions.  ``_cells``
+cuts segments or rectangles at every integer (the periodized Bernoulli
+weight P1 is non-smooth exactly there) and refines the unit cells by
 ``_refine``: the first pass evaluates them all in array batches; only if
 it misses tol is a max-heap built, and each pass then halves up to 64 of
 the worst cells along every axis and evaluates their children in one
 batch.  A cell returns the tensor K15 rule, and its distance from the G7
-subset on the same nodes is the error estimate.  A call may use
+subset on the same nodes is the error estimate; where the caller bounds
+the error of the tensor GL8 rule on a unit cell and the bound meets the
+cell's share, the cell takes GL8 and the bound instead.  A call may use
 DEFAULT_PANEL_BUDGET panels beyond its unit cells, and holds at most
 MAX_SPAN_CELLS of them.  A result meets tol * (1 + |base + value|),
 ``base`` being the rest of a sum the value joins, or NoConvergence is
@@ -56,9 +58,23 @@ _K15 = _kronrod(
      0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
     (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694),
 )
-#: the K15 weights and K15 minus G7 weights as columns: a panel's value and
-#: the signed difference that is its error estimate
-_K15_PANEL = np.stack([_K15[1], _K15[1] - _K15[2]], 1)
+
+
+def _rule(x, w, check):
+    """A rule as its nodes, weights, check weights padded to all nodes, and
+    the weights and weights minus check weights as columns: a panel's value
+    and the signed difference that is its error estimate."""
+    return x, w, check, np.stack([w, w - check], 1)
+
+
+# the 8-point Gauss-Legendre rule GL8 from its nodes in (0, 1), largest
+# first, and their weights (Abramowitz and Stegun, Table 25.4)
+_X8 = np.array([0.9602898564975362317, 0.7966664774136267396, 0.5255324099163289858, 0.1834346424956498049])
+_W8 = np.array([0.1012285362903762591, 0.2223810344533744706, 0.3137066458778872873, 0.3626837833783619830])
+_GL8 = (np.concatenate([-_X8, _X8[::-1]]), np.concatenate([_W8, _W8[::-1]]), np.zeros(8))
+#: the rules by their number of nodes: K15 checked against G7, and GL8,
+#: checked against nothing, which runs only where a bound certifies it
+_RULES = {15: _rule(*_K15), 8: _rule(*_GL8)}
 
 #: relative roundoff floor entering every reported error
 _EPS_FLOOR = 4e-16
@@ -202,7 +218,7 @@ def _accelerate(levels):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
+def _refine(items, evaluate, split, tol, max_panels, what, base=0j, first=None):
     """Max-heap refinement of a partition of a finite domain.
 
     ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
@@ -219,8 +235,10 @@ def _refine(items, evaluate, split, tol, max_panels, what, base=0j):
     when the items beyond the reach of the budget miss tol by themselves.
     Panels are the leaves of the partition.  Tol is relative to
     1 + |base + value|, ``base`` being the rest of a sum that the value
-    joins; the roundoff floor stays the part's own."""
-    vals, errs, mass, evals = evaluate(items)
+    joins; the roundoff floor stays the part's own.  ``first``, if given,
+    stands for ``evaluate(items)``, so that the first pass may take a rule
+    that later passes do not."""
+    vals, errs, mass, evals = evaluate(items) if first is None else first
     value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
     n_panels = len(items)
 
@@ -282,36 +300,38 @@ def _cutpoints(a, b):
     return pts
 
 
-def _eval_cells(fv, cells):
-    """The tensor K15 rule on each row of ``cells``, (lo, hi) per axis with
-    x first, _MAX_CALL_POINTS // 15**dim cells per integrand call, which
-    bounds peak memory.  A 1-D fv gets its nodes as one flat array, a 2-D
-    fv as (cells, 1, x) and (cells, y, 1) grids.
+def _eval_cells(fv, cells, n=15):
+    """The tensor rule of n nodes per axis (``_RULES``) on each row of
+    ``cells``, (lo, hi) per axis with x first, _MAX_CALL_POINTS // n**dim
+    cells per integrand call, which bounds peak memory.  A 1-D fv gets its
+    nodes as one flat array, a 2-D fv as (cells, 1, x) and (cells, y, 1)
+    grids.
 
     Returns arrays over the cells of the value, the error estimate
-    |K15xK15 - G7xG7| (|K15 - G7| on one axis) and the integral of |f|,
-    and the evaluations spent."""
+    |K15xK15 - G7xG7| (|K15 - G7| on one axis; 0 for GL8) and
+    the integral of |f|, and the evaluations spent."""
     dim = cells.shape[1] // 2
+    x, w, check, panel = _RULES[n]
     value, err, mass = np.empty(len(cells), complex), np.empty(len(cells)), np.empty(len(cells))
-    step = _MAX_CALL_POINTS // 15**dim
+    step = _MAX_CALL_POINTS // n**dim
     for i in range(0, len(cells), step):
         lo, hi = cells[i : i + step, 0::2], cells[i : i + step, 1::2]
         h = 0.5 * (hi - lo)
-        nodes = h[..., None] * _K15[0] + (lo + h)[..., None]  # (cells, axis, node)
-        vals = fv(nodes.ravel()).reshape(-1, 15) if dim == 1 else fv(nodes[:, 0, None], nodes[:, 1, :, None])
-        # sum out x, the last axis, first: the K15 sums and their K15 - G7
-        # differences; each further axis takes K15 - G7 of the sums plus
-        # G7 of the differences.  One (-1, 15) matrix per axis keeps each
-        # product one matrix call
-        sums_diffs, absf, size = vals.reshape(-1, 15) @ _K15_PANEL, np.abs(vals).reshape(-1, 15) @ _K15[1], h[:, 0]
+        nodes = h[..., None] * x + (lo + h)[..., None]  # (cells, axis, node)
+        vals = fv(nodes.ravel()).reshape(-1, n) if dim == 1 else fv(nodes[:, 0, None], nodes[:, 1, :, None])
+        # sum out x, the last axis, first: the sums and their differences
+        # from the check; each further axis takes the difference of the sums
+        # plus the check of the differences.  One (-1, n) matrix per axis
+        # keeps each product one matrix call
+        sums_diffs, absf, size = vals.reshape(-1, n) @ panel, np.abs(vals).reshape(-1, n) @ w, h[:, 0]
         for axis in range(1, dim):
-            gauss = sums_diffs[:, 1].reshape(-1, 15) @ _K15[2]
-            sums_diffs = sums_diffs[:, 0].reshape(-1, 15) @ _K15_PANEL
-            sums_diffs[:, 1] += gauss
-            absf, size = absf.reshape(-1, 15) @ _K15[1], size * h[:, axis]
+            checked = sums_diffs[:, 1].reshape(-1, n) @ check
+            sums_diffs = sums_diffs[:, 0].reshape(-1, n) @ panel
+            sums_diffs[:, 1] += checked
+            absf, size = absf.reshape(-1, n) @ w, size * h[:, axis]
         value[i : i + step], err[i : i + step] = size * sums_diffs[:, 0], np.abs(size * sums_diffs[:, 1])
         mass[i : i + step] = size * absf
-    return value, err, mass, len(cells) * 15**dim
+    return value, err, mass, len(cells) * n**dim
 
 
 def _halve1(cell):
@@ -330,15 +350,31 @@ def _halve2(cell):
     return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
 
-def _cells(fv, boxes, tol, what, base=0j):
+def _certified(fv, rows, cell_bound, share):
+    """``_eval_cells`` with the cheaper GL8 rule where a bound certifies it:
+    each row whose ``cell_bound(rows, 8)`` meets its part of ``share`` by
+    area takes GL8 and that bound as its error; every other row takes K15."""
+    area = np.prod(rows[:, 1::2] - rows[:, ::2], 1)
+    err = cell_bound(rows, 8)
+    gauss = err <= share / area.sum() * area
+    value, mass = np.empty(len(rows), complex), np.empty(len(rows))
+    value[gauss], _, mass[gauss], evals = _eval_cells(fv, rows[gauss], 8)
+    value[~gauss], err[~gauss], mass[~gauss], kronrod_evals = _eval_cells(fv, rows[~gauss])
+    return value, err, mass, evals + kronrod_evals
+
+
+def _cells(fv, boxes, tol, what, base=0j, cell_bound=None):
     """One ``_refine`` of a vectorized fv over the unit cells of ``boxes``,
     rows (lo, hi) per axis with x first and lo < hi, to tol relative to
     base plus their sum.  Every axis is cut at every integer; each cell
     returns the tensor K15 rule checked against G7 on the same nodes
-    (``_eval_cells``) and splits in half along every axis.  The budget is
-    DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that domains of
-    many cells can split; more than MAX_SPAN_CELLS unit cells in all raise
-    NoConvergence before any is built."""
+    (``_eval_cells``) and splits in half along every axis.  Given
+    ``cell_bound``, a unit cell whose GL8xGL8 error bound meets its share
+    of tol/4, absolute and spread over the unit cells by area, takes that
+    rule and bound instead (``_certified``); its children take K15.  The
+    budget is DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that
+    domains of many cells can split; more than MAX_SPAN_CELLS unit cells in
+    all raise NoConvergence before any is built."""
     dim = len(boxes[0]) // 2
     sides = [list(zip(row[::2], row[1::2])) for row in boxes]
     n = sum(math.prod(math.ceil(hi) - math.floor(lo) for lo, hi in box) for box in sides)
@@ -352,8 +388,10 @@ def _cells(fv, boxes, tol, what, base=0j):
             shape = (-1,) + (1,) * (dim - 1 - axis)
             block[..., 2 * axis], block[..., 2 * axis + 1] = c[:-1].reshape(shape), c[1:].reshape(shape)
         blocks.append(block.reshape(-1, 2 * dim))
+    items = np.concatenate(blocks)
+    first = None if cell_bound is None else _certified(fv, items, cell_bound, tol / 4)
     split, budget = _halve1 if dim == 1 else _halve2, n + DEFAULT_PANEL_BUDGET
-    return _refine(np.concatenate(blocks), lambda rows: _eval_cells(fv, rows), split, tol, budget, what, base)
+    return _refine(items, lambda rows: _eval_cells(fv, rows), split, tol, budget, what, base, first)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
@@ -415,18 +453,20 @@ def integrate_ray(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResu
     return _span_and_tail(f, tail, span, tol, base, bound)
 
 
-def integrate_half_strip(f, tail, boxes, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
+def integrate_half_strip(f, tail, boxes, tol=1e-8, base=0j, bound=0.0, cell_bound=None) -> QuadratureResult:
     """Half-strips as finite boxes plus the caller's closed forms beyond
     them: f over the rectangles ``boxes``, rows (x_lo, x_hi, y_lo, y_hi),
     by one ``_cells`` at tol/3, plus ``tail``, the integral of f beyond the
     boxes' x ends as a function of y, over their y-spans by one
     ``_cells`` at tol/8, each relative to 1 + |base + value| and checked
-    by its rule's error estimate, else NoConvergence.  ``bound``, the
-    caller's absolute bound on the rest, joins err; the stop rule is "box"."""
+    by its rule's error estimate, else NoConvergence.  ``cell_bound``, if
+    given, bounds the GL8 rule's error on the box's cells (``_cells``).
+    ``bound``, the caller's absolute bound on the rest, joins err; the stop
+    rule is "box"."""
     check_tol(tol)
     if not all(x_lo < x_hi and y_lo < y_hi for x_lo, x_hi, y_lo, y_hi in boxes):
         raise ValueError(f"box bounds must be increasing, got {boxes}")
-    box = _cells(vectorize2(f), boxes, tol / 3, "the strips' box", base)
+    box = _cells(vectorize2(f), boxes, tol / 3, "the strips' box", base, cell_bound)
     spans = [(y_lo, y_hi) for _, _, y_lo, y_hi in boxes]
     tails = _cells(vectorize1(tail), spans, tol / 8, "the strips' x-tails", base + box.value)
     panels, evals = box.panels + tails.panels, box.evals + tails.evals

@@ -11,8 +11,8 @@ Two independent evaluation routes:
   with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
-  J1 along the two edges y0 +/- eps of the excluded band around the pole
-  row, one segment |x| <= 8 with Bernoulli tails beyond it
+  J1 along the two edges of the excluded band around the pole row, one
+  segment |x| <= 8 with Bernoulli tails beyond it
   (``_edge_tails``), plus the half-strip double integrals J2 and J3
   above and below the band, taken as one integral J2 + J3 (``strips``)
   on one finite box per side with closed forms beyond it
@@ -26,11 +26,15 @@ Two independent evaluation routes:
   arrays in place: numpy's complex ``**`` goes through cpow, which cost
   most of the integrand's time.
 
-(x0, y0) are the lattice coordinates of -a.  The strips leave out the
-band (y0 - eps, y0 + eps], which holds at most one integer row since
-eps < 1/2.  That row is summed by the 1-D Euler-MacLaurin formula (two
-Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
-``row_correction``; the pole stays eps from both band edges.
+(x0, y0) are the lattice coordinates of -a.  The strips leave out a band
+(y_dn, y_up] around the pole row that holds one integer row: by default
+the widest, (m - 1 + 1/64, m + 1 - 1/64] with m = round(y0), whose edges
+stay at least 1/2 - 1/64 rows from the pole, so the box cells next to it
+need little refinement; with eps given, (y0 - eps, y0 + eps], eps < 1/2,
+which holds at most one.  That row is summed by the 1-D Euler-MacLaurin
+formula (two Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
+``row_correction``.  Box cells far from the pole take GL8xGL8 where a
+Bernstein-ellipse bound certifies it (``_gauss_bound``).
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class WeilReport:
     j1: complex = 0j
     #: J2 + J3, the half-strips above and below the band as one integral
     strips: complex = 0j
+    #: the pole's distance, in rows, to the nearer band edge
     eps_used: float = 0.0
     row_correction: complex = 0j
     #: the basis (w1, w2) that the sum ran on and the parts refer to
@@ -83,6 +88,9 @@ class WeilReport:
     #: (stop rule, radius) of J1's line ("tail" beyond |x| = 8) and of the
     #: strips ("box", the depth of the box)
     stops: tuple = ()
+    #: (y_dn, y_up), the band the strips leave out, in the coordinates of
+    #: ``basis``; it holds the row of ``row_correction``
+    band: tuple = ()
 
 
 def _row_sum(c: complex, w1: complex, k: int, tol: float):
@@ -315,11 +323,12 @@ def _x_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float,
 
 
 def _strip_box(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, band, share: float):
-    """The strips outside ``band`` = (y_dn, y_up) as boxes |x - c| <= 8, c the
+    """The strips outside ``band`` = (y_dn, y_up), any band around the pole
+    row y0 that holds at most one integer row, as boxes |x - c| <= 8, c the
     integer nearest the pole at the middle row, 0 <= +/-(y - edge) <= Y:
     returns the boxes, the x-tails, a bound on the rest and Y, the least
-    half-integer (at most 16) whose y-cut meets ``share``, as the tails'
-    remainder does."""
+    half-integer (at most 16) whose y-cut, from the edge nearer the pole,
+    meets ``share``, as the tails' remainder does."""
     tau = w2 / w1
     gap, depth = min(y0 - band[0], band[1] - y0), 0.5
     while (cut := 2 * _row_bound(k, w1, tau, abs(tau.imag) * (gap + depth), 1)) > share and depth < 16:
@@ -331,43 +340,96 @@ def _strip_box(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: floa
     return boxes, tail, cut + rem, depth
 
 
-def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilReport:
+def _gauss_bound(w1: complex, w2: complex, k: int, x0: float, y0: float):
+    """A bound on |int - GL_n x GL_n| of the strip integrand f over each box
+    cell (x_lo, x_hi, y_lo, y_hi) off the pole row, as a function of the
+    cells' rows and n (broadcast against the cells).  By ATAP Thm 19.3, the
+    n-point Gauss rule on [-1, 1] errs by at most 64 M / (15 (rho^2 - 1)
+    rho^(2n-2)) for f analytic and |f| <= M in the Bernstein ellipse E_rho.
+    One axis at a time with the other real, and as the Gauss weights are
+    positive, the cell's error is at most 128/15 h_x h_y (M_x q_x + M_y q_y),
+    q = 1 / ((rho^2 - 1) rho^(2n-2)).  On a cell P1 is linear, so f's one
+    singularity is its pole: b = w1 (x - x*), x* = x0 - tau (y - y0), and
+    b = w2 (y - y*), y* = y0 - (x - x0) / tau.  Scaled to the axis, the
+    pole's least |Im| eta and |Re - centre| xi over the other side give its
+    ellipse parameter rho_p >= max(eta + (eta^2 + 1)^(1/2), xi + (xi^2 -
+    1)^(1/2)), and on E_rho, rho = (2n - 2) rho_p / (2n + k), Joukowski's
+    map gives |b| >= |w| h (rho_p - rho) (1 - 1 / (rho_p rho)) / 2.  Then
+    |f| <= k |w1| |P1(x)| |b|^-(k+1) ((k+1) |w2| |P1(y)| / |b| + 1), with
+    |P1| <= 1/2 on the real side and, as the cell lies in one unit interval,
+    1/2 + h ((rho + 1/rho) / 2 - 1) on the ellipse."""
+    tau = w2 / w1
+    axes = ((x0, tau, y0, abs(w1)), (y0, 1 / tau, x0, abs(w2)))
+
+    def bound(rows, n):
+        # where rho <= 1 no ellipse certifies the rule: the bound is inf,
+        # and the terms computed on the way may divide by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = rows[:, 0::2], rows[:, 1::2]
+            h, c = (hi - lo) / 2, (hi + lo) / 2
+            total = 0.0
+            for axis, (pole, slope, other, w) in enumerate(axes):
+                d = np.stack([lo[:, 1 - axis], hi[:, 1 - axis]]) - other  # the other side, from the pole
+                re, im = (pole - slope.real * d - c[:, axis]) / h[:, axis], slope.imag * d / h[:, axis]
+                eta, xi = (np.where(t[0] * t[1] > 0, np.abs(t).min(0), 0.0) for t in (im, re))
+                rho_p = np.maximum(eta + np.hypot(eta, 1), xi + np.sqrt(np.maximum(xi * xi - 1, 0)))
+                rho = (2 * n - 2) * rho_p / (2 * n + k)
+                dist = w * h[:, axis] * (rho_p - rho) * (1 - 1 / (rho_p * rho)) / 2
+                p1_ellipse = 0.5 + h[:, axis] * ((rho + 1 / rho) / 2 - 1)
+                p1x, p1y = (p1_ellipse, 0.5) if axis == 0 else (0.5, p1_ellipse)
+                m = k * abs(w1) * p1x * dist ** -(k + 1) * ((k + 1) * abs(w2) * p1y / dist + 1)
+                total = total + np.where(rho > 1, m / ((rho * rho - 1) * rho ** (2 * n - 2)), np.inf)
+            return 128 / 15 * h[:, 0] * h[:, 1] * total
+
+    return bound
+
+
+def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) -> WeilReport:
     """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
     the reduced basis (``lattice.reduce``) that the report's ``basis`` names.
 
-    The strips leave out the band (y0 - eps, y0 + eps] around the pole row,
-    with eps as given.  The band holds at most one integer row, found from the
+    The strips leave out a band around the pole row that holds exactly one
+    integer row: by default (m - 1 + 1/64, m + 1 - 1/64], m = round(y0), the
+    widest such band, whose edges are exact binary fractions and lie at
+    least 1/2 - 1/64 rows from the pole; with eps given, (y0 - eps, y0 + eps],
+    0 < eps < 1/2, which holds at most one row.  The row is found from the
     same floats that P1 sees at the edges; it is summed by `_band_row` and
-    reported as ``row_correction``.  The pole lies eps |det| / |w1| from both
-    band edges in the a-plane; below 1e-6 that raises PoleNearDomain before
-    any integral is taken.  The parts share one absolute target, tol * (1 +
-    |E|): the row takes tol/16, J1 tol/16 relative to row + J1 (its segment
-    half of that, its tails' remainder 1/16 of it, absolute), and J2 + J3,
-    one integral whose value the report gives as ``strips``, 7/8 tol
-    relative to the whole sum.  Where J1 cancels J2 + J3 (y0 = 1/2) and
-    misses its share, J1's segment alone runs again with the strips in its
-    offset; ConvergenceError, with the report as ``.best``, says the sum
-    missed tol still."""
+    reported as ``row_correction``, the band as ``band`` and the pole's
+    distance to the nearer edge, in rows, as ``eps_used``.  That distance
+    times |det| / |w1| is the pole's distance from the band's edges in the
+    a-plane; below 1e-6 that raises PoleNearDomain before any integral is
+    taken.  The parts share one absolute target, tol * (1 + |E|): the row
+    takes tol/16, J1 tol/16 relative to row + J1 (its segment half of that,
+    its tails' remainder 1/16 of it, absolute), and J2 + J3, one integral
+    whose value the report gives as ``strips``, 7/8 tol relative to the
+    whole sum.  Where J1 cancels J2 + J3 and misses its share, J1's segment
+    alone runs again with the strips in its offset; ConvergenceError, with
+    the report as ``.best``, says the sum missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
             "use weil_direct (Eisenstein summation)"
         )
-    if not 0 < eps < 0.5:
+    if eps is not None and not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     check_tol(tol)
     lat = reduce(p.lat)
     w1, w2, a, k = lat.w1, lat.w2, p.a, p.k
-    edge_distance = eps * abs(lat.det) / abs(w1)
-    if edge_distance < 1e-6:
-        raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     coords = lattice_coordinates(lat, -a)
     # E_k has period w1 for k >= 3: move J1's peak, at x = x0, next to the
     # x = 0 that J1's span centres on
     n = round(coords.x0)
     a += n * w1
     x0, y0 = coords.x0 - n, coords.y0
-    y_up, y_dn = y0 + eps, y0 - eps
+    if eps is None:
+        m = round(y0)
+        y_dn, y_up = m - 1 + 1 / 64, m + 1 - 1 / 64
+        eps = min(y0 - y_dn, y_up - y0)
+    else:
+        y_dn, y_up = y0 - eps, y0 + eps
+    edge_distance = eps * abs(lat.det) / abs(w1)
+    if edge_distance < 1e-6:
+        raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
     row, row_err = _band_row(a, w1, w2, k, hi, tol / 16) if hi > lo else (0j, 0.0)
     edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
@@ -375,12 +437,14 @@ def weil_integral(p: WeilParams, eps: float = 0.25, tol: float = 1e-8) -> WeilRe
     q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row, edge_bound)
     # the strips' y-cut and x-tail remainder take 1/32 of their 7/8 tol each
     boxes, tail, bound, depth = _strip_box(w1, w2, a, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
-    q = integrate_half_strip(_strip_integrand(w1, w2, a, k), tail, boxes, tol * 7 / 8, row + q1.value, bound)
+    f, cell_bound = _strip_integrand(w1, w2, a, k), _gauss_bound(w1, w2, k, x0, y0)
+    q = integrate_half_strip(f, tail, boxes, tol * 7 / 8, row + q1.value, bound, cell_bound)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row + q.value, edge_bound)
     stops = ((q1.stop, q1.radius), (q.stop, depth))
     value = q1.value + q.value + row
-    report = WeilReport(value, "integral", q1.err + q.err + row_err, q1.value, q.value, eps, row, (w1, w2), stops)
+    err = q1.err + q.err + row_err
+    report = WeilReport(value, "integral", err, q1.value, q.value, eps, row, (w1, w2), stops, (y_dn, y_up))
     if report.err > tol * (1.0 + abs(report.value)):
         raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
     return report

@@ -37,14 +37,16 @@ class TestWeil:
             "--method", "integral", "--breakdown",
         )
         doc = json.loads(out)
-        for key in ("j1", "strips", "row_correction", "eps_used"):
+        for key in ("j1", "strips", "row_correction", "eps_used", "band"):
             assert key in doc["integral"]
         assert "j2" not in doc["integral"] and "j3" not in doc["integral"]
 
     def test_breakdown_names_stop_rules(self, capsys):
         # k = 8 on the square lattice: the strips run on a box whose depth,
         # a half-integer, is where their y-cut bound meets its share, and J1
-        # on the span |x| <= 8 with its Bernoulli tails beyond
+        # on the span |x| <= 8 with its Bernoulli tails beyond.  The pole is
+        # on row -1, and the default band (-2 + 1/64, -1/64] keeps it 63/64
+        # from both edges
         code, out = run_cli(
             capsys,
             "weil", "--w1", "1", "--w2", "i", "--a", "0.3+i", "--k", "8",
@@ -52,7 +54,8 @@ class TestWeil:
         )
         assert code == 0
         doc = json.loads(out)["integral"]
-        assert doc["strips_stop"] == "box" and doc["strips_radius"] == 4.5
+        assert doc["strips_stop"] == "box" and doc["strips_radius"] == 4.0
+        assert doc["band"] == [-2 + 1 / 64, -1 / 64] and doc["eps_used"] == 63 / 64
         assert doc["j1_stop"] == "tail" and doc["j1_radius"] == 8
 
     def test_breakdown_names_reduced_basis(self, capsys):
@@ -125,7 +128,7 @@ class TestWeil:
         assert code == 0
         doc = json.loads(out)
         p = WeilParams(lattice_new(1.0, 1j), parse_complex("0.3+0.2i"), 4)
-        d, q = weil_direct(p, tol=1e-8), weil_integral(p, eps=0.25, tol=1e-8)
+        d, q = weil_direct(p, tol=1e-8), weil_integral(p, tol=1e-8)
         assert parse_complex(doc["direct"]["value"]) == d.value
         assert doc["direct"]["err"] == d.err
         for key in ("value", "j1", "strips", "row_correction"):
@@ -133,6 +136,7 @@ class TestWeil:
         assert "j2" not in doc["integral"] and "j3" not in doc["integral"]
         assert doc["integral"]["err"] == q.err
         assert doc["integral"]["eps_used"] == q.eps_used
+        assert doc["integral"]["band"] == list(q.band)
         assert doc["difference"] == abs(d.value - q.value)
         assert parse_complex(doc["value"]) == d.value
 

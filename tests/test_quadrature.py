@@ -14,6 +14,7 @@ from latzeta.lattice import lattice_new
 from latzeta.lerch import _em_start, _em_tail
 from latzeta.quadrature import (
     _K15,
+    _RULES,
     _EPS_FLOOR,
     _eval_cells,
     _refine,
@@ -114,6 +115,13 @@ class TestSegment:
             for d in range(top + 1):
                 assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15
         assert abs(np.dot(wg, x ** (gauss + 1)) - 2.0 / (gauss + 2)) > 1e-6
+
+    def test_gauss_rule_is_exact(self):
+        # GL8 is exact for x^d, d <= 15, on [-1, 1], and not for d = 16
+        x, w, _, _ = _RULES[8]
+        for d in range(16):
+            assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15
+        assert abs(np.dot(w, x**16) - 2.0 / 17) > 1e-6
 
     def test_import_loads_neither_mpmath_nor_scipy(self):
         # the Kronrod constants are literals: importing the package

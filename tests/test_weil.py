@@ -191,6 +191,26 @@ class TestIntegral:
             assert q.err <= tol * (1 + abs(q.value)), (lat, x, k)
             assert abs(q.value - d.value) <= q.err + d.err, (lat, x, k)
 
+    @pytest.mark.parametrize(
+        "lat,a,k,tol", [(SQUARE, 0.3 + 0.5j, 8, 1e-12), (HEX, HEX.w2 / 2, 9, 1e-10)], ids=["square-k8", "hex-k9"]
+    )
+    def test_cancelling_parts_meet_tight_tol(self, weil_ref, lat, a, k, tol):
+        # y = 1/2, where J1 cancels J2 + J3 (|J1| = 687 against |E| = 55 on
+        # the square lattice; E = 0 by symmetry on the hexagonal one): with
+        # the band edges 1/4 from the pole the parts' roundoff floors alone
+        # came near tol, and these raised ConvergenceError
+        ref = weil_ref(lat.w1, lat.w2, a, k)
+        q = weil_integral(WeilParams(lat, a, k), tol=tol)
+        assert abs(q.value - ref) <= q.err <= tol * (1 + abs(ref))
+
+    def test_default_band_holds_one_row(self):
+        # the widest band holding only the pole row m = round(y0), with
+        # edges 1/64 short of rows m - 1 and m + 1; y0 = -1/2 rounds to 0
+        for a, y0 in ((0.3 + 0.2j, -0.2), (0.3 + 0.5j, -0.5)):
+            q = weil_integral(WeilParams(SQUARE, a, 4), tol=1e-8)
+            assert q.band == (-63 / 64, 63 / 64) and q.row_correction != 0
+            assert q.eps_used == pytest.approx(63 / 64 - abs(y0))
+
     def test_strips_meet_tol_relative_to_the_sum(self, weil_ref, monkeypatch):
         # a = 3/8 on the square lattice, k = 8: the band row holds the
         # nearest lattice point, so |E| = 2599 against |J2 + J3| = 15.5, and
@@ -227,9 +247,11 @@ class TestIntegral:
 
     @pytest.mark.parametrize("k,tol", [(8, 1e-10), (7, 1e-8)])
     def test_j1_rerun_meets_its_share(self, k, tol, monkeypatch):
-        # hexagonal lattice, x = 1/8, y = 1/2: J1 misses tol/16 relative to
-        # row + J1, and its one re-run, with the strips in its offset, meets
-        # tol/16 relative to the whole sum
+        # hexagonal lattice, x = 1/8, y = 1/2, band (y0 - 1/4, y0 + 1/4]: J1
+        # misses tol/16 relative to row + J1, and its one re-run, with the
+        # strips in its offset, meets tol/16 relative to the whole sum.  The
+        # default band keeps the pole far enough from its edges that J1
+        # meets its share at once here, so eps is given
         lines = []
 
         def recorded(*args, **kwargs):
@@ -238,7 +260,7 @@ class TestIntegral:
 
         line = weil_module.integrate_line
         monkeypatch.setattr(weil_module, "integrate_line", recorded)
-        q = weil_integral(WeilParams(HEX, 0.125 + 0.5 * HEX.w2, k), tol=tol)
+        q = weil_integral(WeilParams(HEX, 0.125 + 0.5 * HEX.w2, k), eps=0.25, tol=tol)
         assert len(lines) == 2 and lines[-1].err <= tol / 16 * (1 + abs(q.value))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
@@ -376,6 +398,40 @@ class TestStripClosedForms:
             value = row_ref(c, w1, k) - k * w2 * p1(y) * row_ref(c, w1, k + 1)
             bound = _row_bound(k, w1, tau, abs(tau.imag * dy))
             assert abs(value) <= bound, dy
+
+
+def test_gauss_cells_meet_their_bound(monkeypatch):
+    # every box cell that the default route certifies for GL8xGL8, on
+    # seeded poles, lattices, k and tol, against a reference of K15 on its
+    # 4 x 4 sixteenths; the bound must cover the true error up to the two
+    # sums' roundoff, and must exceed that roundoff on most cells, so that
+    # the check is the bound's
+    certified = quadrature._certified
+    seen = []
+
+    def recorded(fv, rows, cell_bound, share):
+        out = certified(fv, rows, cell_bound, share)
+        seen.append((fv, rows, cell_bound(rows, 8), share, out))
+        return out
+
+    monkeypatch.setattr(quadrature, "_certified", recorded)
+    rng = random.Random(24)
+    sixteenths = np.array([(i, i + 1, j, j + 1) for i in range(4) for j in range(4)]) / 4
+    checked = []
+    for _ in range(8):
+        lat, k, tol = rng.choice((SQUARE, HEX, SKEW)), rng.choice((3, 5, 8)), rng.choice((1e-4, 1e-8))
+        x0, y0 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        seen.clear()
+        weil_integral(WeilParams(lat, -(x0 * lat.w1 + y0 * lat.w2), k), tol=tol)
+        (fv, rows, bounds, share, (value, _, mass, _)), = seen
+        area = np.prod(rows[:, 1::2] - rows[:, ::2], 1)
+        gauss = np.flatnonzero(bounds <= share / area.sum() * area)
+        for i in gauss:
+            lo, size = rows[i, ::2], rows[i, 1::2] - rows[i, ::2]
+            ref = quadrature._eval_cells(fv, sixteenths * np.repeat(size, 2) + np.repeat(lo, 2))[0].sum()
+            assert abs(value[i] - ref) <= bounds[i] + 1e-14 * mass[i], (lat, k, tol, x0, y0, rows[i])
+            checked.append(bounds[i] > 1e-14 * mass[i])
+    assert len(checked) >= 800 and sum(checked) >= 500
 
 
 class TestIntegrands:
