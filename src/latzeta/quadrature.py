@@ -8,8 +8,9 @@ it misses tol is a max-heap built, and each pass then halves up to 64 of
 the worst cells along every axis and evaluates their children in one
 batch.  A cell returns the tensor K15 rule, and its distance from the G7
 subset on the same nodes is the error estimate; where the caller bounds
-the error of the tensor GL8 rule on a unit cell and the bound meets the
-cell's share, the cell takes GL8 and the bound instead.  A call may use
+the error of the tensor Gauss-Legendre rules on the unit cells, each
+takes instead the cheapest rule of the ladder GL8, GL12, GL16, GL24,
+GL32 whose bound meets the cell's share, and that bound.  A call may use
 DEFAULT_PANEL_BUDGET panels beyond its unit cells, and holds at most
 MAX_SPAN_CELLS of them.  A result meets tol * (1 + |base + value|),
 ``base`` being the rest of a sum the value joins, or NoConvergence is
@@ -22,6 +23,7 @@ plain scalar callables; scalar callables are detected and looped over.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -60,21 +62,43 @@ _K15 = _kronrod(
 )
 
 
-def _rule(x, w, check):
+def _rule(x, w, check=None):
     """A rule as its nodes, weights, check weights padded to all nodes, and
     the weights and weights minus check weights as columns: a panel's value
-    and the signed difference that is its error estimate."""
+    and the signed difference that is its error estimate.  A rule checked
+    against nothing is its own check, so that its estimate is 0: it runs
+    only where the caller bounds its error."""
+    check = w if check is None else check
     return x, w, check, np.stack([w, w - check], 1)
 
 
-# the 8-point Gauss-Legendre rule GL8 from its nodes in (0, 1), largest
-# first, and their weights (Abramowitz and Stegun, Table 25.4)
-_X8 = np.array([0.9602898564975362317, 0.7966664774136267396, 0.5255324099163289858, 0.1834346424956498049])
-_W8 = np.array([0.1012285362903762591, 0.2223810344533744706, 0.3137066458778872873, 0.3626837833783619830])
-_GL8 = (np.concatenate([-_X8, _X8[::-1]]), np.concatenate([_W8, _W8[::-1]]), np.zeros(8))
-#: the rules by their number of nodes: K15 checked against G7, and GL8,
-#: checked against nothing, which runs only where a bound certifies it
-_RULES = {15: _rule(*_K15), 8: _rule(*_GL8)}
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, nodes ascending:
+    Newton's method on the Legendre three-term recurrence from Tricomi's
+    guesses for the n/2 positive nodes, in long double, so that nodes and
+    weights 2 / ((1 - x^2) P_n'(x)^2) round to double at the end, mirrored."""
+    x = np.cos(np.pi * (np.arange(n // 2, dtype=np.longdouble) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (p_prev - x * p) / (1 - x * x)
+        x = x - p / slope
+    x, w = x.astype(float), (2 / ((1 - x * x) * slope * slope)).astype(float)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+#: the Gauss-Legendre rules that a bound may certify on a cell, cheapest first
+_LADDER = (8, 12, 16, 24, 32)
+
+
+@functools.cache
+def _rules(n):
+    """The rule of n nodes per axis: K15 checked against G7 (n = 15), or
+    GL_n checked against nothing, built at its first use, so that a program
+    that certifies no cell spends no time on the Gauss-Legendre rules."""
+    return _rule(*_K15) if n == 15 else _rule(*_gauss_legendre(n))
+
 
 #: relative roundoff floor entering every reported error
 _EPS_FLOOR = 4e-16
@@ -301,17 +325,18 @@ def _cutpoints(a, b):
 
 
 def _eval_cells(fv, cells, n=15):
-    """The tensor rule of n nodes per axis (``_RULES``) on each row of
+    """The tensor rule of n nodes per axis (``_rules``) on each row of
     ``cells``, (lo, hi) per axis with x first, _MAX_CALL_POINTS // n**dim
     cells per integrand call, which bounds peak memory.  A 1-D fv gets its
     nodes as one flat array, a 2-D fv as (cells, 1, x) and (cells, y, 1)
     grids.
 
     Returns arrays over the cells of the value, the error estimate
-    |K15xK15 - G7xG7| (|K15 - G7| on one axis; 0 for GL8) and
-    the integral of |f|, and the evaluations spent."""
+    |K15xK15 - G7xG7| (|K15 - G7| on one axis; 0 for the unchecked
+    Gauss-Legendre rules) and the integral of |f|, and the evaluations
+    spent."""
     dim = cells.shape[1] // 2
-    x, w, check, panel = _RULES[n]
+    x, w, check, panel = _rules(n)
     value, err, mass = np.empty(len(cells), complex), np.empty(len(cells)), np.empty(len(cells))
     step = _MAX_CALL_POINTS // n**dim
     for i in range(0, len(cells), step):
@@ -351,16 +376,26 @@ def _halve2(cell):
 
 
 def _certified(fv, rows, cell_bound, share):
-    """``_eval_cells`` with the cheaper GL8 rule where a bound certifies it:
-    each row whose ``cell_bound(rows, 8)`` meets its part of ``share`` by
-    area takes GL8 and that bound as its error; every other row takes K15."""
+    """``_eval_cells`` with the cheapest rule of ``_LADDER`` that a bound
+    certifies: each row takes the first n whose ``cell_bound(rows, n)``,
+    evaluated for all n at once as a column, meets the row's part of
+    ``share`` by area, and that bound as its error; a row that no rung
+    certifies takes K15 and its estimate."""
     area = np.prod(rows[:, 1::2] - rows[:, ::2], 1)
-    err = cell_bound(rows, 8)
-    gauss = err <= share / area.sum() * area
-    value, mass = np.empty(len(rows), complex), np.empty(len(rows))
-    value[gauss], _, mass[gauss], evals = _eval_cells(fv, rows[gauss], 8)
-    value[~gauss], err[~gauss], mass[~gauss], kronrod_evals = _eval_cells(fv, rows[~gauss])
-    return value, err, mass, evals + kronrod_evals
+    bounds = cell_bound(rows, np.array(_LADDER)[:, None])
+    met = bounds <= share / area.sum() * area
+    # the row past the ladder's end is K15's, which always runs
+    rung = np.vstack([met, np.ones(len(rows), bool)]).argmax(0)
+    value, err, mass = np.empty(len(rows), complex), np.empty(len(rows)), np.empty(len(rows))
+    evals = 0
+    for i, n in enumerate(_LADDER + (15,)):
+        pick = rung == i
+        if pick.any():
+            value[pick], err[pick], mass[pick], spent = _eval_cells(fv, rows[pick], n)
+            evals += spent
+            if n != 15:
+                err[pick] = bounds[i, pick]
+    return value, err, mass, evals
 
 
 def _cells(fv, boxes, tol, what, base=0j, cell_bound=None):
@@ -369,10 +404,11 @@ def _cells(fv, boxes, tol, what, base=0j, cell_bound=None):
     base plus their sum.  Every axis is cut at every integer; each cell
     returns the tensor K15 rule checked against G7 on the same nodes
     (``_eval_cells``) and splits in half along every axis.  Given
-    ``cell_bound``, a unit cell whose GL8xGL8 error bound meets its share
-    of tol/4, absolute and spread over the unit cells by area, takes that
-    rule and bound instead (``_certified``); its children take K15.  The
-    budget is DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that
+    ``cell_bound``, a unit cell takes instead the cheapest tensor
+    Gauss-Legendre rule of ``_LADDER`` whose error bound meets its share of
+    tol/4, absolute and spread over the unit cells by area, and that bound
+    (``_certified``); children, and cells that no rung certifies, take K15.
+    The budget is DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that
     domains of many cells can split; more than MAX_SPAN_CELLS unit cells in
     all raise NoConvergence before any is built."""
     dim = len(boxes[0]) // 2
@@ -423,18 +459,28 @@ def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: f
 # improper integrals: lines, rays and half-strips
 
 
+def _plus_tail(fv, tail, domains, tol, base, bound, what, stop, radius=None, cell_bound=None):
+    """One ``_cells`` of fv over the finite ``domains`` at tol, relative to
+    1 + |base + value|, plus ``tail``, the caller's closed form beyond
+    them, whose remainder bound ``bound`` joins err; ``stop`` and
+    ``radius`` name the result's stop rule.  NoConvergence carries the
+    domains' best value plus tail."""
+    try:
+        q = _cells(fv, domains, tol, what, base + tail, cell_bound)
+    except NoConvergence as exc:
+        if exc.best is not None:  # None: the domains' cells passed the cap
+            exc.best = QuadratureResult(exc.best.value + tail, exc.best.err + bound, exc.best.panels, exc.best.evals)
+        raise
+    return QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals, stop, radius)
+
+
 def _span_and_tail(f, tail, span, tol, base, bound):
     lo, hi = span
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {span}")
     check_tol(tol)
-    try:
-        q = _cells(vectorize1(f), [span], tol, f"span [{lo}, {hi}]", base + tail)
-    except NoConvergence as exc:
-        if exc.best is not None:  # None: the span's cells passed the cap
-            exc.best = QuadratureResult(exc.best.value + tail, exc.best.err + bound, exc.best.panels, exc.best.evals)
-        raise
-    return QuadratureResult(q.value + tail, q.err + bound, q.panels, q.evals, "tail", max(abs(lo), abs(hi)))
+    what, radius = f"span [{lo}, {hi}]", max(abs(lo), abs(hi))
+    return _plus_tail(vectorize1(f), tail, [span], tol, base, bound, what, "tail", radius)
 
 
 def integrate_line(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResult:
@@ -454,20 +500,14 @@ def integrate_ray(f, tail, span, tol=1e-8, base=0j, bound=0.0) -> QuadratureResu
 
 
 def integrate_half_strip(f, tail, boxes, tol=1e-8, base=0j, bound=0.0, cell_bound=None) -> QuadratureResult:
-    """Half-strips as finite boxes plus the caller's closed forms beyond
-    them: f over the rectangles ``boxes``, rows (x_lo, x_hi, y_lo, y_hi),
-    by one ``_cells`` at tol/3, plus ``tail``, the integral of f beyond the
-    boxes' x ends as a function of y, over their y-spans by one
-    ``_cells`` at tol/8, each relative to 1 + |base + value| and checked
-    by its rule's error estimate, else NoConvergence.  ``cell_bound``, if
-    given, bounds the GL8 rule's error on the box's cells (``_cells``).
-    ``bound``, the caller's absolute bound on the rest, joins err; the stop
-    rule is "box"."""
+    """Half-strips as finite boxes plus the caller's closed form beyond
+    them, as ``integrate_line``: f over the rectangles ``boxes``, rows
+    (x_lo, x_hi, y_lo, y_hi), by one ``_cells`` at tol, relative to
+    1 + |base + value|, plus ``tail``, the integral of f beyond the boxes;
+    ``bound``, the caller's absolute bound on the rest, joins err.
+    ``cell_bound``, if given, bounds the tensor Gauss-Legendre rules' error
+    on the boxes' unit cells (``_cells``).  The stop rule is "box"."""
     check_tol(tol)
     if not all(x_lo < x_hi and y_lo < y_hi for x_lo, x_hi, y_lo, y_hi in boxes):
         raise ValueError(f"box bounds must be increasing, got {boxes}")
-    box = _cells(vectorize2(f), boxes, tol / 3, "the strips' box", base, cell_bound)
-    spans = [(y_lo, y_hi) for _, _, y_lo, y_hi in boxes]
-    tails = _cells(vectorize1(tail), spans, tol / 8, "the strips' x-tails", base + box.value)
-    panels, evals = box.panels + tails.panels, box.evals + tails.evals
-    return QuadratureResult(box.value + tails.value, box.err + tails.err + bound, panels, evals, "box")
+    return _plus_tail(vectorize2(f), tail, boxes, tol, base, bound, "the strips' box", "box", cell_bound=cell_bound)

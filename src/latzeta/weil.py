@@ -16,8 +16,10 @@ Two independent evaluation routes:
   (``_edge_tails``), plus the half-strip double integrals J2 and J3
   above and below the band, taken as one integral J2 + J3 (``strips``)
   on one finite box per side with closed forms beyond it
-  (``_strip_box``).  Only supported for k >= 3 (the 2-D pieces are not
-  absolutely convergent below that), where E_k depends on the lattice
+  (``_strip_box``): the x-tails' Bernoulli series integrated over the
+  box's rows (``_x_tails``) and a bound on the rows past its depth.
+  Only supported for k >= 3 (the 2-D pieces are not absolutely
+  convergent below that), where E_k depends on the lattice
   alone, so both routes sum on its Lagrange-Gauss reduced basis.  For
   integer j >= 2 and c off the line, int_R (c + x w1)^(-j) dx = 0, so by
   Fubini every term free of P1(x) integrates to exactly 0 and is left
@@ -33,8 +35,10 @@ stay at least 1/2 - 1/64 rows from the pole, so the box cells next to it
 need little refinement; with eps given, (y0 - eps, y0 + eps], eps < 1/2,
 which holds at most one.  That row is summed by the 1-D Euler-MacLaurin
 formula (two Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
-``row_correction``.  Box cells far from the pole take GL8xGL8 where a
-Bernstein-ellipse bound certifies it (``_gauss_bound``).
+``row_correction``.  Each box cell takes the cheapest tensor
+Gauss-Legendre rule of a fixed ladder (8 to 32 nodes) that a
+Bernstein-ellipse bound certifies (``_gauss_bound``), and that bound as
+its err; only a cell next to the pole that no rung certifies takes K15.
 """
 
 from __future__ import annotations
@@ -278,17 +282,22 @@ def _row_bound(k: int, w1: complex, tau: complex, h: float, lift: int = 0) -> fl
 
 
 def _x_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, boxes, share: float):
-    """T(y), the strip integrand's x-tails beyond the integer ends X_lo, X_hi
-    of the row's box (the upper one above the pole), to the fewest terms p
-    whose remainder bound meets ``share`` (else p = 10), and that bound.
-    Integrating P1(x) G by parts with the periodic Bernoulli functions
-    (DLMF 24.2), T = sum_{j<=p} B_2j/(2j)! [d^(2j-2)G(X_lo, y) -
-    d^(2j-2)G(X_hi, y)], d = d/dx, where for even m, d^m G =
-    k w1^(m+1) b^-(k+1+m) [(k+1)_(m+1) w2 P1(y) / b - (k+1)_m].  The
-    remainder is int B~_2p(x)/(2p)! d^(2p-1)G dx beyond each end, with
-    |B~_2p| <= |B_2p| (DLMF 24.9.1).  |b| = |w1| (t^2 + h^2)^(1/2), where
-    t = |x - x0 + Re tau (y - y0)| >= u, the end's distance from the pole,
-    and h = |Im tau| |y - y0|; as t^2 - u^2 >= 2u (t - u), int |b|^-s dx <=
+    """The strip integrand's x-tails beyond the integer ends X_lo, X_hi of
+    each box, integrated over the box's y-span, to the fewest terms p whose
+    remainder bound meets ``share`` (else p = 10), and that bound.  On row
+    y, integrating P1(x) G by parts with the periodic Bernoulli functions
+    (DLMF 24.2) gives the tails T = sum_{j<=p} B_2j/(2j)! [d^(2j-2)G(X_lo,
+    y) - d^(2j-2)G(X_hi, y)], d = d/dx, where for even m, d^m G =
+    k w1^(m+1) b^-(k+1+m) [(k+1)_(m+1) w2 P1(y) / b - (k+1)_m].  So the term
+    of each end and j is -/+ c_j d/dy [P1(y) b(X, y)^-n], n = k + 1 + 2(j-1),
+    as P1' = 1 between integers, and its integral over the y-span is P1
+    b^-n at the ends of the span's unit pieces: P1(y_lo+) b^-n at y_lo,
+    -P1(y_hi-) b^-n at y_hi, and -b^-n at each integer between, where P1
+    jumps by -1.  Their roundoff joins the bound.  The remainder is
+    int B~_2p(x)/(2p)! d^(2p-1)G dx beyond each end, with |B~_2p| <= |B_2p|
+    (DLMF 24.9.1).  |b| = |w1| (t^2 + h^2)^(1/2), where t = |x - x0 +
+    Re tau (y - y0)| >= u, the end's distance from the pole, and
+    h = |Im tau| |y - y0|; as t^2 - u^2 >= 2u (t - u), int |b|^-s dx <=
     |w1|^-s D^(2-s) / (u (s - 2)), D^2 = u^2 + h^2.  u and h are linear in
     y, so each span of at most one row spacing takes both at their least."""
     tau = w2 / w1
@@ -306,29 +315,32 @@ def _x_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float,
         bound = k * abs(w1) ** -k * abs(b2p) * rising * (k + 2 * p - 1) * per
         if bound <= share:
             break
-    (lo_dn, hi_dn, _, _), (lo_up, hi_up, _, _) = boxes
-
-    def f(y):
-        up, py = y > y0, p1(y)
-        total = 0j
-        for x, sign in ((np.where(up, lo_up, lo_dn), 1), (np.where(up, hi_up, hi_dn), -1)):
-            r = 1 / (a + x * w1 + y * w2)
-            power = sign * _ipow(r, k + 1)
-            for j, c in enumerate(coefs):
-                total = total + c * power * ((k + 1 + 2 * j) * w2 * py * r - 1)
-                power = power * r * r
-        return total
-
-    return f, bound
+    # b at every piece end of both x ends of both boxes, with its weight
+    b, wt = [], []
+    for left, right, bottom, top in boxes:
+        ys = np.concatenate([[bottom], np.arange(math.floor(bottom) + 1, math.ceil(top)), [top]])
+        piece = np.concatenate([[p1(bottom)], -np.ones(len(ys) - 2), [p1(-top)]])  # -P1(y-) = p1(-y)
+        for x, sign in ((left, 1), (right, -1)):
+            b.append(a + x * w1 + ys * w2)
+            wt.append(sign * piece)
+    r = 1 / np.concatenate(b)
+    power, r2 = np.concatenate(wt) * _ipow(r, k + 1), r * r
+    total, mass = 0j, 0.0
+    for c in coefs:
+        terms = c * power
+        total, mass = total + terms.sum(), mass + np.abs(terms).sum()
+        power *= r2
+    return complex(total), bound + _EPS_FLOOR * mass
 
 
 def _strip_box(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, band, share: float):
     """The strips outside ``band`` = (y_dn, y_up), any band around the pole
     row y0 that holds at most one integer row, as boxes |x - c| <= 8, c the
     integer nearest the pole at the middle row, 0 <= +/-(y - edge) <= Y:
-    returns the boxes, the x-tails, a bound on the rest and Y, the least
-    half-integer (at most 16) whose y-cut, from the edge nearer the pole,
-    meets ``share``, as the tails' remainder does."""
+    returns the boxes, the x-tails' integral over them (``_x_tails``), a
+    bound on the rest and Y, the least half-integer (at most 16) whose
+    y-cut, from the edge nearer the pole, meets ``share``, as the tails'
+    remainder does."""
     tau = w2 / w1
     gap, depth = min(y0 - band[0], band[1] - y0), 0.5
     while (cut := 2 * _row_bound(k, w1, tau, abs(tau.imag) * (gap + depth), 1)) > share and depth < 16:
@@ -343,9 +355,10 @@ def _strip_box(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: floa
 def _gauss_bound(w1: complex, w2: complex, k: int, x0: float, y0: float):
     """A bound on |int - GL_n x GL_n| of the strip integrand f over each box
     cell (x_lo, x_hi, y_lo, y_hi) off the pole row, as a function of the
-    cells' rows and n (broadcast against the cells).  By ATAP Thm 19.3, the
-    n-point Gauss rule on [-1, 1] errs by at most 64 M / (15 (rho^2 - 1)
-    rho^(2n-2)) for f analytic and |f| <= M in the Bernstein ellipse E_rho.
+    cells' rows and n, broadcast against the cells: n as a column gives one
+    row of bounds per n.  By ATAP Thm 19.3, the n-point Gauss rule on
+    [-1, 1] errs by at most 64 M / (15 (rho^2 - 1) rho^(2n-2)) for f
+    analytic and |f| <= M in the Bernstein ellipse E_rho.
     One axis at a time with the other real, and as the Gauss weights are
     positive, the cell's error is at most 128/15 h_x h_y (M_x q_x + M_y q_y),
     q = 1 / ((rho^2 - 1) rho^(2n-2)).  On a cell P1 is linear, so f's one
@@ -362,24 +375,25 @@ def _gauss_bound(w1: complex, w2: complex, k: int, x0: float, y0: float):
     axes = ((x0, tau, y0, abs(w1)), (y0, 1 / tau, x0, abs(w2)))
 
     def bound(rows, n):
-        # where rho <= 1 no ellipse certifies the rule: the bound is inf,
-        # and the terms computed on the way may divide by 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = rows[:, 0::2], rows[:, 1::2]
-            h, c = (hi - lo) / 2, (hi + lo) / 2
-            total = 0.0
-            for axis, (pole, slope, other, w) in enumerate(axes):
-                d = np.stack([lo[:, 1 - axis], hi[:, 1 - axis]]) - other  # the other side, from the pole
-                re, im = (pole - slope.real * d - c[:, axis]) / h[:, axis], slope.imag * d / h[:, axis]
-                eta, xi = (np.where(t[0] * t[1] > 0, np.abs(t).min(0), 0.0) for t in (im, re))
-                rho_p = np.maximum(eta + np.hypot(eta, 1), xi + np.sqrt(np.maximum(xi * xi - 1, 0)))
-                rho = (2 * n - 2) * rho_p / (2 * n + k)
-                dist = w * h[:, axis] * (rho_p - rho) * (1 - 1 / (rho_p * rho)) / 2
-                p1_ellipse = 0.5 + h[:, axis] * ((rho + 1 / rho) / 2 - 1)
-                p1x, p1y = (p1_ellipse, 0.5) if axis == 0 else (0.5, p1_ellipse)
-                m = k * abs(w1) * p1x * dist ** -(k + 1) * ((k + 1) * abs(w2) * p1y / dist + 1)
-                total = total + np.where(rho > 1, m / ((rho * rho - 1) * rho ** (2 * n - 2)), np.inf)
-            return 128 / 15 * h[:, 0] * h[:, 1] * total
+        lo, hi = rows[:, 0::2], rows[:, 1::2]
+        h, c = (hi - lo) / 2, (hi + lo) / 2
+        total = 0.0
+        for axis, (pole, slope, other, w) in enumerate(axes):
+            d = np.stack([lo[:, 1 - axis], hi[:, 1 - axis]]) - other  # the other side, from the pole
+            re, im = (pole - slope.real * d - c[:, axis]) / h[:, axis], slope.imag * d / h[:, axis]
+            eta, xi = (np.where(t[0] * t[1] > 0, np.abs(t).min(0), 0.0) for t in (im, re))
+            rho_p = np.maximum(eta + np.hypot(eta, 1), xi + np.sqrt(np.maximum(xi * xi - 1, 0)))
+            # where rho <= 1 no ellipse certifies the rule: NaN carries that
+            # to the bound, inf, without dividing by 0 on the way; rho^-(2n-2)
+            # underflows where rho^(2n-2) would overflow
+            rho = (2 * n - 2) * rho_p / (2 * n + k)
+            rho = np.where(rho > 1, rho, np.nan)
+            dist = w * h[:, axis] * (rho_p - rho) * (1 - 1 / (rho_p * rho)) / 2
+            p1_ellipse = 0.5 + h[:, axis] * ((rho + 1 / rho) / 2 - 1)
+            p1x, p1y = (p1_ellipse, 0.5) if axis == 0 else (0.5, p1_ellipse)
+            m = k * abs(w1) * p1x * dist ** -(k + 1) * ((k + 1) * abs(w2) * p1y / dist + 1)
+            total = total + m * rho ** (2 - 2 * n) / (rho * rho - 1)
+        return 128 / 15 * h[:, 0] * h[:, 1] * np.where(np.isnan(total), np.inf, total)
 
     return bound
 
@@ -401,10 +415,12 @@ def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) ->
     taken.  The parts share one absolute target, tol * (1 + |E|): the row
     takes tol/16, J1 tol/16 relative to row + J1 (its segment half of that,
     its tails' remainder 1/16 of it, absolute), and J2 + J3, one integral
-    whose value the report gives as ``strips``, 7/8 tol relative to the
-    whole sum.  Where J1 cancels J2 + J3 and misses its share, J1's segment
-    alone runs again with the strips in its offset; ConvergenceError, with
-    the report as ``.best``, says the sum missed tol still."""
+    whose value the report gives as ``strips``, 7/24 tol on its box,
+    relative to the whole sum, and 7/256 tol each on its y-cut and on the
+    remainder of its x-tails, absolute.  Where J1 cancels J2 + J3 and
+    misses its share, J1's segment alone runs again with the strips in its
+    offset; ConvergenceError, with the report as ``.best``, says the sum
+    missed tol still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -435,10 +451,9 @@ def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) ->
     edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
     edge_tail, edge_bound = _edge_tails(w1, w2, a, k, x0, y0, (y_dn, y_up), tol / 256)
     q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row, edge_bound)
-    # the strips' y-cut and x-tail remainder take 1/32 of their 7/8 tol each
     boxes, tail, bound, depth = _strip_box(w1, w2, a, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
     f, cell_bound = _strip_integrand(w1, w2, a, k), _gauss_bound(w1, w2, k, x0, y0)
-    q = integrate_half_strip(f, tail, boxes, tol * 7 / 8, row + q1.value, bound, cell_bound)
+    q = integrate_half_strip(f, tail, boxes, tol * 7 / 24, row + q1.value, bound, cell_bound)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row + q.value, edge_bound)
     stops = ((q1.stop, q1.radius), (q.stop, depth))

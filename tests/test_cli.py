@@ -82,11 +82,13 @@ class TestWeil:
         assert json.loads(out)["error"] == "PointOnLattice"
 
     def test_budget_env_exit_3(self, capsys, monkeypatch):
+        # the band (y0 - 1/4, y0 + 1/4] puts the pole near J1's edges, whose
+        # segment must refine: 4 panels beyond its unit cells do not suffice
         monkeypatch.setattr("latzeta.quadrature.DEFAULT_PANEL_BUDGET", 4)
         code, out = run_cli(
             capsys,
             "weil", "--w1", "1", "--w2", "i", "--a", "0.3+0.2i", "--k", "4",
-            "--method", "integral",
+            "--method", "integral", "--eps", "0.25",
         )
         assert code == 3
         assert "error" in json.loads(out)

@@ -14,10 +14,11 @@ from latzeta.lattice import lattice_new
 from latzeta.lerch import _em_start, _em_tail
 from latzeta.quadrature import (
     _K15,
-    _RULES,
+    _LADDER,
     _EPS_FLOOR,
     _eval_cells,
     _refine,
+    _rules,
     integrate_half_strip,
     integrate_line,
     integrate_ray,
@@ -117,17 +118,54 @@ class TestSegment:
         assert abs(np.dot(wg, x ** (gauss + 1)) - 2.0 / (gauss + 2)) > 1e-6
 
     def test_gauss_rule_is_exact(self):
-        # GL8 is exact for x^d, d <= 15, on [-1, 1], and not for d = 16
-        x, w, _, _ = _RULES[8]
-        for d in range(16):
-            assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15
+        # each rule GL_n of the ladder is exact for x^d, d <= 2n - 1, on
+        # [-1, 1]; GL8 is not for d = 16
+        for n in _LADDER:
+            x, w, _, _ = _rules(n)
+            for d in range(2 * n):
+                assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15, (n, d)
+        x, w, _, _ = _rules(8)
         assert abs(np.dot(w, x**16) - 2.0 / 17) > 1e-6
 
+    @pytest.mark.parametrize("n", _LADDER)
+    def test_gauss_rule_matches_legendre_roots(self, n):
+        # nodes the roots of P_n and weights 2 / ((1 - x^2) P_n'(x)^2),
+        # each from mpmath at 30 digits, to within one unit in the last place
+        mpmath = pytest.importorskip("mpmath")
+        x, w, _, _ = _rules(n)
+        assert np.all(np.diff(x) > 0)
+        with mpmath.workdps(30):
+            for node, weight in zip(x, w):
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(node))
+                slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
+                want = 2 / ((1 - root**2) * slope**2)
+                assert abs(node - root) <= 2.3e-16 * abs(root) and abs(weight - want) <= 2.3e-16 * want
+
+    def test_gl8_equals_the_table(self):
+        # Abramowitz and Stegun, Table 25.4: GL8's nodes in (0, 1) and their
+        # weights, largest node first
+        xs = [0.9602898564975362317, 0.7966664774136267396, 0.5255324099163289858, 0.1834346424956498049]
+        ws = [0.1012285362903762591, 0.2223810344533744706, 0.3137066458778872873, 0.3626837833783619830]
+        x, w, _, _ = _rules(8)
+        for got, want in ((x[:4], np.negative(xs)), (x[:3:-1], xs), (w[:4], ws), (w[:3:-1], ws)):
+            assert np.all(np.abs(got - want) <= 2.3e-16 * np.abs(want))
+
+    def test_unchecked_rule_estimates_zero(self):
+        # a Gauss-Legendre rule runs only where the caller bounds its error:
+        # its own estimate is 0, not |value|.  e^(x + iy) on two unit cells
+        fv = vectorize2(lambda x, y: np.exp(x + 1j * y))
+        cells = np.array([(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, -1.0, 0.0)])
+        value, err, _, evals = _eval_cells(fv, cells, 8)
+        want = [(math.e - 1) * (cmath.exp(1j) - 1) / 1j, (math.e**2 - math.e) * (1 - cmath.exp(-1j)) / 1j]
+        assert np.all(np.abs(value - want) <= 1e-14) and np.all(err == 0) and evals == 2 * 64
+
     def test_import_loads_neither_mpmath_nor_scipy(self):
-        # the Kronrod constants are literals: importing the package
-        # computes no rule with a multiprecision or scientific library
+        # the Kronrod constants are literals and the Gauss-Legendre rules
+        # come from the Legendre recurrence: importing the package loads no
+        # multiprecision or scientific library, nor numpy.polynomial, whose
+        # import alone costs more than a megabyte of memory
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        code = "import sys, latzeta; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        code = "import sys, latzeta; print(sorted({'mpmath', 'scipy', 'numpy.polynomial'} & set(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -273,7 +311,7 @@ _LORENTZ_TAIL = 2 * (math.pi / 2 - math.atan(8.0))
         lambda tol: integrate_rect(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=tol),
         lambda tol: integrate_line(lambda x: 1.0 / (1.0 + x * x), _LORENTZ_TAIL, (-8.0, 8.0), tol=tol),
         lambda tol: integrate_ray(lambda x: x**-2.0, 1 / 64, (1.0, 64.0), tol=tol),
-        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, np.cos, [(-8.0, 8.0, 0.0, 4.0)], tol=tol),
+        lambda tol: integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, [(-8.0, 8.0, 0.0, 4.0)], tol=tol),
     ],
     ids=["segment", "rect", "line", "ray", "half_strip"],
 )
@@ -455,15 +493,17 @@ def _weil_strips(a, k, band, tol):
 class TestHalfStrip:
     def test_radial_closed_form(self):
         # (1 + x^2 + y^2)^-2 outside a band, each side's edge at e: boxes
-        # |x| <= 8 of depth 4, and the x-tails beyond |x| = 8 in closed
-        # form; the rows beyond the boxes, (pi/2)(1 - Y/sqrt(1 + Y^2)) at
-        # |y| = Y, are left out and given as the bound
-        def tail(y):
+        # |x| <= 8 of depth 4, and the x-tails beyond |x| = 8, in closed
+        # form on each row, integrated over the boxes' y-spans; the rows
+        # beyond the boxes, (pi/2)(1 - Y/sqrt(1 + Y^2)) at |y| = Y, are
+        # left out and given as the bound
+        def row_tail(y):
             c = np.sqrt(1.0 + y * y)
             return 2 * (math.pi / 2 - np.arctan(8.0 / c)) / (2 * c**3) - 2 * 8.0 / (2 * c**2 * (c**2 + 64.0))
 
         for band in ((0.0, 0.0), (-0.3, 0.7)):
             boxes = [(-8.0, 8.0, band[0] - 4.0, band[0]), (-8.0, 8.0, band[1], band[1] + 4.0)]
+            tail = sum(integrate_segment(row_tail, lo, hi, tol=1e-14).value for _, _, lo, hi in boxes)
             cut = _outside_band((band[0] - 4.0, band[1] + 4.0))
             f = lambda x, y: (1.0 + x * x + y * y) ** -2.0  # noqa: E731
             q = integrate_half_strip(f, tail, boxes, tol=1e-8, bound=cut)
@@ -473,7 +513,7 @@ class TestHalfStrip:
 
     def test_rejects_inverted_band(self):
         with pytest.raises(ValueError, match="increasing"):
-            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, lambda y: 0 * y, [(-8.0, 8.0, 0.5, 0.25)])
+            integrate_half_strip(lambda x, y: (1.0 + x * x + y * y) ** -2.0, 0.0, [(-8.0, 8.0, 0.5, 0.25)])
 
     def test_weil_strip_on_box(self, row_ref):
         # square lattice, a = 0.3 + 0.2i, k = 8: the strips outside the band

@@ -8,7 +8,7 @@ import pytest
 
 from latzeta import quadrature
 from latzeta import weil as weil_module
-from latzeta.errors import PointOnLattice, PoleNearDomain, UnsupportedDecay
+from latzeta.errors import ConvergenceError, PointOnLattice, PoleNearDomain, UnsupportedDecay
 from latzeta.lattice import lattice_new
 from latzeta.bernoulli import p1
 from latzeta.weil import (
@@ -16,6 +16,7 @@ from latzeta.weil import (
     _band_row,
     _edge_integrand,
     _row_bound,
+    _strip_box,
     _strip_integrand,
     _x_tails,
     eisenstein_series,
@@ -126,11 +127,15 @@ class TestIntegral:
     def test_periodicity_along_w1(self, lat, k):
         # J1's integrand peaks at x = x0, the w1-coordinate of -a; far along
         # w1 that peak lies outside every level of the line integral unless
-        # a is first moved back by the period
+        # a is first moved back by the period.  The reference is E_k at the
+        # float a + n w1 that the call gets, moved back by n w1 exactly:
+        # rounding a + n w1 moves E_6 by up to 5e-9 at n = 30000, more than
+        # the integral's err
         tol, a = 1e-8, 0.3 + 0.2j
-        d = weil_direct(WeilParams(lat, a, k), tol=1e-12)
         for n in (100, 300, 3000, 30000, -5000):
-            q = weil_integral(WeilParams(lat, a + n * lat.w1, k), tol=tol)
+            shifted = a + n * lat.w1
+            d = weil_direct(WeilParams(lat, shifted - n * lat.w1, k), tol=1e-12)
+            q = weil_integral(WeilParams(lat, shifted, k), tol=tol)
             off = abs(q.value - d.value)
             assert off <= tol * (1 + abs(d.value))
             assert q.err >= off - d.err
@@ -353,35 +358,82 @@ class TestStripClosedForms:
     @pytest.mark.parametrize("k", [3, 8])
     def test_x_tail_expansion(self, lat, k):
         # the tails beyond |x - c| <= 8, c nearest the pole on row y, in
-        # closed form: the strip integrand is P1(x) [D b^-k - k w2 P1(y)
-        # D b^-(k+1)], D = d/dx, and by the first-order EM identity
-        # int_X^inf P1 D b^-j = w1^-j zeta(j, c/w1 + X) - b(X)^-j/2 -
-        # b(X)^(1-j)/((j-1) w1), c = a + y w2; x -> -x takes the tail below
-        # X to the one above -X of (-1)^j (-c + x w1)^-j.  The same thin box
-        # serves rows above and below the pole, so the bound counts its
-        # span twice
+        # closed form, integrated over the span [y, y + 1/16]: the strip
+        # integrand is P1(x) [D b^-k - k w2 P1(y) D b^-(k+1)], D = d/dx,
+        # and by the first-order EM identity int_X^inf P1 D b^-j =
+        # w1^-j zeta(j, c/w1 + X) - b(X)^-j/2 - b(X)^(1-j)/((j-1) w1),
+        # c = a + y w2; x -> -x takes the tail below X to the one above -X
+        # of (-1)^j (-c + x w1)^-j.  The same box serves rows above and
+        # below the pole, so the tails and the bound count its span twice
         mpmath = pytest.importorskip("mpmath")
         w1, w2, a = lat.w1, lat.w2, 0.3 * lat.w1 + 0.2 * lat.w2
         tau = w2 / w1
 
         def above(c, x, j):
-            with mpmath.workdps(30):
-                w = mpmath.mpc(w1)
-                b = mpmath.mpc(c) + x * w
-                return complex(w**-j * mpmath.zeta(j, b / w) - b**-j / 2 - b ** (1 - j) / ((j - 1) * w))
+            w = mpmath.mpc(w1)
+            b = c + x * w
+            return w**-j * mpmath.zeta(j, b / w) - b**-j / 2 - b ** (1 - j) / ((j - 1) * w)
+
+        def row_tail(y, c):
+            row = mpmath.mpc(a) + y * mpmath.mpc(w2)
+            return sum(
+                weight * (above(row, c + 8, j) + (-1) ** j * above(-row, 8 - c, j))
+                for j, weight in ((k, 1), (k + 1, -k * mpmath.mpc(w2) * (y - mpmath.floor(y) - 0.5)))
+            )
 
         for y in (-3.7, -0.45, 0.05, 2.3):
             c = round(self.X0 - tau.real * (y - self.Y0))
-            boxes, span = [(c - 8, c + 8, y, y + 1e-6)] * 2, 2e-6
-            row = a + y * w2
-            want = sum(
-                weight * (above(row, c + 8, j) + (-1) ** j * above(-row, 8 - c, j))
-                for j, weight in ((k, 1), (k + 1, -k * w2 * p1(y)))
-            )
+            boxes, span = [(c - 8, c + 8, y, y + 1 / 16)] * 2, 1 / 8
+            with mpmath.workdps(20):
+                span_integral = mpmath.quad(lambda t: row_tail(t, c), [y, y + 1 / 16], method="gauss-legendre", maxdegree=2)
+                want = complex(2 * span_integral)
             for share in (1e-4, 1e-8, 1e-12):
                 tail, bound = _x_tails(w1, w2, a, k, self.X0, self.Y0, boxes, share * span * abs(w1) ** -k)
-                off = abs(tail(np.array([y]))[0] - want)
-                assert off <= bound / span + 1e-15 * abs(want) and bound <= share * span * abs(w1) ** -k, (y, share)
+                off = abs(tail - want)
+                assert off <= bound + 1e-15 * abs(want) and bound <= share * span * abs(w1) ** -k, (y, share)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize(
+        "lat,band",
+        [(lat, (-63 / 64, 63 / 64)) for lat in (SQUARE, HEX, SKEW, TURNED)]
+        + [(SQUARE, (-0.4, 0.0)), (SKEW, (-1.0, 0.3))],
+        ids=["square", "hex", "skew", "turned", "square-up-at-0", "skew-down-at-1"],
+    )
+    def test_x_tails_integrate_the_series(self, lat, band, k):
+        # the closed form against mpmath.quad, piece by piece between the
+        # integers, of the per-row Bernoulli tail series T(y) of the same p
+        # terms (share 0 takes p = 10, share inf p = 1) over each y-span of
+        # the strips' boxes, up to 1e-14 of the sum of |integral| over the
+        # boxes and ends.  The widest band and two others, whose box ends
+        # lie at 0 from above and at -1 from below, where P1 is one-sided
+        mpmath = pytest.importorskip("mpmath")
+        w1, w2, a = lat.w1, lat.w2, 0.3 * lat.w1 + 0.2 * lat.w2
+        boxes = _strip_box(w1, w2, a, k, self.X0, self.Y0, band, 1e-6)[0]
+        for share, p in ((0.0, 10), (math.inf, 1)):
+            got, _ = _x_tails(w1, w2, a, k, self.X0, self.Y0, boxes, share)
+            with mpmath.workdps(20):
+                w, v = mpmath.mpc(w1), mpmath.mpc(w2)
+                coefs = [
+                    k * w ** (2 * j - 1) * mpmath.bernoulli(2 * j) * mpmath.rf(k + 1, 2 * j - 2)
+                    / mpmath.factorial(2 * j)
+                    for j in range(1, p + 1)
+                ]
+
+                def series(y, x, sign):
+                    b, py, total = mpmath.mpc(a) + x * w + y * v, y - mpmath.floor(y) - 0.5, 0
+                    power, n = b ** -(k + 1), k + 1
+                    for coef in coefs:
+                        total += sign * coef * power * (n * v * py / b - 1)
+                        power, n = power / (b * b), n + 2
+                    return total
+
+                want, mass = 0, 0
+                for x_lo, x_hi, y_lo, y_hi in boxes:
+                    pieces = [y_lo, *range(math.floor(y_lo) + 1, math.ceil(y_hi)), y_hi]
+                    for x, sign in ((x_lo, 1), (x_hi, -1)):
+                        part = mpmath.quad(lambda y: series(y, x, sign), pieces, method="gauss-legendre")
+                        want, mass = want + part, mass + abs(part)
+            assert abs(got - complex(want)) <= 1e-14 * float(mass), (share, got, complex(want))
 
     @pytest.mark.parametrize("lat", [SQUARE, HEX, SKEW, TURNED], ids=["square", "hex", "skew", "turned"])
     @pytest.mark.parametrize("k", [3, 5, 8])
@@ -401,37 +453,51 @@ class TestStripClosedForms:
 
 
 def test_gauss_cells_meet_their_bound(monkeypatch):
-    # every box cell that the default route certifies for GL8xGL8, on
-    # seeded poles, lattices, k and tol, against a reference of K15 on its
-    # 4 x 4 sixteenths; the bound must cover the true error up to the two
-    # sums' roundoff, and must exceed that roundoff on most cells, so that
-    # the check is the bound's
-    certified = quadrature._certified
-    seen = []
+    # every box cell that the default route certifies for a Gauss-Legendre
+    # rule of the ladder, on seeded poles, lattices, k and tol (1e-12 takes
+    # the top rungs), against the same rule on its 4 x 4 sixteenths; the
+    # bound must cover the true error up to the two sums' roundoff, must
+    # exceed that roundoff on most cells, so that the check is the bound's,
+    # and every rung must serve some cell
+    certified, eval_cells = quadrature._certified, quadrature._eval_cells
+    seen, rungs = [], []
 
     def recorded(fv, rows, cell_bound, share):
-        out = certified(fv, rows, cell_bound, share)
-        seen.append((fv, rows, cell_bound(rows, 8), share, out))
+        seen.append((fv, cell_bound))
+        return certified(fv, rows, cell_bound, share)
+
+    def recorded_rule(fv, cells, n=15):
+        out = eval_cells(fv, cells, n)
+        if n != 15:
+            rungs.append((n, cells, out))
         return out
 
     monkeypatch.setattr(quadrature, "_certified", recorded)
+    monkeypatch.setattr(quadrature, "_eval_cells", recorded_rule)
     rng = random.Random(24)
     sixteenths = np.array([(i, i + 1, j, j + 1) for i in range(4) for j in range(4)]) / 4
-    checked = []
-    for _ in range(8):
-        lat, k, tol = rng.choice((SQUARE, HEX, SKEW)), rng.choice((3, 5, 8)), rng.choice((1e-4, 1e-8))
+    checked, used = [], set()
+    for tol in [None] * 8 + [1e-12] * 4:
+        lat, k, tol = rng.choice((SQUARE, HEX, SKEW)), rng.choice((3, 5, 8)), tol or rng.choice((1e-4, 1e-8))
         x0, y0 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
         seen.clear()
-        weil_integral(WeilParams(lat, -(x0 * lat.w1 + y0 * lat.w2), k), tol=tol)
-        (fv, rows, bounds, share, (value, _, mass, _)), = seen
-        area = np.prod(rows[:, 1::2] - rows[:, ::2], 1)
-        gauss = np.flatnonzero(bounds <= share / area.sum() * area)
-        for i in gauss:
-            lo, size = rows[i, ::2], rows[i, 1::2] - rows[i, ::2]
-            ref = quadrature._eval_cells(fv, sixteenths * np.repeat(size, 2) + np.repeat(lo, 2))[0].sum()
-            assert abs(value[i] - ref) <= bounds[i] + 1e-14 * mass[i], (lat, k, tol, x0, y0, rows[i])
-            checked.append(bounds[i] > 1e-14 * mass[i])
+        rungs.clear()
+        try:
+            weil_integral(WeilParams(lat, -(x0 * lat.w1 + y0 * lat.w2), k), tol=tol)
+        except ConvergenceError:
+            pass  # the certified cells are taken before any raise
+        ((fv, cell_bound),) = seen
+        for n, rows, (value, _, mass, _) in rungs:
+            used.add(n)
+            bounds = cell_bound(rows, n)
+            size = rows[:, 1::2] - rows[:, ::2]
+            subcells = sixteenths * np.repeat(size, 2, 1)[:, None] + np.repeat(rows[:, ::2], 2, 1)[:, None]
+            ref = eval_cells(fv, subcells.reshape(-1, 4), n)[0].reshape(len(rows), 16).sum(1)
+            off = np.abs(value - ref)
+            assert np.all(off <= bounds + 1e-14 * mass), (lat, k, tol, x0, y0, n, rows[off > bounds + 1e-14 * mass])
+            checked.extend(bounds > 1e-14 * mass)
     assert len(checked) >= 800 and sum(checked) >= 500
+    assert used == set(quadrature._LADDER)
 
 
 class TestIntegrands:
