@@ -1,4 +1,4 @@
-"""Numerical integration of piecewise-smooth complex-valued integrands.
+"""Numerical integration of piecewise-smooth real- or complex-valued integrands.
 
 One checked rule and one algorithm in one and two dimensions.  ``_cells``
 cuts segments or rectangles at every integer (the periodized Bernoulli
@@ -18,7 +18,10 @@ raised.  Lines, rays and half-strips are such a finite domain plus the
 caller's closed form beyond it and its remainder bound.
 
 Integrands may be numpy-vectorized (preferred, arrays in / arrays out) or
-plain scalar callables; scalar callables are detected and looped over.
+plain scalar callables; scalar callables are detected and looped over.  A
+float64 or complex128 result is used as it is, so a real integrand runs
+through real arithmetic up to its value; any other result becomes
+complex128.
 """
 
 from __future__ import annotations
@@ -133,35 +136,41 @@ class QuadratureResult:
 # integrand vectorization
 
 
+def _as_grid(zs, shape):
+    """f's values as f returned them when they are float64 or complex128,
+    else as complex128, broadcast to the grid's shape."""
+    zs = np.asarray(zs)
+    if zs.dtype != np.float64 and zs.dtype != np.complex128:
+        zs = zs.astype(complex)
+    return zs if zs.shape == shape else np.broadcast_to(zs, shape)
+
+
 def vectorize1(f):
-    """Wrap a 1-D integrand so it maps float arrays to complex arrays."""
+    """Wrap a 1-D integrand so it maps float arrays to real or complex
+    arrays: float64 and complex128 results pass as they are, any other
+    dtype and a scalar callable's values become complex128."""
 
     def g(xs: np.ndarray) -> np.ndarray:
         try:
-            ys = np.asarray(f(xs), dtype=complex)
+            return _as_grid(f(xs), xs.shape)
         except (TypeError, ValueError, AttributeError, IndexError):
             return np.array([complex(f(float(x))) for x in xs], dtype=complex)
-        if ys.shape != xs.shape:
-            ys = np.broadcast_to(ys, xs.shape).astype(complex)
-        return ys
 
     return g
 
 
 def vectorize2(f):
-    """Wrap a 2-D integrand so it maps coordinate arrays to complex arrays.
+    """Wrap a 2-D integrand so it maps coordinate arrays to real or complex
+    arrays, with the dtypes of ``vectorize1``.
 
     The coordinates reach f as given, so on a tensor grid (a (1, N) row of
     x and an (M, 1) column of y) factors of x or y alone are computed once
     per axis; only the result is broadcast to the grid shape."""
 
     def g(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+        shape = np.broadcast(xs, ys).shape
         try:
-            zs = np.asarray(f(xs, ys), dtype=complex)
-            if zs.shape != shape:
-                zs = np.broadcast_to(zs, shape).astype(complex)
-            return zs
+            return _as_grid(f(xs, ys), shape)
         except (TypeError, ValueError, AttributeError, IndexError):
             xb, yb = np.broadcast_arrays(xs, ys)
             flat = np.array(

@@ -7,8 +7,9 @@ Two independent evaluation routes:
   defines the conditionally convergent cases k = 1, 2).  Rows are summed
   with +/-n pairing and Richardson acceleration; row pairs +/-m decay
   exponentially once the inner sums are accurate, so the outer sum
-  terminates quickly.  ``eisenstein_series`` is the same sum at a = 0
-  with the origin left out.
+  terminates quickly.  Each row point is formed exactly and rounded once
+  (``_row_points``); for k >= 3 the outer sum is centred on the pole row.
+  ``eisenstein_series`` is the same sum at a = 0 with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   J1 along the two edges of the excluded band around the pole row, one
@@ -97,53 +98,107 @@ class WeilReport:
     band: tuple = ()
 
 
-def _row_sum(c: complex, w1: complex, k: int, tol: float):
-    """Sum of (c + n w1)^(-k) over all integers n, as the symmetric limit.
+def _row_points(a: complex, w1: complex, w2: complex):
+    """The row points c = a + n w1 + m w2 as a function of the row m, n the
+    integer that takes Re(c/w1) next to 0, each formed exactly and rounded
+    once, with the size of that rounding.  Each float is an integer over a
+    power of 2, so a, w1 and w2 are integers over the largest, q, of those
+    powers; int / int rounds once, and the rounded part's denominator
+    divides q, so its distance from the exact one is exact in integers."""
+    ratios = [x.as_integer_ratio() for z in (a, w1, w2) for x in (z.real, z.imag)]
+    q = max(d for _, d in ratios)
+    ar, ai, ur, ui, vr, vi = (p * (q // d) for p, d in ratios)
+    x_a, x_m = (a / w1).real, (w2 / w1).real
+
+    def rounded(p):
+        r = p / q
+        pr, qr = r.as_integer_ratio()
+        return r, abs(p - pr * (q // qr)) / q
+
+    def point(m):
+        n = -round(x_a + m * x_m)
+        (x, dx), (y, dy) = rounded(ar + n * ur + m * vr), rounded(ai + n * ui + m * vi)
+        return complex(x, y), math.hypot(dx, dy)
+
+    return point
+
+
+def _abs_row(z: complex, s: int, n_max: int) -> float:
+    """A bound on sum_{|n| <= n_max} |z + n|^-s, |Re z| <= 1/2, s >= 1.  With
+    b = 1 - |Re z| and h = |Im z|, the term of n != 0 is at most
+    g(|n| - 1 + b), g(t) = (t^2 + h^2)^(-s/2), which falls with |n|, so those
+    terms sum to at most 2 [g(b) + int_b^n_max g]; the integral is at most
+    ln(n_max / b) for s = 1, and b^(1-s) / (s - 1) and (pi/2) h^(1-s) for
+    s >= 2."""
+    b, h = 1 - abs(z.real), abs(z.imag)
+    if s == 1:
+        tail = math.log(n_max / b)
+    else:
+        tail = b ** (1 - s) / (s - 1)
+        if h > 0.5:  # below that, (pi/2) h^(1-s) is the larger, and h may be 0
+            tail = min(tail, math.pi / 2 * h ** (1 - s))
+    return (abs(z) ** -s if z else 0.0) + 2 * ((b * b + h * h) ** (-s / 2) + tail)
+
+
+def _row_sum(c: complex, delta: float, w1: complex, k: int, tol: float):
+    """Sum of (c + n w1)^(-k) over all integers n, as the symmetric limit,
+    for a row point c with |Re(c/w1)| <= 1/2 that differs by delta from the
+    exact one (``_row_points``); a finite shift of the centre leaves the
+    symmetric limit unchanged.
 
     Terms are paired n, -n (which reproduces the symmetric partial sums
     exactly) and the N-doubling partial sums are extrapolated; the paired
     tail has a smooth 1/N expansion, so this converges for every k >= 1.
-    The pairs are centred on the row point nearest the pole; a finite
-    shift of the centre leaves the symmetric limit unchanged.  A term at
-    c + n w1 = 0 is left out (the origin of G_k)."""
-    shift = round(-(c / w1).real) * w1
-    # forming c next to a lattice point rounds it by up to delta
-    delta = _EPS_FLOOR * (abs(c) + abs(shift))
-    c += shift
+    A term at c + n w1 = 0 is left out (the origin of G_k).  Beside the
+    last increment, err charges the terms' own roundoff, (k + 1) u times a
+    bound M on sum_n |c + n w1|^-k, u = 2^-53 (``_abs_row``): a term is k
+    products and a quotient away from its base, and numpy's and Python's
+    complex powers were measured at most k u off for k = 3, 5 and 8.  It
+    also charges delta times the row's slope, k sum_n |c + n w1|^-(k+1),
+    which is at most k M / r for r the least |c + n w1| of the terms."""
     partial = complex(c ** (-k)) if c else 0j
     levels = []
     prev_n = 0
     n_hi = 256
     while n_hi <= _ROW_N_CAP:
-        n = np.arange(prev_n + 1, n_hi + 1, dtype=float)
-        partial += complex(np.sum((c + n * w1) ** (-k) + (c - n * w1) ** (-k)))
+        nw = np.arange(prev_n + 1, n_hi + 1, dtype=float) * w1
+        partial += complex(np.sum((c + nw) ** (-k) + (c - nw) ** (-k)))
         levels.append(partial)
         est, inc = _accelerate(levels)
         if inc <= tol:
-            return est, inc + (k * delta * abs(c) ** -(k + 1) if c else 0.0)
+            z = c / w1
+            beside = math.hypot(1 - abs(z.real), z.imag)  # the least |z + n|, n != 0
+            r = abs(w1) * (min(abs(z), beside) if c else beside)
+            mass = abs(w1) ** -k * _abs_row(z, k, n_hi)
+            return est, inc + (k * delta / r + (k + 1) * 2.0**-53) * mass
         prev_n, n_hi = n_hi, 2 * n_hi
     raise SlowConvergence(f"row sum at c = {c} did not converge to {tol}", best=partial)
 
 
-def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
+def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float, m0: int = 0):
     """Sum of (a + w)^(-k) over the lattice points w, inner symmetric sums
-    over n first, then the outer symmetric sum over m.  Returns (value, err).
+    over n first, then the outer symmetric sum over the rows m0 + m, their
+    points formed exactly (``_row_points``).  Returns (value, err).
 
-    The outer sum stays centred on m = 0 (for k = 1 the rows tend to the
+    The outer sum stays centred on m0 (for k = 1 the rows tend to the
     constants -/+ i pi / w1, so re-centring would change E_1), but it may
     not stop before it has passed the pole row."""
     check_tol(tol)
     w1, w2 = lat.w1, lat.w2
-    pole_row = abs(lattice_coordinates(lat, -a).y0)
+    pole_row = abs(lattice_coordinates(lat, -a).y0 - m0)
     row_tol = tol / 64
-    value, err = _row_sum(a, w1, k, row_tol)
+    point = _row_points(a, w1, w2)
+
+    def row(m):
+        return _row_sum(*point(m0 + m), w1, k, row_tol)
+
+    value, err = row(0)
     row_mass = abs(value)
     pair_tol = tol / 8
     small_streak = 0
     m = 1
     while m <= _ROW_M_CAP:
-        up, e_up = _row_sum(a + m * w2, w1, k, row_tol)
-        dn, e_dn = _row_sum(a - m * w2, w1, k, row_tol)
+        (up, e_up), (dn, e_dn) = row(m), row(-m)
         pair = up + dn
         value += pair
         err += e_up + e_dn
@@ -153,7 +208,7 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
         if abs(pair) < pair_tol:
             small_streak += 1
             if small_streak >= 2 and m >= 4 and m > pole_row + 1:
-                # the rows' roundoff can exceed their extrapolation increments
+                # each row charged its own roundoff; this is the outer sum's
                 err += 2 * abs(pair) + _EPS_FLOOR * row_mass
                 return value, err
         else:
@@ -164,10 +219,22 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float):
 
 def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
     """E_k(a, W) by Eisenstein summation: inner symmetric sums over n, then
-    the outer one over m; for k >= 3 on the reduced basis."""
-    lat = reduce(p.lat) if p.k >= 3 else p.lat
-    value, err = _eisenstein_sum(lat, p.a, p.k, tol)
-    return WeilReport(value=value, method="direct", err=err, basis=(lat.w1, lat.w2))
+    the outer one over m.  For k >= 3, where E_k has both periods, the sums
+    run on the reduced basis, and the outer sum is centred on the pole's row
+    as each row is on its point nearest the pole: a is reduced into the cell
+    nearest the origin.  As every row point is formed exactly, the roundoff
+    charged does not grow with |a|.  k = 1 and 2 keep the basis and the
+    centre m = 0.  ConvergenceError, with the report as ``.best``, says err
+    missed tol * (1 + |E|)."""
+    lat, m0 = p.lat, 0
+    if p.k >= 3:
+        lat = reduce(lat)
+        m0 = round(lattice_coordinates(lat, -p.a).y0)
+    value, err = _eisenstein_sum(lat, p.a, p.k, tol, m0)
+    report = WeilReport(value=value, method="direct", err=err, basis=(lat.w1, lat.w2))
+    if err > tol * (1.0 + abs(value)):
+        raise ConvergenceError(f"Eisenstein sum err {err:.3g} misses tol {tol:g}", best=report)
+    return report
 
 
 def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
@@ -250,18 +317,32 @@ def _edge_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: flo
 
 def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
     """Row n, sum_m (c + m w1)^-k with c = a + n w2, by the 1-D Euler-MacLaurin
-    formula: with u = c/w1 and d = u - round(Re u) it is
-    w1^-k [d^-k + zeta(k, 1+d) + (-1)^k zeta(k, 1-d)], and Re(1 +/- d) >= 1/2
+    formula: with u = c/w1 and d = u - round(Re u) it is w1^-k R(d),
+    R(d) = d^-k + zeta(k, 1+d) + (-1)^k zeta(k, 1-d), and Re(1 +/- d) >= 1/2
     keeps `_hurwitz_em`'s remainder bound.  Returns (value, err); err adds
-    the terms' roundoff and, through k (|d|^-(k+1) + 2^(k+2)), that of d."""
+    the terms' roundoff and that of d, delta_d, by Taylor's theorem:
+    |R(d + e) - R(d)| <= |R'(d)| delta_d + max |R''| delta_d^2 / 2 for
+    |e| <= delta_d, the maximum on the segment.  The slope is
+    R'(d) = -k [d^-(k+1) + zeta(k+1, 1+d) - (-1)^k zeta(k+1, 1-d)], two more
+    `_hurwitz_em` calls taken with their err, and R''(x) = k (k+1)
+    [x^-(k+2) + zeta(k+2, 1+x) + (-1)^k zeta(k+2, 1-x)].  As delta_d lies
+    far below |d| / (2k + 4), |x|^-(k+2) <= 2 |d|^-(k+2); as Re(1 +/- x) is
+    at least 1/2 and one of them at least 1, the zetas add to at most
+    sum_j (j + 1/2)^-(k+2) + (j + 1)^-(k+2) = 2^(k+2) zeta(k+2) <= 2^(k+3).
+    err charges (|R'(d)| + its err + k (k+1) (2 |d|^-(k+2) + 2^(k+3)) delta_d)
+    delta_d, which holds that bound twice over in its second-order part."""
     u = (a + n * w2) / w1
     d = u - round(u.real)
     scale = abs(w1) ** k
-    (zp, ep), (zm, em) = (_hurwitz_em(k, 1 + sign * d, tol * scale / 2) for sign in (1, -1))
-    lead = d**-k
+    (zp, ep), (zm, em), (sp, fp), (sm, fm) = (
+        _hurwitz_em(j, 1 + sign * d, tol * scale / 2) for j in (k, k + 1) for sign in (1, -1)
+    )
+    lead, lead_slope = d**-k, d ** -(k + 1)
+    slope = k * abs(lead_slope + sp - (-1) ** k * sm)
+    slope_err = k * (fp + fm + _EPS_FLOOR * (abs(lead_slope) + abs(sp) + abs(sm)))
     delta_d = _EPS_FLOOR * ((abs(a) + abs(n * w2)) / abs(w1) + abs(u))
     err = ep + em + _EPS_FLOOR * (abs(lead) + abs(zp) + abs(zm))
-    err += k * (abs(d) ** -(k + 1) + 2.0 ** (k + 2)) * delta_d
+    err += (slope + slope_err + k * (k + 1) * (2 * abs(d) ** -(k + 2) + 2.0 ** (k + 3)) * delta_d) * delta_d
     return (lead + zp + (-1) ** k * zm) / w1**k, err / scale
 
 

@@ -462,6 +462,42 @@ class TestVectorize:
         assert got.shape == (3, 4)
         assert np.all(got == 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_real_and_complex_results_pass_as_they_are(self, dtype):
+        xs, ys = np.linspace(0, 1, 4).reshape(1, 4), np.linspace(0, 1, 3).reshape(3, 1)
+        out1, out2 = np.ones(4, dtype), np.ones((3, 4), dtype)
+        assert vectorize1(lambda x: out1)(xs.ravel()) is out1
+        assert vectorize2(lambda x, y: out2)(xs, ys) is out2
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32, np.complex64, object])
+    def test_other_dtypes_become_complex(self, dtype):
+        xs, ys = np.arange(4.0).reshape(1, 4), np.arange(3.0).reshape(3, 1)
+        got1 = vectorize1(lambda x: (x > 1).astype(dtype))(xs.ravel())
+        got2 = vectorize2(lambda x, y: (x + y > 2).astype(dtype))(xs, ys)
+        assert got1.dtype == got2.dtype == np.complex128
+        assert np.array_equal(got1, xs.ravel() > 1) and np.array_equal(got2, xs + ys > 2)
+
+    def test_scalar_fallback_is_complex(self):
+        xs = np.array([0.0, 1.0])
+        assert vectorize1(lambda x: math.exp(x))(xs).dtype == np.complex128
+        assert vectorize2(lambda x, y: math.exp(x) * y)(xs, xs).dtype == np.complex128
+
+    def test_constant_is_broadcast_to_the_grid(self):
+        xs, ys = np.zeros((1, 4)), np.zeros((3, 1))
+        real, other = vectorize2(lambda x, y: 2.0)(xs, ys), vectorize2(lambda x, y: 2)(xs, ys)
+        assert real.shape == other.shape == (3, 4)
+        assert real.dtype == np.float64 and other.dtype == np.complex128
+        assert np.all(real == 2.0) and np.all(other == 2.0)
+        assert vectorize1(lambda x: 0.5)(np.zeros(5)).shape == (5,)
+
+    def test_real_integrand_gives_real_values(self):
+        # a real grid runs through real matmuls into the complex value array
+        q = integrate_rect(lambda x, y: np.cos(x) * y, 0.0, 2.0, 0.0, 1.0, tol=1e-12)
+        assert q.value == pytest.approx(math.sin(2.0) / 2, abs=1e-12)
+        value, err, mass, _ = _eval_cells(vectorize1(np.cos), np.array([[0.0, 1.0], [1.0, 2.0]]))
+        assert value.dtype == np.complex128 and value.imag.tolist() == [0.0, 0.0]
+        assert value.sum().real == pytest.approx(math.sin(2.0), abs=1e-14)
+
 
 def _outside_band(band):
     """The integral of (1 + x^2 + y^2)^-2 over the plane outside ``band``:

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from latzeta.weil import (
     _band_row,
     _edge_integrand,
     _row_bound,
+    _row_points,
     _strip_box,
     _strip_integrand,
     _x_tails,
@@ -92,6 +94,40 @@ class TestDirect:
         rep = weil_direct(WeilParams(SQUARE, 0.875 + 1j, 8), tol=1e-13)
         assert rep.err >= np.spacing(abs(rep.value))
 
+
+    def test_far_point_meets_tol(self, weil_ref):
+        # 30000 periods out: the sums centre on the pole's row and column and
+        # form each row point exactly, so the roundoff charged no longer
+        # grows with |a| (it read err 1.8e-7 against an allowance of 4.6e-10)
+        a, tol = 30000.3 + 0.2j, 1e-12
+        rep = weil_direct(WeilParams(SQUARE, a, 6), tol=tol)
+        assert abs(rep.value - weil_ref(1.0, 1j, a, 6)) <= rep.err <= tol * (1 + abs(rep.value))
+
+    def test_missed_tol_raises_with_report(self):
+        # E_5 = 0 by symmetry at a = i/2, while the two rows next to the pole
+        # are about 33 each: their roundoff alone is above tol 1e-14
+        with pytest.raises(ConvergenceError) as ei:
+            weil_direct(WeilParams(SQUARE, 0.5j, 5), tol=1e-14)
+        best = ei.value.best
+        assert best.method == "direct" and 1e-14 < best.err and abs(best.value) <= best.err
+
+    @pytest.mark.parametrize("lat", [HEX, SKEW, TURNED], ids=["hex", "skew", "turned"])
+    def test_row_points_are_exact(self, lat):
+        # each row point is the float nearest a + n w1 + m w2, and delta its
+        # exact distance from it, by rational arithmetic
+        rng = random.Random(26)
+        for _ in range(20):
+            a = complex(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
+            point = _row_points(a, lat.w1, lat.w2)
+            for m in (-3, 0, 7, rng.randint(-10**6, 10**6)):
+                c, delta = point(m)
+                n = -round((a / lat.w1).real + m * (lat.w2 / lat.w1).real)
+                parts = zip((a.real, a.imag), (lat.w1.real, lat.w1.imag), (lat.w2.real, lat.w2.imag))
+                exact = [Fraction(t) + n * Fraction(u) + m * Fraction(v) for t, u, v in parts]
+                assert (c.real, c.imag) == tuple(float(x) for x in exact)
+                misses = (float(x - Fraction(y)) for x, y in zip(exact, (c.real, c.imag)))
+                assert delta == pytest.approx(math.hypot(*misses))
+                assert abs((c / lat.w1).real) <= 0.5 + 1e-9
 
     @pytest.mark.parametrize(
         "lat", [SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j), lattice_new(1.3 + 0.4j, 0.2 + 1.1j)],
@@ -291,6 +327,24 @@ class TestIntegral:
             ref = complex(mpmath.nsum(lambda m: (c + m * w) ** -k, [-mpmath.inf, mpmath.inf]))
         assert err >= abs(value - ref)
         assert abs(value - ref) <= tol * (1 + abs(ref))
+
+    @pytest.mark.parametrize(
+        "lat,a,k",
+        [
+            (SQUARE, 0.5 + 0.5j, 6),
+            (SQUARE, 0.5 + 1j, 5),
+            (HEX, 0.5 + HEX.w2, 5),
+            (lattice_new(1.0, 0.35 + 1.15j), 0.85 + 1.15j, 5),
+        ],
+        ids=["square-k6", "square-k5", "hex-k5", "skew-k5"],
+    )
+    def test_band_row_charges_its_slope(self, weil_ref, lat, a, k):
+        # E = 0 by symmetry and d = -1/2 on the band row: the old charge for
+        # the roundoff of d, k (|d|^-(k+1) + 2^(k+2)) delta_d, was about
+        # 1e-12 alone; the row's slope R'(d) vanishes there for even k
+        tol = 1e-12
+        q = weil_integral(WeilParams(lat, a, k), tol=tol)
+        assert abs(q.value - weil_ref(lat.w1, lat.w2, a, k)) <= q.err <= tol * (1 + abs(q.value))
 
     def test_row_correction_case(self):
         p = WeilParams(SQUARE, -0.5 - 1j, 4)
