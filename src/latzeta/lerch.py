@@ -30,7 +30,7 @@ import numpy as np
 
 from .bernoulli import p1
 from .errors import DomainError, NoConvergence, SlowConvergence
-from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, _cells, check_tol, integrate_ray, vectorize1
+from .quadrature import _EPS_FLOOR, MAX_SPAN_CELLS, check_tol, integrate_ray
 
 SERIES_TERM_BUDGET = 10**8
 _CHUNK = 1 << 16
@@ -179,13 +179,14 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     """Coffey's integral representation on the principal branches.
 
     |z| < 1 integrates g + g' P1 with g = z^x (x+a)^-s (the 1-D twin of
-    em2d's interior integrand) as one segment at tol/4 relative to the
-    whole value, 1 + |head terms + segment|, truncated where the
-    exponential tail bound falls below tol/4; when that needs a radius
-    beyond MAX_SPAN_CELLS (2^20), it raises SlowConvergence with the value
-    at that radius as ``.best``; so it does when the segment's err, its
-    roundoff floor included, exceeds tol/2 (1 + |value|), as where its
-    terms cancel, or when the segment or ray misses tol in its budget.
+    em2d's interior integrand) as a ray (``integrate_ray``): the segment
+    [1, 1 + R] at tol/4 relative to the whole value, 1 + |head terms +
+    segment|, and beyond it a tail of 0 whose exponential bound, which R
+    brings below tol/4, joins err; when that needs a radius beyond
+    MAX_SPAN_CELLS (2^20), it raises SlowConvergence with the value at
+    that radius as ``.best``; so it does when the ray's err, its roundoff
+    floor included, exceeds tol/2 (1 + |value|), as where its terms
+    cancel, or when the segment or ray misses tol in its budget.
     At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and the
     weighted ray -s (x+a)^(-s-1) P1(x) is `_em_tail` beyond N to tol/64
     plus the segment [1, N] at tol/2, relative to the whole value."""
@@ -197,36 +198,34 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
         head += (1.0 + a) ** (1.0 - s) / (s - 1.0)
         n = _em_start(s, a)
         tail, bound = _em_tail(s, a, n, tol / 64, head)
-        try:
-            q = integrate_ray(lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), tail, (1.0, n), tol / 2, head, bound)
-        except NoConvergence as exc:
-            raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
-        return head + q.value
-    log_z = cmath.log(z)
+        integrand, span, share = lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), (1.0, n), tol / 2
+    else:
+        log_z = cmath.log(z)
 
-    def integrand(x):
-        g = np.exp(np.asarray(x, float) * log_z) * (x + a) ** (-s)
-        return g * (1.0 + (log_z - s / (x + a)) * p1(x))
+        def integrand(x):
+            g = np.exp(np.asarray(x, float) * log_z) * (x + a) ** (-s)
+            return g * (1.0 + (log_z - s / (x + a)) * p1(x))
 
-    rate, sigma = -math.log(abs(z)), s.real
-    # truncation radius from the exponential tail bound: the integral
-    # of |z|^x beyond the radius R is |z|^R / rate
-    radius = 16
-    while (
-        bound := abs(z) ** radius
-        / (radius + a.real) ** sigma
-        * (1.0 + abs(log_z) + abs(s) / radius)
-        / rate
-    ) >= tol / 4 and radius < MAX_SPAN_CELLS:
-        radius *= 2
+        rate, sigma = -math.log(abs(z)), s.real
+        # truncation radius from the exponential tail bound: the integral
+        # of |z|^x beyond the radius R is |z|^R / rate
+        radius = 16
+        while (
+            bound := abs(z) ** radius
+            / (radius + a.real) ** sigma
+            * (1.0 + abs(log_z) + abs(s) / radius)
+            / rate
+        ) >= tol / 4 and radius < MAX_SPAN_CELLS:
+            radius *= 2
+        tail, span, share = 0j, (1.0, 1.0 + radius), tol / 4
     try:
-        q = _cells(vectorize1(integrand), [(1.0, 1.0 + radius)], tol / 4, f"segment [1, {1 + radius}]", head)
+        q = integrate_ray(integrand, tail, span, share, head, bound)
     except NoConvergence as exc:
         raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
     value = head + q.value
-    if bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value)):
+    if z != 1 and (bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value))):
         raise SlowConvergence(
-            f"tail bound {bound:.3g} at truncation radius {radius} or segment err {q.err:.3g} misses tol {tol:g}",
+            f"tail bound {bound:.3g} at truncation radius {radius} or ray err {q.err:.3g} misses tol {tol:g}",
             best=value,
         )
     return value

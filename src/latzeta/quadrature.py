@@ -3,14 +3,15 @@
 One checked rule and one algorithm in one and two dimensions.  ``_cells``
 cuts segments or rectangles at every integer (the periodized Bernoulli
 weight P1 is non-smooth exactly there) and refines the unit cells by
-``_refine``: the first pass evaluates them all in array batches; only if
-it misses tol is a max-heap built, and each pass then halves up to 64 of
-the worst cells along every axis and evaluates their children in one
-batch.  A cell returns the tensor K15 rule, and its distance from the G7
-subset on the same nodes is the error estimate; where the caller bounds
-the error of the tensor Gauss-Legendre rules on the unit cells, each
-takes instead the cheapest rule of the ladder GL8, GL12, GL16, GL24,
-GL32 whose bound meets the cell's share, and that bound.  A call may use
+``_refine``: the first pass evaluates them all in array batches, and each
+pass that misses tol halves along every axis all the cells whose
+estimates exceed their share of tol, the worst first as far as the
+budget reaches, and evaluates their children in one batch.  A cell
+returns the tensor K15 rule, and its distance from the G7 subset on the
+same nodes is the error estimate; where the caller bounds the error of
+the tensor Gauss-Legendre rules on the unit cells, each takes instead
+the cheapest rule of the ladder GL8, GL12, GL16, GL24, GL32 whose bound
+meets the cell's share, and that bound.  A call may use
 DEFAULT_PANEL_BUDGET panels beyond its unit cells, and holds at most
 MAX_SPAN_CELLS of them.  A result meets tol * (1 + |base + value|),
 ``base`` being the rest of a sum the value joins, or NoConvergence is
@@ -27,7 +28,7 @@ complex128.
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,75 +252,56 @@ def _accelerate(levels):
 # adaptive refinement
 
 
-def _refine(items, evaluate, split, tol, max_panels, what, base=0j, first=None):
-    """Max-heap refinement of a partition of a finite domain.
+def _refine(items, evaluate, tol, max_panels, what, base=0j, first=None):
+    """Refinement of a partition of a finite domain in whole-array passes.
 
-    ``items`` holds one row per item; ``evaluate(rows)`` gives arrays of
-    (value, error estimate, integral of |f|) per row and the integrand
-    evaluations spent, in one call; ``split(item)`` gives the item's
-    children, or None when it is too small to split.  The first pass is
-    summed in numpy, and only when it misses tol is a heap built: each
-    pass then splits up to 64 of the items whose estimates exceed their
-    share of tol, the largest first.  An item that is too small to split,
-    or whose split would take the panels beyond ``max_panels``, leaves the
-    heap and stays in the sums as it is.  The result meets tol, or
-    NoConvergence is raised with it as ``.best``: once a pass that misses
-    tol finds no item above its share to split, or after the first pass
-    when the items beyond the reach of the budget miss tol by themselves.
-    Panels are the leaves of the partition.  Tol is relative to
-    1 + |base + value|, ``base`` being the rest of a sum that the value
-    joins; the roundoff floor stays the part's own.  ``first``, if given,
-    stands for ``evaluate(items)``, so that the first pass may take a rule
-    that later passes do not."""
+    ``items`` holds one row (lo, hi) per axis for each item, x first;
+    ``evaluate(rows)`` gives arrays of (value, error estimate, integral of
+    |f|) per row and the integrand evaluations spent, in one call.  Each
+    pass that misses tol halves along every axis the items whose estimates
+    exceed their share of tol, the largest first and as many as the panels
+    left allow, and evaluates all their children in one call.  An item
+    narrower than 1e-13 (1 + |lo|) on some axis is too small to halve and
+    stays in the sums as it is.  The result meets tol, or NoConvergence is
+    raised with it as ``.best``: once a pass that misses tol finds no item
+    above its share left to halve, or after the first pass when the items
+    beyond the reach of the budget miss tol by themselves.  Panels are the
+    leaves of the partition.  Tol is relative to 1 + |base + value|,
+    ``base`` being the rest of a sum that the value joins; the roundoff
+    floor stays the part's own.  ``first``, if given, stands for
+    ``evaluate(items)``, so that the first pass may take a rule that later
+    passes do not."""
     vals, errs, mass, evals = evaluate(items) if first is None else first
-    value, err_sum, absmass = complex(vals.sum()), float(errs.sum()), float(mass.sum())
-    n_panels = len(items)
-
-    def floor_err():
-        return _EPS_FLOOR * (absmass + abs(value) + 1.0)
-
-    def result():
-        return QuadratureResult(value, err_sum + floor_err(), n_panels, evals)
-
-    def missed():
-        return err_sum > tol * (1.0 + abs(base + value)) + floor_err()
-
-    if not missed():
-        return result()
-    # a split adds at least one panel, so only the `spare` largest estimates
-    # can ever be split; the heap holds one more, whose pop finds the budget
-    # full.  The rest keep their estimates: when those alone miss tol, on
-    # the largest |value| the estimates allow, no refinement can meet it
-    order = np.argsort(-errs, kind="stable")
-    spare = max(max_panels - n_panels, 0)
-    if errs[order[spare:]].sum() > tol * (1.0 + abs(base + value) + err_sum) + floor_err():
-        raise NoConvergence(f"{what}: panel budget {max_panels} too small for tol {tol:g}", best=result())
-    keep = order[: spare + 1]
-    heap = list(zip(*(a.tolist() for a in (-errs[keep], keep, items[keep], vals[keep], errs[keep], mass[keep]))))
-    heapq.heapify(heap)  # (-err, id, item, value, err, mass)
-    uid = n_panels
-    while missed():
-        target = tol * (1.0 + abs(base + value)) / n_panels
-        popped, children = [], []
-        while heap and len(popped) < 64 and -heap[0][0] > target:
-            top = heapq.heappop(heap)
-            kids = split(top[2])
-            if kids is not None and n_panels - len(popped) + len(children) + len(kids) - 1 <= max_panels:
-                popped.append(top)
-                children.extend(kids)
-        if not popped:
-            raise NoConvergence(f"{what}: tol {tol:g} missed and no item left to split", best=result())
-        vals, errs, mass, n = evaluate(np.array(children))
-        value += complex(vals.sum()) - sum(p[3] for p in popped)
-        err_sum += float(errs.sum()) - sum(p[4] for p in popped)
-        absmass += float(mass.sum()) - sum(p[5] for p in popped)
-        evals += n
-        n_panels += len(children) - len(popped)
-        for item, v, e, m in zip(children, vals.tolist(), errs.tolist(), mass.tolist()):
-            heapq.heappush(heap, (-e, uid, item, v, e, m))
-            uid += 1
-
-    return result()
+    dim = items.shape[1] // 2
+    for passes in itertools.count():
+        n_panels, value, err_sum = len(items), complex(vals.sum()), float(errs.sum())
+        floor = _EPS_FLOOR * (float(mass.sum()) + abs(value) + 1.0)
+        allowed = tol * (1.0 + abs(base + value))
+        result = QuadratureResult(value, err_sum + floor, n_panels, evals)
+        if err_sum <= allowed + floor:
+            return result
+        spare = max(max_panels - n_panels, 0)
+        # a split adds at least one panel, so only the `spare` largest
+        # estimates can ever be split.  The rest keep their estimates: when
+        # those alone miss tol, on the largest |value| the estimates allow,
+        # no refinement can meet it
+        if passes == 0 and np.sort(errs)[::-1][spare:].sum() > tol * (1.0 + abs(base + value) + err_sum) + floor:
+            raise NoConvergence(f"{what}: panel budget {max_panels} too small for tol {tol:g}", best=result)
+        lo = items[:, 0::2]
+        above = np.flatnonzero((errs > allowed / n_panels) & (items[:, 1::2] - lo >= 1e-13 * (1 + abs(lo))).all(1))
+        pick = above[np.argsort(-errs[above], kind="stable")[: spare // (2**dim - 1)]]
+        if not len(pick):
+            raise NoConvergence(f"{what}: tol {tol:g} missed and no item left to split", best=result)
+        kids = items[pick]
+        for axis in reversed(range(dim)):  # x last, so that it varies fastest
+            mid = 0.5 * (kids[:, 2 * axis] + kids[:, 2 * axis + 1])
+            kids = np.repeat(kids, 2, 0)
+            kids[0::2, 2 * axis + 1], kids[1::2, 2 * axis] = mid, mid
+        *new, spent = evaluate(kids)
+        keep = np.ones(n_panels, bool)
+        keep[pick] = False
+        items, vals, errs, mass = (np.concatenate([a[keep], b]) for a, b in zip((items, vals, errs, mass), (kids, *new)))
+        evals += spent
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +348,6 @@ def _eval_cells(fv, cells, n=15):
         value[i : i + step], err[i : i + step] = size * sums_diffs[:, 0], np.abs(size * sums_diffs[:, 1])
         mass[i : i + step] = size * absf
     return value, err, mass, len(cells) * n**dim
-
-
-def _halve1(cell):
-    lo, hi = cell
-    if hi - lo < 1e-13 * (1 + abs(lo)):
-        return None
-    mid = 0.5 * (lo + hi)
-    return [(lo, mid), (mid, hi)]
-
-
-def _halve2(cell):
-    a, b, c, d = cell
-    if min(b - a, d - c) < 1e-12:
-        return None
-    mx, my = 0.5 * (a + b), 0.5 * (c + d)
-    return [(a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)]
 
 
 def _certified(fv, rows, cell_bound, share):
@@ -435,8 +401,7 @@ def _cells(fv, boxes, tol, what, base=0j, cell_bound=None):
         blocks.append(block.reshape(-1, 2 * dim))
     items = np.concatenate(blocks)
     first = None if cell_bound is None else _certified(fv, items, cell_bound, tol / 4)
-    split, budget = _halve1 if dim == 1 else _halve2, n + DEFAULT_PANEL_BUDGET
-    return _refine(items, lambda rows: _eval_cells(fv, rows), split, tol, budget, what, base, first)
+    return _refine(items, lambda rows: _eval_cells(fv, rows), tol, n + DEFAULT_PANEL_BUDGET, what, base, first)
 
 
 def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:

@@ -8,7 +8,7 @@ Two independent evaluation routes:
   with +/-n pairing and Richardson acceleration; row pairs +/-m decay
   exponentially once the inner sums are accurate, so the outer sum
   terminates quickly.  Each row point is formed exactly and rounded once
-  (``_row_points``); for k >= 3 the outer sum is centred on the pole row.
+  (``_row_points``), and the outer sum is centred on the pole row.
   ``eisenstein_series`` is the same sum at a = 0 with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
@@ -219,18 +219,22 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float, m0: int = 0):
 
 def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
     """E_k(a, W) by Eisenstein summation: inner symmetric sums over n, then
-    the outer one over m.  For k >= 3, where E_k has both periods, the sums
-    run on the reduced basis, and the outer sum is centred on the pole's row
-    as each row is on its point nearest the pole: a is reduced into the cell
-    nearest the origin.  As every row point is formed exactly, the roundoff
-    charged does not grow with |a|.  k = 1 and 2 keep the basis and the
-    centre m = 0.  ConvergenceError, with the report as ``.best``, says err
-    missed tol * (1 + |E|)."""
-    lat, m0 = p.lat, 0
-    if p.k >= 3:
-        lat = reduce(lat)
-        m0 = round(lattice_coordinates(lat, -p.a).y0)
+    the outer one over m, centred on the pole's row m0 as each row is on its
+    point nearest the pole.  For k >= 3, where E_k has both periods, the
+    sums run on the reduced basis; k = 1 and 2 keep the given one, on which
+    the symmetric sums define them.  E_2 has both periods too, while the
+    centring moves E_1 by 2 pi i m0 / w1 (the sign that of Im(w2 / w1)),
+    which is added back.  As every row point is formed exactly, the
+    roundoff charged does not grow with |a|.  ConvergenceError, with the
+    report as ``.best``, says err missed tol * (1 + |E|)."""
+    lat = reduce(p.lat) if p.k >= 3 else p.lat
+    m0 = round(lattice_coordinates(lat, -p.a).y0)
     value, err = _eisenstein_sum(lat, p.a, p.k, tol, m0)
+    if p.k == 1:
+        # the centred sum is E_1(a + m0 w2) = E_1(a) -/+ 2 pi i m0 / w1, as
+        # Im(w2 / w1) is positive or negative
+        jump = 2j * math.pi * m0 / lat.w1 * math.copysign(1.0, (lat.w2 / lat.w1).imag)
+        value, err = value + jump, err + _EPS_FLOOR * abs(jump)
     report = WeilReport(value=value, method="direct", err=err, basis=(lat.w1, lat.w2))
     if err > tol * (1.0 + abs(value)):
         raise ConvergenceError(f"Eisenstein sum err {err:.3g} misses tol {tol:g}", best=report)

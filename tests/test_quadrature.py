@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from latzeta import quadrature
 from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence
 from latzeta.lattice import lattice_new
@@ -37,6 +38,19 @@ from latzeta.weil import (
     weil_direct,
     weil_integral,
 )
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The number of rows of each ``_eval_cells`` call of a test, in order."""
+    seen, eval_cells = [], quadrature._eval_cells
+
+    def counted(fv, cells, *rule):
+        seen.append(len(cells))
+        return eval_cells(fv, cells, *rule)
+
+    monkeypatch.setattr(quadrature, "_eval_cells", counted)
+    return seen
 
 
 class TestSegment:
@@ -220,6 +234,18 @@ class TestSegment:
             assert info.value.best.panels == 8 + budget
             assert info.value.best.err >= abs(info.value.best.value - truth)
 
+    def test_budget_runs_out_in_one_split_pass(self, monkeypatch, batches):
+        # 4096 unit cells, 1024 of them under sin(1e4 x), whose K15 - G7
+        # estimates stay far above tol however often they are halved, and a
+        # budget of 1024 panels: the first pass finds tol within reach, one
+        # pass splits all 1024, and the next raises with no panel left,
+        # after two evaluation batches
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 1024)
+        with pytest.raises(NoConvergence, match="no item left to split") as info:
+            integrate_segment(lambda x: np.where(x < 1024, np.sin(1e4 * x), 1.0), 0.0, 4096.0, 1e-10)
+        assert batches == [4096, 2048]
+        assert (info.value.best.panels, info.value.best.evals) == (4096 + 1024, 15 * (4096 + 2048))
+
     def test_unsplittable_panels_raise_with_best(self):
         # bisection towards the singularity at 0.3 ends on panels too small
         # to split while tol is still missed: NoConvergence, not a silent
@@ -239,63 +265,62 @@ class TestSegment:
 
 
 class TestRefine:
-    """``_refine`` on synthetic items: rows of (depth,), where an item of
-    depth d holds value and |f| mass 2^-d."""
+    """``_refine`` on synthetic items: rows (lo, hi), where an item of depth
+    d = -log2(hi - lo) holds value and |f| mass 2^-d."""
 
     @staticmethod
     def evaluate(errs):
         def evaluate(rows):
-            rows = np.asarray(rows, float)
-            w = 0.5 ** rows[:, 0]
-            return w.astype(complex), np.array([errs(d) for d in rows[:, 0].tolist()]), w, len(rows)
+            w = rows[:, 1] - rows[:, 0]
+            depths = np.round(-np.log2(w)).astype(int).tolist()
+            return w.astype(complex), np.array([errs(d) for d in depths]), w, len(rows)
 
         return evaluate
 
     @staticmethod
-    def split(row):
-        return [(row[0] + 1,)] * 2
+    def rows(depth, count, lo=0.0):
+        # count adjacent items of the given depth from lo
+        edges = lo + 0.5**depth * np.arange(count + 1)
+        return np.stack([edges[:-1], edges[1:]], 1)
 
     def test_floor_counts_the_mass_of_the_leaves_only(self):
         # every item of depth < 5 has error 1: 32 leaves of total mass 1,
-        # however many levels were split on the way
-        q = _refine(np.zeros((1, 1)), self.evaluate(lambda d: float(d < 5)), self.split, 1e-6, 64, "test")
-        assert (q.panels, q.value) == (32, 1.0)
+        # however many levels were split on the way, one pass per level
+        q = _refine(self.rows(0, 1), self.evaluate(lambda d: float(d < 5)), 1e-6, 64, "test")
+        assert (q.panels, q.evals, q.value) == (32, 1 + 2 + 4 + 8 + 16 + 32, 1.0)
         assert q.err == pytest.approx(_EPS_FLOOR * (1.0 + 1.0 + 1.0), rel=1e-12, abs=0.0)
 
     def test_full_budget_raises_with_best(self):
         # four items of depth 2 fill a budget of 4: none can split, so each
         # keeps its error, and the missed tol raises with all four summed
-        items = np.array([(2.0,)] * 4)
         with pytest.raises(NoConvergence) as info:
-            _refine(items, self.evaluate(lambda d: 1e-6), self.split, 1e-6, 4, "test")
-        assert (info.value.best.panels, info.value.best.value) == (4, 1.0)
-        assert info.value.best.err == pytest.approx(4e-6, rel=1e-6)
+            _refine(self.rows(2, 4), self.evaluate(lambda d: 1e-6), 1e-6, 4, "test")
+        best = info.value.best
+        assert (best.panels, best.evals, best.value) == (4, 4, 1.0)
+        assert best.err == pytest.approx(4e-6, rel=1e-6)
 
     def test_unsplittable_worst_item_does_not_block_the_rest(self):
-        # the worst item (depth 0, error 2e-6) cannot split; the other
-        # (depth 1, error 1.5e-6) is above its share, 1.25e-6, and splits
-        # into two children without error, after which tol * (1 + 1.5)
-        # is met with the worst item kept as it is
-        items = np.array([(0.0,), (1.0,)])
-        evaluate = self.evaluate(lambda d: {0: 2e-6, 1: 1.5e-6}.get(d, 0.0))
-
-        def split(row):
-            return None if row[0] == 0 else self.split(row)
-
-        q = _refine(items, evaluate, split, 1e-6, 64, "test")
-        assert (q.panels, q.evals, q.value) == (3, 2 + 2, 1.5)
-        assert q.err == pytest.approx(2e-6, rel=1e-6)
+        # the worst item (depth 50, error 1.8e-6) is too small to halve; the
+        # other (depth 0, error 1.5e-6) is above its share, 1e-6, and splits
+        # into two children without error, after which tol * (1 + 1) is met
+        # with the worst item kept as it is
+        items = np.concatenate([self.rows(50, 1), self.rows(0, 1, lo=1.0)])
+        evaluate = self.evaluate(lambda d: {50: 1.8e-6, 0: 1.5e-6}.get(d, 0.0))
+        q = _refine(items, evaluate, 1e-6, 64, "test")
+        assert (q.panels, q.evals, q.value) == (3, 2 + 2, 1.0 + 2.0**-50)
+        assert q.err == pytest.approx(1.8e-6, rel=1e-6)
 
     def test_budget_too_small_raises_before_splitting(self):
         # eight items of depth 3 with error 1e-6 each: a budget of 10 lets
         # two of them split, and the other six alone miss tol, so it raises
-        # after the first evaluation; a budget of 16 splits all eight
-        items = np.array([(3.0,)] * 8)
+        # after the first evaluation; a budget of 16 splits all eight in
+        # one pass
+        items = self.rows(3, 8)
         evaluate = self.evaluate(lambda d: 1e-6 if d == 3 else 0.0)
         with pytest.raises(NoConvergence) as info:
-            _refine(items, evaluate, self.split, 1e-7, 10, "test")
+            _refine(items, evaluate, 1e-7, 10, "test")
         assert (info.value.best.panels, info.value.best.evals) == (8, 8)
-        q = _refine(items, evaluate, self.split, 1e-7, 16, "test")
+        q = _refine(items, evaluate, 1e-7, 16, "test")
         assert (q.panels, q.evals, q.value) == (16, 8 + 16, 1.0)
 
 
@@ -422,6 +447,24 @@ class TestRect:
         assert cmath.isfinite(best.value)
         # the budget counts beyond the 9 unit cells
         assert best.panels <= 9 + 20
+
+    def test_peak_refinement_work(self, batches):
+        # a peak of height 1000 and width 0.03 at (0.3, 0.3) on [0, 2]^2:
+        # the 4 unit cells refine in five passes of 2 x 2 halvings, to 97
+        # panels of K15 x K15, and err bounds the true error.  The
+        # reference integrates the closed form in y over x by mpmath
+        mpmath = pytest.importorskip("mpmath")
+        q = integrate_rect(lambda x, y: 1 / ((x - 0.3) ** 2 + (y - 0.3) ** 2 + 1e-3), 0.0, 2.0, 0.0, 2.0, 1e-10)
+        assert (q.panels, q.evals, len(batches)) == (97, 28800, 6)
+        with mpmath.workdps(30):
+            c, h = mpmath.mpf("0.3"), mpmath.mpf("1e-3")
+
+            def inner(x):
+                r = mpmath.sqrt((x - c) ** 2 + h)
+                return (mpmath.atan((2 - c) / r) + mpmath.atan(c / r)) / r
+
+            truth = complex(mpmath.quad(inner, [0, c, 2]))
+        assert q.err >= abs(q.value - truth)
 
     def test_cell_cap_raises_before_evaluation(self):
         # 2^11 x 2^10 unit cells, twice MAX_SPAN_CELLS in all though each

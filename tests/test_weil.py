@@ -130,18 +130,44 @@ class TestDirect:
                 assert abs((c / lat.w1).real) <= 0.5 + 1e-9
 
     @pytest.mark.parametrize(
-        "lat", [SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j), lattice_new(1.3 + 0.4j, 0.2 + 1.1j)],
-        ids=["square", "hex", "skew", "turned"],
+        "lat",
+        [SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j), lattice_new(1.3 + 0.4j, 0.2 + 1.1j), lattice_new(1.0, -1j)],
+        ids=["square", "hex", "skew", "turned", "mirrored"],
     )
-    def test_k1_k2_periods(self, lat):
-        # E_1(a + w1) = E_1(a) and E_1(a + w2) - E_1(a) = -2 pi i / w1 (Weil,
-        # ch. III); E_2 has both periods.  Each err covers its report
+    def test_k1_k2_periods(self, lat, monkeypatch):
+        # E_1(a + w1) = E_1(a) and E_1(a + m w2) - E_1(a) = -2 pi i m / w1,
+        # the sign that of Im(w2 / w1) (Weil, ch. III); E_2 has both periods.
+        # The outer sum is centred on the pole's row, so a far shift costs
+        # no more than 200 rows.  The basis and a are rounded to multiples
+        # of 2^-20, so that every shifted point is exact.  Each err covers
+        # its report
+        def dyadic(z):
+            return complex(round(z.real * 2**20), round(z.imag * 2**20)) / 2**20
+
+        lat = lattice_new(dyadic(lat.w1), dyadic(lat.w2))
+        sign = math.copysign(1.0, (lat.w2 / lat.w1).imag)
+        rows, row_sum = [], weil_module._row_sum
+
+        def counted(*args):
+            rows.append(args)
+            assert len(rows) <= 200, "more than 200 rows"
+            return row_sum(*args)
+
+        def direct(a, k):
+            rows.clear()
+            return weil_direct(WeilParams(lat, a, k), tol=1e-12)
+
+        monkeypatch.setattr(weil_module, "_row_sum", counted)
+        # (w, m, the jump of E_1)
+        shifts = [(lat.w1, 1, 0)] + [(lat.w2, m, -2j * math.pi * m / lat.w1 * sign) for m in (1, 7, -400, 3000)]
         rng = random.Random(3)
         for _ in range(4):
-            a = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-            for k, w, jump in ((1, lat.w1, 0), (1, lat.w2, -2j * math.pi / lat.w1), (2, lat.w1, 0), (2, lat.w2, 0)):
-                lo, hi = (weil_direct(WeilParams(lat, b, k), tol=1e-12) for b in (a, a + w))
-                assert abs(hi.value - lo.value - jump) <= lo.err + hi.err, (a, k, w)
+            a = dyadic(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
+            for k in (1, 2):
+                lo = direct(a, k)
+                for w, m, jump in shifts:
+                    hi = direct(a + m * w, k)
+                    assert abs(hi.value - lo.value - (jump if k == 1 else 0)) <= lo.err + hi.err, (a, k, w, m)
 
 
 class TestIntegral:
