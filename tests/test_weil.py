@@ -35,6 +35,15 @@ SKEW = lattice_new(1.0, complex(0.35 + _RNG.uniform(-0.01, 0.01), 1.15 + _RNG.un
 TURNED = lattice_new(1.3 + 0.4j, (1.3 + 0.4j) * (0.35 + 1.15j))
 
 
+def _dyadic(z):
+    """z rounded to a multiple of 2^-20 in each part."""
+    return complex(round(z.real * 2**20), round(z.imag * 2**20)) / 2**20
+
+
+def _no_extrapolation(*args):
+    raise AssertionError("a row of weight k <= 2 was extrapolated")
+
+
 class TestParams:
     def test_rejects_lattice_point(self):
         for a in (0.0, 1.0, 1j, 1 + 1j, -2 + 3j):
@@ -73,13 +82,20 @@ class TestDirect:
             assert abs(shifted - e) <= 1e-8 * (1 + abs(e))
 
     def test_k1_cotangent_on_degenerate_row(self):
-        # with Im(a) in (0, Im(w2)), the m = 0 row of E_1 on the square
-        # lattice is pi*cot(pi*a); the remaining rows decay exponentially
-        # towards the constant -i*pi each, pairing to zero, so summing a
-        # wide tall lattice strip is dominated by pi*cot(pi*a) only in the
-        # full Eisenstein limit; here we only check the reported err
-        rep = weil_direct(WeilParams(SQUARE, 0.3 + 0.2j, 1), tol=1e-10)
-        assert rep.err < 1e-8
+        # the m = 0 row of E_1 on the square lattice is pi cot(pi a); row
+        # +/-m less its constant -/+ i pi is at most 2 pi sum_j e^(-2 pi j h),
+        # h = m +/- Im a, so E_1 lies within the bound on the rows past
+        # row 0 of pi cot(pi a)
+        mpmath = pytest.importorskip("mpmath")
+        a = 0.3 + 0.2j
+        with mpmath.workdps(30):
+            cot = complex(mpmath.pi * mpmath.cot(mpmath.pi * a))
+        row, row_err = weil_module._row_sum(*_row_points(a, 1.0, 1j)(0), 1.0, 1, 1e-12)
+        assert abs(row - cot) <= row_err <= 1e-13
+        rep = weil_direct(WeilParams(SQUARE, a, 1), tol=1e-10)
+        q = math.exp(-2 * math.pi * (1 - a.imag))
+        rest = 2 * 2 * math.pi * q / (1 - q) / (1 - math.exp(-2 * math.pi))
+        assert abs(rep.value - cot) <= rest + rep.err
 
     def test_err_covers_row_roundoff(self, weil_ref):
         # |E_5| = 2.4e4 next to a lattice point: forming a + n w1 + m w2 there
@@ -141,10 +157,7 @@ class TestDirect:
         # no more than 200 rows.  The basis and a are rounded to multiples
         # of 2^-20, so that every shifted point is exact.  Each err covers
         # its report
-        def dyadic(z):
-            return complex(round(z.real * 2**20), round(z.imag * 2**20)) / 2**20
-
-        lat = lattice_new(dyadic(lat.w1), dyadic(lat.w2))
+        lat = lattice_new(_dyadic(lat.w1), _dyadic(lat.w2))
         sign = math.copysign(1.0, (lat.w2 / lat.w1).imag)
         rows, row_sum = [], weil_module._row_sum
 
@@ -162,12 +175,108 @@ class TestDirect:
         shifts = [(lat.w1, 1, 0)] + [(lat.w2, m, -2j * math.pi * m / lat.w1 * sign) for m in (1, 7, -400, 3000)]
         rng = random.Random(3)
         for _ in range(4):
-            a = dyadic(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
+            a = _dyadic(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
             for k in (1, 2):
                 lo = direct(a, k)
                 for w, m, jump in shifts:
                     hi = direct(a + m * w, k)
                     assert abs(hi.value - lo.value - (jump if k == 1 else 0)) <= lo.err + hi.err, (a, k, w, m)
+
+    @pytest.mark.parametrize("height", [150, 300, 600, 1000, 1e5])
+    def test_tall_lattices_meet_tol(self, weil_ref, height, monkeypatch):
+        # rows +/-1 sit |Im z| = height +/- 0.2 off the real axis, where the
+        # paired n-sums converged too slowly: err read below the true error
+        # up to (1, 600i), and (1, 1000i) raised SlowConvergence at 1e-12.
+        # Rows of weight 1 and 2 are summed in closed form, never extrapolated
+        monkeypatch.setattr(weil_module, "_accelerate", _no_extrapolation)
+        lat = lattice_new(1.0, height * 1j)
+        a = 0.3 + 0.2j
+        for k, tol in itertools.product((1, 2), (1e-8, 1e-10, 1e-12)):
+            rep = weil_direct(WeilParams(lat, a, k), tol=tol)
+            ref = weil_ref(1.0, height * 1j, a, k)
+            assert abs(rep.value - ref) <= rep.err <= tol * (1 + abs(rep.value)), (k, tol)
+
+    @pytest.mark.parametrize(
+        "lat",
+        [SQUARE, HEX, lattice_new(1.0, 0.35 + 1.15j), lattice_new(1.0, -1j), lattice_new(1.0, 0.3 + 0.15j)],
+        ids=["square", "hex", "skew", "mirrored", "flat"],
+    )
+    def test_stop_is_a_bound(self, weil_ref, lat):
+        # the outer sum stops where Lipschitz's bound on the rows left out
+        # meets tol/8, and charges that bound: at y = 0.2 and at y = 1/2, the
+        # pole half a row from its centre row.  On the flat basis, which
+        # k = 1, 2 keep, the first bounds are inf (e^(-2 pi h) >= 1/4)
+        for k, tol, y in itertools.product(range(1, 9), (1e-10, 1e-12), (0.2, 0.5)):
+            a = 0.3 * lat.w1 + y * lat.w2
+            rep = weil_direct(WeilParams(lat, a, k), tol=tol)
+            assert abs(rep.value - weil_ref(lat.w1, lat.w2, a, k)) <= rep.err, (k, tol, y)
+
+    def test_stop_row_count(self, monkeypatch):
+        # square lattice, a = 0.3 + 0.2i, k = 3, tol 1e-10: the bound on the
+        # rows past pair M meets tol/8 at M = 5
+        rows, row_sum = [], weil_module._row_sum
+
+        def counted(*args):
+            rows.append(args)
+            return row_sum(*args)
+
+        monkeypatch.setattr(weil_module, "_row_sum", counted)
+        weil_direct(WeilParams(SQUARE, 0.3 + 0.2j, 3), tol=1e-10)
+        assert len(rows) == 11
+
+    @pytest.mark.parametrize("w2", [1j, HEX.w2, SKEW.w2], ids=["square", "hex", "skew"])
+    def test_distribution_relation(self, w2):
+        # sum_{r,s<N} E_k(a + (r W1 + s W2)/N) = N^k E_k(N a), no oracle
+        # needed.  With W = N w and w, a rounded to multiples of 2^-20 every
+        # argument is exact, so the relation holds within the reports' errs
+        w1, w2 = 1.0, _dyadic(w2)
+        a = _dyadic(0.3 * w1 + 0.2 * w2)
+        for n, k in itertools.product((2, 3), range(3, 9)):
+            lat = lattice_new(n * w1, n * w2)
+            parts = [weil_direct(WeilParams(lat, a + r * w1 + s * w2, k)) for r in range(n) for s in range(n)]
+            whole = weil_direct(WeilParams(lat, n * a, k))
+            off = abs(sum(p.value for p in parts) - n**k * whole.value)
+            assert off <= sum(p.err for p in parts) + n**k * whole.err, (n, k)
+
+
+class TestCotRows:
+    """Rows of weight 1 and 2 in closed form (``_cot_row``), through
+    ``_row_sum``, which must never extrapolate them."""
+
+    @pytest.fixture(autouse=True)
+    def no_extrapolation(self, monkeypatch):
+        monkeypatch.setattr(weil_module, "_accelerate", _no_extrapolation)
+
+    @pytest.mark.parametrize("w1", [1.0 + 0j, 1.3 + 0.4j], ids=["unit", "turned"])
+    @pytest.mark.parametrize("height", [0.0, 0.2, 0.49, 0.51, 3.0, 400.0])
+    def test_rows_match_mpmath(self, w1, height):
+        # both sides of the switch to q = exp(2 pi i s z) at |Im z| = 1/2, and
+        # |Im pi z| far past the 710 where sin(pi z) overflows; the exact
+        # point is c + delta e^(i pi/3), which err must cover through the
+        # slope.  mpmath.cot of a complex argument next to -pi/2 loses every
+        # digit (1e-8 at -pi/2 + 5e-32 i, 30 digits), so cot is cos/sin
+        mpmath = pytest.importorskip("mpmath")
+        for x, sign, k, delta in itertools.product((0.3, -0.5, 0.02), (1, -1), (1, 2), (0.0, 1e-9)):
+            c = complex(x, sign * height) * w1
+            value, err = weil_module._row_sum(c, delta, w1, k, 1e-12)
+            with mpmath.workdps(30):
+                w = mpmath.mpc(w1)
+                t = mpmath.pi * (mpmath.mpc(c) + delta * mpmath.expjpi(mpmath.mpf(1) / 3)) / w
+                want = mpmath.pi / w * mpmath.cos(t) / mpmath.sin(t) if k == 1 else (mpmath.pi / w * mpmath.csc(t)) ** 2
+            assert abs(value - complex(want)) <= err, (x, sign, k, delta)
+            assert delta or err <= 1e-13 * (1 + abs(value)), (x, sign, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rows_match_partial_sums(self, k):
+        # the symmetric partial sums up to |n| = N, apart from the closed
+        # form; for |z| < 1 the pairs past N sum to at most 2 |z| / N (k = 1)
+        # and 2.1 / N (k = 2)
+        z, n_max = 0.1 + 0.05j, 10**6
+        n = np.arange(1, n_max + 1, dtype=float)
+        terms = (z + n) ** -k + (z - n) ** -k
+        partial = z**-k + complex(math.fsum(terms.real), math.fsum(terms.imag))
+        value, _ = weil_module._row_sum(z, 0.0, 1.0, k, 1e-12)
+        assert abs(value - partial) <= (2 * abs(z) if k == 1 else 2.1) / n_max + 1e-12
 
 
 class TestIntegral:
