@@ -152,17 +152,19 @@ def validate_partials(
 def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10) -> complex:
     """Sum of phi(n) over integers n in (alpha, beta] via the first-order
     Euler-MacLaurin identity: the integral of phi + phi' P1 (the 1-D twin
-    of em_sum_2d's interior integrand) and the two boundary terms."""
+    of em_sum_2d's interior integrand) and the two boundary terms.
+    ConvergenceError, the value as ``.best``, says err > tol * (1 + |sum|)."""
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     check_tol(tol)
     phiv = vectorize1(phi)
     dphiv = vectorize1(dphi)
     q = integrate_segment(lambda x: phiv(x) + dphiv(x) * p1(x), alpha, beta, tol=tol)
-    boundary = p1(alpha) * complex(phiv(np.array([alpha]))[0]) - p1(beta) * complex(
-        phiv(np.array([beta]))[0]
-    )
-    return q.value + boundary
+    ends = phiv(np.array([alpha, beta]))
+    value = q.value + (p1(alpha) * complex(ends[0]) - p1(beta) * complex(ends[1]))
+    if q.err > tol * (1.0 + abs(value)):
+        raise ConvergenceError(f"em_sum_1d err {q.err:.3g} misses tol {tol:g}", best=value)
+    return value
 
 
 def _edge_integrand(phi, d_along, lo, hi, p1lo, p1hi, edges_in_y):

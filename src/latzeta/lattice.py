@@ -68,7 +68,8 @@ def lattice_new(w1: complex, w2: complex) -> Lattice:
 
 def reduce(lat: Lattice) -> Lattice:
     """The Lagrange-Gauss reduced basis of the lattice: |Re(w2/w1)| <= 1/2 and
-    |w1| <= |w2|.  A basis that meets both up to roundoff is returned as given."""
+    |w1| <= |w2|.  A basis that meets both up to roundoff is returned as given,
+    any other as an exact integer change of it (``integer_points``)."""
     w1, w2 = lat.w1, lat.w2
     while True:
         t = (w2 / w1).real
@@ -76,8 +77,37 @@ def reduce(lat: Lattice) -> Lattice:
             w2 -= round(t) * w1
         elif abs(w2) < abs(w1) * (1 - 1e-9):
             w1, w2 = w2, w1
+        elif w1 == lat.w1 and w2 == lat.w2:
+            return lat
         else:
-            return lat if w1 == lat.w1 and w2 == lat.w2 else Lattice(w1, w2)
+            point = integer_points(lat, 0j, Lattice(w1, w2))
+            return Lattice(point(1, 0)[0], point(0, 1)[0])
+
+
+def integer_points(lat: Lattice, a: complex, basis: Lattice):
+    """a + n v1 + m v2 for integers (n, m), (v1, v2) a basis of lat's lattice
+    taken as the integer combinations of lat's (w1, w2) its coordinates round
+    to: formed exactly, rounded once, with the size of that rounding.  a, w1
+    and w2 are integers over q, the largest of their parts' power-of-2
+    denominators; int / int rounds once, and the rounded part's denominator
+    divides q, so its distance is exact in integers."""
+    coords = [lattice_coordinates(lat, v) for v in (basis.w1, basis.w2)]
+    (n1, m1), (n2, m2) = ((round(c.x0), round(c.y0)) for c in coords)
+    ratios = [x.as_integer_ratio() for z in (a, lat.w1, lat.w2) for x in (z.real, z.imag)]
+    q = max(d for _, d in ratios)
+    ar, ai, ur, ui, vr, vi = (p * (q // d) for p, d in ratios)
+
+    def rounded(p):
+        r = p / q
+        pr, qr = r.as_integer_ratio()
+        return r, abs(p - pr * (q // qr)) / q
+
+    def point(n, m):
+        n, m = n * n1 + m * n2, n * m1 + m * m2
+        (x, dx), (y, dy) = rounded(ar + n * ur + m * vr), rounded(ai + n * ui + m * vi)
+        return complex(x, y), math.hypot(dx, dy)
+
+    return point
 
 
 def lattice_coordinates(lat: Lattice, p: complex) -> LatticeCoords:

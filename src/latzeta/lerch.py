@@ -139,15 +139,15 @@ def _em_start(s: complex, a: complex) -> int:
     return max(0, math.ceil(abs(s) - a.real)) + 12
 
 
-def _em_tail(s: complex, a: complex, n: int, share: float, head: complex = 0j) -> tuple[complex, float]:
+def _em_tail(s: complex, a: complex, n: int, share: float) -> tuple[complex, float]:
     """int_N^inf P1(x) f'(x) dx for f(x) = (x+a)^-s, Re s > 1, by parts with
     the periodic Bernoulli functions (DLMF 24.2): -sum_{j<p} B_2j/(2j)!
     f^(2j-1)(N), with f^(m)(x) = (-1)^m (s)_m (x+a)^(-s-m).  Since the periodic
     |B~_2p| <= |B_2p| (DLMF 24.9.1, 24.17), the remainder after p - 1
     corrections is at most 2 |B_2p|/(2p)! int_N^inf |f^(2p)|; the loop
-    stops once that is below ``share`` and returns (value, bound).  For
-    x >= N, |(x+a)^-s| <= (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|).
-    SlowConvergence carries head + the partial sum as ``.best``."""
+    stops once that is below ``share``, or at B_20, and returns (value,
+    bound), which the caller checks.  For x >= N, |(x+a)^-s| <=
+    (x + Re a)^(-Re s) e^(|Im s| |arg(N+a)|)."""
     sigma, b = s.real, a + n
     fb = b ** (-s)
     growth = math.exp(abs(s.imag * cmath.phase(b)))
@@ -157,11 +157,10 @@ def _em_tail(s: complex, a: complex, n: int, share: float, head: complex = 0j) -
         scale = b2j / math.factorial(m)
         poch_m = poch * (s + m - 1)  # (s)_2j
         bound = 2 * abs(scale * poch_m) * growth * (n + a.real) ** (1 - sigma - m) / (sigma + m - 1)
-        if bound < share:
+        if bound < share or j == len(_BERNOULLI_2J):
             return total, bound
         total += scale * poch * fb * b ** (1 - m)
         poch = poch_m * (s + m)
-    raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > {share:g}", best=head + total)
 
 
 def _hurwitz_em(s: complex, a: complex, tol: float) -> tuple[complex, float]:
@@ -171,7 +170,9 @@ def _hurwitz_em(s: complex, a: complex, tol: float) -> tuple[complex, float]:
     n = _em_start(s, a)
     fb = (a + n) ** (-s)
     head = sum((a + k) ** (-s) for k in range(n)) + (a + n) * fb / (s - 1.0) + 0.5 * fb
-    tail, bound = _em_tail(s, a, n, tol, head)
+    tail, bound = _em_tail(s, a, n, tol)
+    if bound >= tol:
+        raise SlowConvergence(f"Euler-MacLaurin remainder bound {bound:.3g} > {tol:g}", best=head + tail)
     return head + tail, bound
 
 
@@ -189,7 +190,8 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     cancel, or when the segment or ray misses tol in its budget.
     At z = 1 the plain integral is the exact (1+a)^(1-s)/(s-1), and the
     weighted ray -s (x+a)^(-s-1) P1(x) is `_em_tail` beyond N to tol/64
-    plus the segment [1, N] at tol/2, relative to the whole value."""
+    (a bound of tol/4 or more raises) plus the segment [1, N] at tol/2,
+    relative to the whole value."""
     p.require_integral_path()
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
@@ -197,7 +199,7 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     if z == 1:
         head += (1.0 + a) ** (1.0 - s) / (s - 1.0)
         n = _em_start(s, a)
-        tail, bound = _em_tail(s, a, n, tol / 64, head)
+        tail, bound = _em_tail(s, a, n, tol / 64)
         integrand, span, share = lambda x: -s * (x + a) ** (-s - 1.0) * p1(x), (1.0, n), tol / 2
     else:
         log_z = cmath.log(z)
@@ -223,9 +225,9 @@ def lerch_coffey(p: LerchParams, tol: float = 1e-10) -> complex:
     except NoConvergence as exc:
         raise SlowConvergence(str(exc), best=head + exc.best.value) from exc
     value = head + q.value
-    if z != 1 and (bound >= tol / 4 or q.err > tol / 2 * (1.0 + abs(value))):
+    if bound >= tol / 4 or (z != 1 and q.err > tol / 2 * (1.0 + abs(value))):
         raise SlowConvergence(
-            f"tail bound {bound:.3g} at truncation radius {radius} or ray err {q.err:.3g} misses tol {tol:g}",
+            f"tail bound {bound:.3g} or ray err {q.err:.3g} misses tol {tol:g}",
             best=value,
         )
     return value

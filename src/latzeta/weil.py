@@ -7,40 +7,35 @@ Two independent evaluation routes:
   defines the conditionally convergent cases k = 1, 2).  Rows of weight 1
   and 2 are summed in closed form, (pi/w1) cot(pi z) and (pi/w1)^2 /
   sin^2(pi z) with z = c/w1 (``_cot_row``); rows of weight k >= 3 with
-  +/-n pairing and Richardson acceleration.  The outer sum is centred on
-  the pole row and stops where Lipschitz's formula bounds the rows left
-  out by tol/8, a bound it charges to err.  Each row point is formed
-  exactly and rounded once (``_row_points``).
+  +/-n pairing and N-doubling, extrapolated by the better of Richardson
+  and iterated Aitken (``quadrature._accelerate``).  The outer sum is
+  centred on the pole row and stops where Lipschitz's formula bounds the
+  rows left out by tol/8, a bound it charges to err.
   ``eisenstein_series`` is the same sum at a = 0 with the origin left out.
 * ``weil_integral``: the integral representation J1 + J2 + J3 obtained
   from the two-dimensional Euler-MacLaurin formula: a full-line integral
   J1 along the two edges of the excluded band around the pole row, one
-  segment |x| <= 8 with Bernoulli tails beyond it
-  (``_edge_tails``), plus the half-strip double integrals J2 and J3
-  above and below the band, taken as one integral J2 + J3 (``strips``)
-  on one finite box per side with closed forms beyond it
-  (``_strip_box``): the x-tails' Bernoulli series integrated over the
-  box's rows (``_x_tails``) and a bound on the rows past its depth.
-  Only supported for k >= 3 (the 2-D pieces are not absolutely
-  convergent below that), where E_k depends on the lattice
+  segment |x| <= 8 with Bernoulli tails beyond it (``lerch._em_tail``),
+  plus the half-strip double integrals J2 and J3 above and below the band,
+  taken as one integral J2 + J3 (``strips``) on one finite box per side
+  with closed forms beyond it (``_strip_box``): the x-tails' Bernoulli
+  series integrated over the box's rows (``_x_tails``) and a bound on the
+  rows past its depth.  Only supported for k >= 3 (the 2-D pieces are not
+  absolutely convergent below that), where E_k depends on the lattice
   alone, so both routes sum on its Lagrange-Gauss reduced basis.  For
   integer j >= 2 and c off the line, int_R (c + x w1)^(-j) dx = 0, so by
-  Fubini every term free of P1(x) integrates to exactly 0 and is left
-  out of the integrands.  The integrands take one reciprocal 1/b per
-  point and build its integer powers from products (``_ipow``), updating
-  arrays in place: numpy's complex ``**`` goes through cpow, which cost
-  most of the integrand's time.
+  Fubini every term free of P1(x) integrates to exactly 0 and is left out
+  of the integrands.  The integrands take one reciprocal 1/b per point and
+  build its integer powers from products (``_ipow``), updating arrays in
+  place: numpy's complex ``**`` goes through cpow, which cost most of the
+  integrand's time.
 
-(x0, y0) are the lattice coordinates of -a.  The strips leave out a band
-(y_dn, y_up] around the pole row that holds one integer row: by default
-the widest, (m - 1 + 1/64, m + 1 - 1/64] with m = round(y0), whose edges
-stay at least 1/2 - 1/64 rows from the pole, so the box cells next to it
-need little refinement; with eps given, (y0 - eps, y0 + eps], eps < 1/2,
-which holds at most one.  That row is summed by the 1-D Euler-MacLaurin
-formula (two Hurwitz zeta values, ``lerch._hurwitz_em``) and reported as
-``row_correction``.  Each box cell takes the cheapest tensor
-Gauss-Legendre rule of a fixed ladder (8 to 32 nodes) that a
-Bernstein-ellipse bound certifies (``_gauss_bound``), and that bound as
+Both routes form every moved point from the given generators
+(``_row_points``).  ``weil_integral`` runs on the pole's own row point c,
+(x0, y0) the lattice coordinates of -c, and sums the one integer row of
+its band, about row 0, by ``lerch._hurwitz_em``.  Each box cell takes the
+cheapest tensor Gauss-Legendre rule of a fixed ladder (8 to 32 nodes) that
+a Bernstein-ellipse bound certifies (``_gauss_bound``), and that bound as
 its err; only a cell next to the pole that no rung certifies takes K15.
 """
 
@@ -54,8 +49,8 @@ import numpy as np
 
 from .bernoulli import frac, p1
 from .errors import ConvergenceError, PointOnLattice, PoleNearDomain, SlowConvergence, UnsupportedDecay
-from .lattice import Lattice, lattice_coordinates, nearest_lattice_distance_in_coords, reduce
-from .lerch import _BERNOULLI_2J, _hurwitz_em
+from .lattice import Lattice, integer_points, lattice_coordinates, nearest_lattice_distance_in_coords, reduce
+from .lerch import _BERNOULLI_2J, _em_tail, _hurwitz_em
 from .quadrature import _EPS_FLOOR, _accelerate, check_tol, integrate_half_strip, integrate_line
 
 #: lattice-coordinate distance below which a counts as a lattice point
@@ -103,29 +98,13 @@ class WeilReport:
     band: tuple = ()
 
 
-def _row_points(a: complex, w1: complex, w2: complex):
-    """The row points c = a + n w1 + m w2 as a function of the row m, n the
-    integer that takes Re(c/w1) next to 0, each formed exactly and rounded
-    once, with the size of that rounding.  Each float is an integer over a
-    power of 2, so a, w1 and w2 are integers over the largest, q, of those
-    powers; int / int rounds once, and the rounded part's denominator
-    divides q, so its distance from the exact one is exact in integers."""
-    ratios = [x.as_integer_ratio() for z in (a, w1, w2) for x in (z.real, z.imag)]
-    q = max(d for _, d in ratios)
-    ar, ai, ur, ui, vr, vi = (p * (q // d) for p, d in ratios)
-    x_a, x_m = (a / w1).real, (w2 / w1).real
-
-    def rounded(p):
-        r = p / q
-        pr, qr = r.as_integer_ratio()
-        return r, abs(p - pr * (q // qr)) / q
-
-    def point(m):
-        n = -round(x_a + m * x_m)
-        (x, dx), (y, dy) = rounded(ar + n * ur + m * vr), rounded(ai + n * ui + m * vi)
-        return complex(x, y), math.hypot(dx, dy)
-
-    return point
+def _row_points(a: complex, lat: Lattice, red: Lattice):
+    """The row points c = a + n w1 + m w2 of red = (w1, w2), a basis of
+    lat's lattice, and their rounding (``integer_points``) as a function
+    of the row m, n the integer that takes Re(c/w1) next to 0."""
+    at = integer_points(lat, a, red)
+    x_a, x_m = (a / red.w1).real, (red.w2 / red.w1).real
+    return lambda m: at(-round(x_a + m * x_m), m)
 
 
 def _abs_row(z: complex, s: int) -> float:
@@ -212,31 +191,19 @@ def _row_sum(c: complex, delta: float, w1: complex, k: int, tol: float):
     raise SlowConvergence(f"row sum at c = {c} did not converge to {tol}", best=partial)
 
 
-def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float, m0: int = 0):
-    """Sum of (a + w)^(-k) over the lattice points w, inner symmetric sums
-    over n first (``_row_sum``), then the outer symmetric sum over the rows
-    m0 + m, their points formed exactly (``_row_points``).  Returns
-    (value, err).
-
-    The outer sum stays centred on m0 (for k = 1 the rows tend to the
-    constants -/+ i pi / w1, so re-centring would change E_1), and stops on
-    a bound.  By Lipschitz's formula, for Im z > 0 sum_n (z + n)^-k is
-    (-2 pi i)^k / (k - 1)! sum_{j>=1} j^(k-1) q^j, q = exp(2 pi i z), plus
-    -i pi for k = 1 (+i pi for Im z < 0), a constant that cancels within
-    each pair m0 +/- m.  Row m0 +/- m less its constant is therefore at most
-    B(h) = |w1|^-k (2 pi)^k / (k - 1)! sum_j j^(k-1) e^(-2 pi j h)
-    (``_lipschitz``), h = |Im z| >= |Im tau| (m - d), d = |y0 - m0|,
-    and as B(h + |Im tau|) <= e^(-2 pi |Im tau|) B(h), the rows past pair M
-    sum to at most 2 B((M + 1 - d) |Im tau|) / (1 - e^(-2 pi |Im tau|)).
-    The sum stops at the first M where that meets tol/8 and charges it to
-    err, with the outer sum's roundoff."""
+def _eisenstein_sum(lat: Lattice, red: Lattice, a: complex, k: int, tol: float, m0: int = 0):
+    """Sum of (a + w)^(-k) over the lattice points w in the basis red of
+    lat's lattice, (value, err): inner symmetric sums over n first
+    (``_row_sum``), then the outer symmetric sum over the rows m0 + m
+    (``_row_points``).  It stays centred on m0 (for k = 1 the rows tend to
+    the constants -/+ i pi / w1, so re-centring would change E_1), and
+    stops before the first pair whose bound on the pairs from it on
+    (``_outer_rest``) meets tol/8; err charges that bound and the roundoff."""
     check_tol(tol)
-    w1, w2 = lat.w1, lat.w2
-    off = abs(lattice_coordinates(lat, -a).y0 - m0)
-    im_tau = abs((w2 / w1).imag)
-    scale = 2 * abs(w1) ** -k * (2 * math.pi) ** k / math.factorial(k - 1) / -math.expm1(-2 * math.pi * im_tau)
+    w1, im_tau = red.w1, abs((red.w2 / red.w1).imag)
+    off = abs(lattice_coordinates(red, -a).y0 - m0)
     row_tol = tol / 64
-    point = _row_points(a, w1, w2)
+    point = _row_points(a, lat, red)
 
     def row(m):
         return _row_sum(*point(m0 + m), w1, k, row_tol)
@@ -244,9 +211,7 @@ def _eisenstein_sum(lat: Lattice, a: complex, k: int, tol: float, m0: int = 0):
     value, err = row(0)
     row_mass = abs(value)
     for m in range(1, _ROW_M_CAP + 1):
-        # a bound on the rows from pair m on
-        rest = scale * _lipschitz(k - 1, 0.0, math.exp(-2 * math.pi * im_tau * (m - off)))
-        if rest <= tol / 8:
+        if (rest := _outer_rest(k, w1, im_tau, m - off)) <= tol / 8:
             return value, err + rest + _EPS_FLOOR * row_mass
         (up, e_up), (dn, e_dn) = row(m), row(-m)
         value += up + dn
@@ -267,7 +232,7 @@ def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
     report as ``.best``, says err missed tol * (1 + |E|)."""
     lat = reduce(p.lat) if p.k >= 3 else p.lat
     m0 = round(lattice_coordinates(lat, -p.a).y0)
-    value, err = _eisenstein_sum(lat, p.a, p.k, tol, m0)
+    value, err = _eisenstein_sum(p.lat, lat, p.a, p.k, tol, m0)
     if p.k == 1:
         # the centred sum is E_1(a + m0 w2) = E_1(a) -/+ 2 pi i m0 / w1, as
         # Im(w2 / w1) is positive or negative
@@ -280,10 +245,14 @@ def weil_direct(p: WeilParams, tol: float = 1e-10) -> WeilReport:
 
 
 def eisenstein_series(lat: Lattice, k: int, tol: float = 1e-10) -> complex:
-    """G_k(W): sum of w^(-k) over nonzero lattice points, k >= 3."""
+    """G_k(W): sum of w^(-k) over nonzero lattice points, k >= 3.
+    ConvergenceError, the value as ``.best``, says err > tol * (1 + |G_k|)."""
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise UnsupportedDecay("eisenstein_series requires integer k >= 3")
-    return _eisenstein_sum(reduce(lat), 0j, k, tol)[0]
+    value, err = _eisenstein_sum(lat, reduce(lat), 0j, k, tol)
+    if err > tol * (1.0 + abs(value)):
+        raise ConvergenceError(f"Eisenstein series err {err:.3g} misses tol {tol:g}", best=value)
+    return value
 
 
 def _ipow(r, n: int):
@@ -334,35 +303,13 @@ def _edge_integrand(w1: complex, w2: complex, a: complex, k: int, y_dn: float, y
     return f
 
 
-def _edge_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float, edges, share: float):
-    """J1's tails beyond |x| = 8 and their remainder bound.  On edge y, P1(x) G
-    with G = +/- k w1 P1(y) b^-(k+1) (+ on the lower edge) has the tails
-    sum_{j<=p} B_2j/(2j)! [d^(2j-2)G(-8) - d^(2j-2)G(8)] by parts (DLMF 24.2),
-    d^m b^-(k+1) = (k+1)_m w1^m b^-(k+1+m) for even m, to the fewest p whose
-    bound meets ``share`` (else p = 10).  As |B~_2p| <= |B_2p| (DLMF 24.9.1)
-    and |b| >= |w1| |x - x_p|, x_p = x0 - Re tau (y - y0), the remainder per
-    end and edge is |B_2p|/(2p)! k (k+1)_(2p-2) |P1(y)| |w1|^-k u^(1-k-2p)
-    at most, u = 8 - |x_p|."""
-    tau = w2 / w1
-    sides = [(sign * p1(y), a + y * w2, 8 - abs(x0 - tau.real * (y - y0))) for sign, y in zip((1, -1), edges)]
-    total = 0j
-    for p, b2p in enumerate(_BERNOULLI_2J, start=1):
-        coef = k * b2p * math.factorial(k + 2 * p - 2) / math.factorial(k) / math.factorial(2 * p)
-        n = k + 2 * p - 1
-        for weight, c, _ in sides:
-            total += coef * w1 ** (2 * p - 1) * weight * ((c - 8 * w1) ** -n - (c + 8 * w1) ** -n)
-        bound = sum(2 * abs(coef * weight) * abs(w1) ** -k * u**-n for weight, _, u in sides)
-        if bound <= share:
-            break
-    return total, bound
-
-
-def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
-    """Row n, sum_m (c + m w1)^-k with c = a + n w2, by the 1-D Euler-MacLaurin
-    formula: with u = c/w1 and d = u - round(Re u) it is w1^-k R(d),
-    R(d) = d^-k + zeta(k, 1+d) + (-1)^k zeta(k, 1-d), and Re(1 +/- d) >= 1/2
-    keeps `_hurwitz_em`'s remainder bound.  Returns (value, err); err adds
-    the terms' roundoff and that of d, delta_d, by Taylor's theorem:
+def _band_row(c: complex, delta: float, w1: complex, k: int, tol: float):
+    """sum_n (c + n w1)^-k for a row point c off by delta (``_row_points``),
+    by the 1-D Euler-MacLaurin formula: with u = c/w1 and d = u - round(Re u)
+    it is w1^-k R(d), R(d) = d^-k + zeta(k, 1+d) + (-1)^k zeta(k, 1-d), and
+    Re(1 +/- d) >= 1/2 keeps `_hurwitz_em`'s remainder bound.  Returns
+    (value, err); err adds the terms' roundoff and the error of d, delta_d =
+    delta / |w1| plus the rounding of u, by Taylor's theorem:
     |R(d + e) - R(d)| <= |R'(d)| delta_d + max |R''| delta_d^2 / 2 for
     |e| <= delta_d, the maximum on the segment.  The slope is
     R'(d) = -k [d^-(k+1) + zeta(k+1, 1+d) - (-1)^k zeta(k+1, 1-d)], two more
@@ -373,7 +320,7 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
     sum_j (j + 1/2)^-(k+2) + (j + 1)^-(k+2) = 2^(k+2) zeta(k+2) <= 2^(k+3).
     err charges (|R'(d)| + its err + k (k+1) (2 |d|^-(k+2) + 2^(k+3)) delta_d)
     delta_d, which holds that bound twice over in its second-order part."""
-    u = (a + n * w2) / w1
+    u = c / w1
     d = u - round(u.real)
     scale = abs(w1) ** k
     (zp, ep), (zm, em), (sp, fp), (sm, fm) = (
@@ -382,7 +329,7 @@ def _band_row(a: complex, w1: complex, w2: complex, k: int, n: int, tol: float):
     lead, lead_slope = d**-k, d ** -(k + 1)
     slope = k * abs(lead_slope + sp - (-1) ** k * sm)
     slope_err = k * (fp + fm + _EPS_FLOOR * (abs(lead_slope) + abs(sp) + abs(sm)))
-    delta_d = _EPS_FLOOR * ((abs(a) + abs(n * w2)) / abs(w1) + abs(u))
+    delta_d = delta / abs(w1) + _EPS_FLOOR * abs(u)
     err = ep + em + _EPS_FLOOR * (abs(lead) + abs(zp) + abs(zm))
     err += (slope + slope_err + k * (k + 1) * (2 * abs(d) ** -(k + 2) + 2.0 ** (k + 3)) * delta_d) * delta_d
     return (lead + zp + (-1) ** k * zm) / w1**k, err / scale
@@ -399,6 +346,20 @@ def _lipschitz(j: int, c: float, q: float) -> float:
     while (ratio := (1 + 1 / m) ** (j + 1) * q) >= 0.25:
         total, m = total + m**j * (1 + c * m) * q**m, m + 1
     return total + m**j * (1 + c * m) * q**m / (1 - ratio)
+
+
+def _outer_rest(k: int, w1: complex, im_tau: float, gap: float) -> float:
+    """A bound on the rows m0 +/- m, m >= M, of sum_w (c + w)^-k less their
+    constants, gap = M - d >= 1/2 for d = |y0 - m0|.  By Lipschitz's formula,
+    for Im z > 0 sum_n (z + n)^-k is (-2 pi i)^k / (k - 1)! sum_{j>=1}
+    j^(k-1) q^j, q = exp(2 pi i z), plus -i pi for k = 1 (+i pi for Im z < 0),
+    which cancels within each pair m0 +/- m.  So row m0 +/- m less its
+    constant is at most B(h) = |w1|^-k (2 pi)^k / (k - 1)! sum_j j^(k-1)
+    e^(-2 pi j h) (``_lipschitz``), h = |Im z| >= |Im tau| (m - d); as
+    B(h + |Im tau|) <= e^(-2 pi |Im tau|) B(h), the pairs from M on sum to
+    at most 2 B(gap |Im tau|) / (1 - e^(-2 pi |Im tau|))."""
+    scale = 2 * abs(w1) ** -k * (2 * math.pi) ** k / math.factorial(k - 1) / -math.expm1(-2 * math.pi * im_tau)
+    return scale * _lipschitz(k - 1, 0.0, math.exp(-2 * math.pi * im_tau * gap))
 
 
 def _row_bound(k: int, w1: complex, tau: complex, h: float, lift: int = 0) -> float:
@@ -449,8 +410,10 @@ def _x_tails(w1: complex, w2: complex, a: complex, k: int, x0: float, y0: float,
     # b at every piece end of both x ends of both boxes, with its weight
     b, wt = [], []
     for left, right, bottom, top in boxes:
-        ys = np.concatenate([[bottom], np.arange(math.floor(bottom) + 1, math.ceil(top)), [top]])
-        piece = np.concatenate([[p1(bottom)], -np.ones(len(ys) - 2), [p1(-top)]])  # -P1(y-) = p1(-y)
+        # the ends as P1 sees them: frac takes a y just below an integer for it
+        (n_lo, f_lo), (n_hi, f_hi) = ((round(y - frac(y)), frac(y)) for y in (bottom, top))
+        ys = np.concatenate([[bottom], np.arange(n_lo + 1, n_hi + (f_hi > 0)), [top]])
+        piece = np.concatenate([[f_lo - 0.5], -np.ones(len(ys) - 2), [0.5 - f_hi if f_hi > 0 else -0.5]])
         for x, sign in ((left, 1), (right, -1)):
             b.append(a + x * w1 + ys * w2)
             wt.append(sign * piece)
@@ -530,28 +493,26 @@ def _gauss_bound(w1: complex, w2: complex, k: int, x0: float, y0: float):
 
 
 def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) -> WeilReport:
-    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3), on
-    the reduced basis (``lattice.reduce``) that the report's ``basis`` names.
-
-    The strips leave out a band around the pole row that holds exactly one
-    integer row: by default (m - 1 + 1/64, m + 1 - 1/64], m = round(y0), the
-    widest such band, whose edges are exact binary fractions and lie at
-    least 1/2 - 1/64 rows from the pole; with eps given, (y0 - eps, y0 + eps],
-    0 < eps < 1/2, which holds at most one row.  The row is found from the
-    same floats that P1 sees at the edges; it is summed by `_band_row` and
-    reported as ``row_correction``, the band as ``band`` and the pole's
-    distance to the nearer edge, in rows, as ``eps_used``.  That distance
-    times |det| / |w1| is the pole's distance from the band's edges in the
-    a-plane; below 1e-6 that raises PoleNearDomain before any integral is
-    taken.  The parts share one absolute target, tol * (1 + |E|): the row
-    takes tol/16, J1 tol/16 relative to row + J1 (its segment half of that,
-    its tails' remainder 1/16 of it, absolute), and J2 + J3, one integral
-    whose value the report gives as ``strips``, 7/24 tol on its box,
-    relative to the whole sum, and 7/256 tol each on its y-cut and on the
-    remainder of its x-tails, absolute.  Where J1 cancels J2 + J3 and
-    misses its share, J1's segment alone runs again with the strips in its
-    offset; ConvergenceError, with the report as ``.best``, says the sum
-    missed tol still."""
+    """E_k(a, W) via the integral representation J1 + J2 + J3 (k >= 3) on
+    the reduced basis that the report's ``basis`` names, about the pole's
+    own row point c (``_row_points``); as E_k' = -k E_(k+1), err charges
+    c's rounding delta times k sum_w |c + w|^-(k+1) (``_abs_row`` and
+    ``_outer_rest``).  The band holds one integer row: by default
+    (-1 + 1/64, 1 - 1/64], its edges at least 1/2 - 1/64 rows from the
+    pole; with eps given, (y0 - eps, y0 + eps], 0 < eps < 1/2.  The row is
+    summed by `_band_row` and reported as ``row_correction``; ``band`` is
+    the band in the coordinates of a, ``eps_used`` the pole's distance in
+    rows to its nearer edge, which times |det| / |w1| below 1e-6 raises
+    PoleNearDomain.  The parts share one absolute target, tol * (1 + |E|):
+    the row takes tol/16; J1's segment |x| <= 8 tol/32 relative to row + J1,
+    and its four tails beyond it (``lerch._em_tail``) tol/64 (1 + |w1|^k)
+    each, or the bound they reach, before their weight |P1(y) w1^-k|; J2 +
+    J3 (``strips``) 7/24 tol on its box, relative to the whole sum, and
+    7/256 tol each on its y-cut and on its x-tails' remainder, absolute.
+    Where J1 cancels J2 + J3 and misses tol/16 relative to the whole sum,
+    J1's segment alone runs again with the strips in its offset;
+    ConvergenceError, with the report as ``.best``, says the sum missed tol
+    still."""
     if p.k <= 2:
         raise UnsupportedDecay(
             "the 2-D integrals are not absolutely convergent for k <= 2; "
@@ -561,16 +522,13 @@ def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) ->
         raise ValueError("eps must lie in (0, 1/2)")
     check_tol(tol)
     lat = reduce(p.lat)
-    w1, w2, a, k = lat.w1, lat.w2, p.a, p.k
-    coords = lattice_coordinates(lat, -a)
-    # E_k has period w1 for k >= 3: move J1's peak, at x = x0, next to the
-    # x = 0 that J1's span centres on
-    n = round(coords.x0)
-    a += n * w1
-    x0, y0 = coords.x0 - n, coords.y0
+    w1, w2, k = lat.w1, lat.w2, p.k
+    point = _row_points(p.a, p.lat, lat)
+    c, delta = point(m0 := round(lattice_coordinates(lat, -p.a).y0))
+    coords = lattice_coordinates(lat, -c)
+    x0, y0 = coords.x0, coords.y0
     if eps is None:
-        m = round(y0)
-        y_dn, y_up = m - 1 + 1 / 64, m + 1 - 1 / 64
+        y_dn, y_up = -1 + 1 / 64, 1 - 1 / 64
         eps = min(y0 - y_dn, y_up - y0)
     else:
         y_dn, y_up = y0 - eps, y0 + eps
@@ -578,19 +536,26 @@ def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) ->
     if edge_distance < 1e-6:
         raise PoleNearDomain(f"the band edges pass within {edge_distance:.2e} of the integrand's pole")
     lo, hi = (round(y - frac(y)) for y in (y_dn, y_up))
-    row, row_err = _band_row(a, w1, w2, k, hi, tol / 16) if hi > lo else (0j, 0.0)
-    edge = _edge_integrand(w1, w2, a, k, y_dn, y_up)
-    edge_tail, edge_bound = _edge_tails(w1, w2, a, k, x0, y0, (y_dn, y_up), tol / 256)
+    row, row_err = _band_row(*point(m0 + hi), w1, k, tol / 16) if hi > lo else (0j, 0.0)
+    # J1's tails: on edge y, -/+ P1(y) w1^-k P1(x) f'(x), f(x) = (x + u)^-k and
+    # u = (c + y w2) / w1; beyond -8 that of -u times (-1)^k
+    edge_tail, edge_bound, share = 0j, 0.0, tol / 64 * (1 + abs(w1) ** k)
+    for weight, u in ((-p1(y_dn) * w1**-k, (c + y_dn * w2) / w1), (p1(y_up) * w1**-k, (c + y_up * w2) / w1)):
+        for parity, (t, bound) in ((1, _em_tail(k, u, 8, share)), ((-1) ** k, _em_tail(k, -u, 8, share))):
+            edge_tail, edge_bound = edge_tail + parity * weight * t, edge_bound + abs(weight) * bound
+    edge = _edge_integrand(w1, w2, c, k, y_dn, y_up)
     q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row, edge_bound)
-    boxes, tail, bound, depth = _strip_box(w1, w2, a, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
-    f, cell_bound = _strip_integrand(w1, w2, a, k), _gauss_bound(w1, w2, k, x0, y0)
+    boxes, tail, bound, depth = _strip_box(w1, w2, c, k, x0, y0, (y_dn, y_up), tol * 7 / 256)
+    f, cell_bound = _strip_integrand(w1, w2, c, k), _gauss_bound(w1, w2, k, x0, y0)
     q = integrate_half_strip(f, tail, boxes, tol * 7 / 24, row + q1.value, bound, cell_bound)
     if q1.err > tol / 16 * (1.0 + abs(row + q1.value + q.value)):
         q1 = integrate_line(edge, edge_tail, (-8.0, 8.0), tol / 32, row + q.value, edge_bound)
     stops = ((q1.stop, q1.radius), (q.stop, depth))
-    value = q1.value + q.value + row
-    err = q1.err + q.err + row_err
-    report = WeilReport(value, "integral", err, q1.value, q.value, eps, row, (w1, w2), stops, (y_dn, y_up))
+    value, err = q1.value + q.value + row, q1.err + q.err + row_err
+    if delta:
+        rows = _outer_rest(k + 1, w1, abs((w2 / w1).imag), 1 - abs(y0))
+        err += k * delta * (abs(w1) ** -(k + 1) * _abs_row(c / w1, k + 1) + rows)
+    report = WeilReport(value, "integral", err, q1.value, q.value, eps, row, (w1, w2), stops, (y_dn + m0, y_up + m0))
     if report.err > tol * (1.0 + abs(report.value)):
         raise ConvergenceError(f"J1 + J2 + J3 + row err {report.err:.3g} misses tol {tol:g}", best=report)
     return report

@@ -53,6 +53,14 @@ class TestEm1d:
         got = em_sum_1d(lambda x: x, lambda x: 1.0 + 0.0 * x, 1.2, 1.8)
         assert abs(got) <= 1e-10
 
+    def test_missed_tol_raises_with_value(self):
+        # 1e8 x over (-1/2, 1/4] sums to phi(0) = 0, while the integral is
+        # -6.25e6 and the boundary terms +6.25e6: the integral's roundoff
+        # alone is above tol times 1 + |sum|
+        with pytest.raises(ConvergenceError) as ei:
+            em_sum_1d(lambda x: 1e8 * x, lambda x: 1e8 + 0.0 * x, -0.5, 0.25, tol=1e-10)
+        assert type(ei.value) is ConvergenceError and abs(ei.value.best) <= 1e-7
+
 
 class TestEm2d:
     def test_quadratic_vs_brute_force(self):

@@ -9,6 +9,8 @@ import latzeta.lerch
 from latzeta.errors import ConvergenceError, DomainError, SlowConvergence
 from latzeta.lerch import (
     LerchParams,
+    _em_tail,
+    _hurwitz_em,
     hurwitz_zeta,
     lerch_coffey,
     lerch_series,
@@ -98,6 +100,25 @@ class TestZetaSpecializations:
     def test_requires_res_gt_1(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(1.0, 1.0)
+
+    def test_em_tail_returns_its_last_bound(self):
+        # share 0 cannot be met: the tail stops at B_20 and returns the bound
+        # it reached, which covers the true tail (mpmath at 30 digits)
+        mpmath = pytest.importorskip("mpmath")
+        s, a, n = 8, -1 + 0.3j, 8
+        tail, bound = _em_tail(s, a, n, 0.0)
+        with mpmath.workdps(30):
+            b = mpmath.mpc(a) + n
+            ref = complex(mpmath.zeta(s, b) - b ** (1 - s) / (s - 1) - b**-s / 2)
+        assert abs(tail - ref) <= bound < 1e-15
+
+    def test_hurwitz_em_raises_at_its_floor(self):
+        # the tail's last bound, about 7e-23, misses 1e-300, and
+        # SlowConvergence carries the sum
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(SlowConvergence) as info:
+            _hurwitz_em(3.0, 0.5, 1e-300)
+        assert abs(info.value.best - complex(mpmath.zeta(3, 0.5))) <= 1e-13
 
 
 class TestCoffeyNearUnitCircle:

@@ -11,7 +11,7 @@ import pytest
 from latzeta import quadrature
 from latzeta.bernoulli import p1
 from latzeta.errors import NoConvergence
-from latzeta.lattice import lattice_new
+from latzeta.lattice import integer_points, lattice_new
 from latzeta.lerch import _em_start, _em_tail
 from latzeta.quadrature import (
     _K15,
@@ -558,7 +558,9 @@ def _strips_truth(row_ref, a, k, band, tol=1e-13):
     direct = weil_direct(p, tol=tol)
     line = sum(sign * p1(y) * row_ref(a + 1j * y, 1.0, k) for sign, y in zip((-1, 1), band))
     n = math.floor(band[1])
-    row, row_err = _band_row(a, 1.0, 1j, k, n, tol) if n > math.floor(band[0]) else (0j, 0.0)
+    row, row_err = (0j, 0.0)
+    if n > math.floor(band[0]):
+        row, row_err = _band_row(*integer_points(p.lat, a, p.lat)(0, n), 1.0, k, tol)
     return direct.value - line - row, direct.err + row_err
 
 

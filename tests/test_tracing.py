@@ -35,6 +35,26 @@ def test_traced_weil_integral_records_layers():
     assert quadrature.integrate_half_strip is original
 
 
+def test_far_point_does_the_same_work():
+    # a + 3000i is exact in floats, and weil_integral moves it back onto
+    # the same row point next to the origin, so both calls record the same
+    # spans, with the same evals in J1's line and in the strips
+    def traced(a):
+        tracer = _load_spans().Tracer()
+        with tracer:
+            weil_integral(WeilParams(latzeta.lattice_new(1.0, 1j), a, 6), tol=1e-8)
+        names = [span[2] for span in tracer.spans]
+        evals = [
+            (span[2], span[5]["evals"])
+            for span in tracer.spans
+            if span[2] in ("quadrature.integrate_line", "quadrature.integrate_half_strip")
+        ]
+        return names, evals
+
+    near, far = traced(0.3 + 0.25j), traced(0.3 + 0.25j + 3000j)
+    assert far == near and len(near[1]) >= 2
+
+
 def test_traced_lerch_and_em2d_record_layers():
     # the layers of the lerch and em2d workloads: the z = 1 ray of
     # hurwitz_zeta, whose segment is counted under integrate_ray, and

@@ -10,10 +10,11 @@ import pytest
 from latzeta import quadrature
 from latzeta import weil as weil_module
 from latzeta.errors import ConvergenceError, PointOnLattice, PoleNearDomain, UnsupportedDecay
-from latzeta.lattice import lattice_new
+from latzeta.lattice import integer_points, lattice_new, reduce
 from latzeta.bernoulli import p1
 from latzeta.weil import (
     WeilParams,
+    WeilReport,
     _band_row,
     _edge_integrand,
     _row_bound,
@@ -90,7 +91,7 @@ class TestDirect:
         a = 0.3 + 0.2j
         with mpmath.workdps(30):
             cot = complex(mpmath.pi * mpmath.cot(mpmath.pi * a))
-        row, row_err = weil_module._row_sum(*_row_points(a, 1.0, 1j)(0), 1.0, 1, 1e-12)
+        row, row_err = weil_module._row_sum(*_row_points(a, SQUARE, SQUARE)(0), 1.0, 1, 1e-12)
         assert abs(row - cot) <= row_err <= 1e-13
         rep = weil_direct(WeilParams(SQUARE, a, 1), tol=1e-10)
         q = math.exp(-2 * math.pi * (1 - a.imag))
@@ -134,7 +135,7 @@ class TestDirect:
         rng = random.Random(26)
         for _ in range(20):
             a = complex(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
-            point = _row_points(a, lat.w1, lat.w2)
+            point = _row_points(a, lat, lat)
             for m in (-3, 0, 7, rng.randint(-10**6, 10**6)):
                 c, delta = point(m)
                 n = -round((a / lat.w1).real + m * (lat.w2 / lat.w1).real)
@@ -144,6 +145,26 @@ class TestDirect:
                 misses = (float(x - Fraction(y)) for x, y in zip(exact, (c.real, c.imag)))
                 assert delta == pytest.approx(math.hypot(*misses))
                 assert abs((c / lat.w1).real) <= 0.5 + 1e-9
+
+    def test_row_points_of_the_reduced_basis_are_exact(self):
+        # (1.3+0.4i, 0.2+1.1i) reduces to (w2, w1 - w2), w1 - w2 rounded once;
+        # row m's point is a + m w1 + (n - m) w2, formed exactly from the
+        # given generators rather than from the rounded w1 - w2
+        lat = lattice_new(1.3 + 0.4j, 0.2 + 1.1j)
+        red = reduce(lat)
+        w1, w2 = [(Fraction(w.real), Fraction(w.imag)) for w in (lat.w1, lat.w2)]
+        assert red.w1 == lat.w2 and (red.w2.real, red.w2.imag) == tuple(float(u - v) for u, v in zip(w1, w2))
+        rng = random.Random(29)
+        for _ in range(20):
+            a = complex(rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5))
+            point = _row_points(a, lat, red)
+            for m in (-3, 0, 7, rng.randint(-10**5, 10**5)):
+                c, delta = point(m)
+                n = -round((a / red.w1).real + m * (red.w2 / red.w1).real)
+                exact = [Fraction(t) + m * u + (n - m) * v for t, u, v in zip((a.real, a.imag), w1, w2)]
+                assert (c.real, c.imag) == tuple(float(x) for x in exact)
+                misses = (float(x - Fraction(y)) for x, y in zip(exact, (c.real, c.imag)))
+                assert delta == pytest.approx(math.hypot(*misses))
 
     @pytest.mark.parametrize(
         "lat",
@@ -455,8 +476,8 @@ class TestIntegral:
         mpmath = pytest.importorskip("mpmath")
         # |w1| != 1 and c/w1 off the real axis, so d is complex
         w1, w2, a = 1.3 + 0.4j, 0.2 + 1.1j, 0.37 - 0.21j
-        tol = 1e-12
-        value, err = _band_row(a, w1, w2, k, n, tol)
+        tol, lat = 1e-12, lattice_new(w1, w2)
+        value, err = _band_row(*integer_points(lat, a, lat)(0, n), w1, k, tol)
         with mpmath.workdps(30):
             c, w = mpmath.mpc(a) + n * mpmath.mpc(w2), mpmath.mpc(w1)
             ref = complex(mpmath.nsum(lambda m: (c + m * w) ** -k, [-mpmath.inf, mpmath.inf]))
@@ -534,6 +555,78 @@ def test_unreduced_bases_match_reference(weil_ref):
         for rep, tol in ((weil_integral(p, tol=1e-8), 1e-8), (weil_direct(p, tol=1e-10), 1e-10)):
             off = abs(rep.value - ref)
             assert off <= rep.err and off <= tol * (1 + abs(ref)), (lat, a, k, rep.method)
+
+
+def _far_bases():
+    """(1.3+0.4i, 0.2+1.1i), whose reduced w2 = w2 - w1 rounds to
+    1.1 - 0.7000000000000001i, and seeded unimodular changes of the
+    hexagonal and skew bench bases."""
+    rng, bases = random.Random(29), [lattice_new(1.3 + 0.4j, 0.2 + 1.1j)]
+    for base in (HEX, SKEW):
+        while True:
+            m = [rng.randint(-3, 3) for _ in range(4)]
+            if m[0] * m[3] - m[1] * m[2] in (1, -1):
+                break
+        bases.append(lattice_new(m[0] * base.w1 + m[1] * base.w2, m[2] * base.w1 + m[3] * base.w2))
+    return bases
+
+
+@pytest.mark.parametrize("lat", _far_bases(), ids=["turned", "hex-changed", "skew-changed"])
+@pytest.mark.parametrize("n", [3000, 30000])
+@pytest.mark.parametrize("k", [3, 8])
+def test_far_point_on_the_given_basis(weil_ref, lat, n, k):
+    # a = 0.31 w1 + 0.27 w2 + n w1 on the caller's generators: both routes
+    # run on the reduced basis, and a row point formed from its rounded
+    # generators sits n roundings off the lattice (weil_direct was 28x its
+    # allowance off at n = 30000, k = 8, tol 1e-12, with err 2.9e-3 of it);
+    # formed exactly from the caller's own generators, both meet tol
+    assert reduce(lat) is not lat
+    a = 0.31 * lat.w1 + 0.27 * lat.w2 + n * lat.w1
+    ref = weil_ref(lat.w1, lat.w2, a, k)
+    p = WeilParams(lat, a, k)
+    for tol in (1e-10, 1e-12):
+        for rep in (weil_direct(p, tol=tol), weil_integral(p, tol=tol)):
+            assert abs(rep.value - ref) <= rep.err <= tol * (1 + abs(rep.value)), (rep.method, tol)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_integral_far_point_meets_tol(weil_ref, k):
+    # 30000 rows up: the integrals run on the pole's own row point next to
+    # the origin, so nothing grows with |a| (err read 4.0e-9 at k = 3 and
+    # 1.8e-7 at k = 6, and raised).  a - 30000i is exact in floats, and E_k
+    # has period i, so the reference is taken there, next to the origin
+    a, tol = 0.3 + 0.2j + 30000j, 1e-10
+    q = weil_integral(WeilParams(SQUARE, a, k), tol=tol)
+    assert abs(q.value - weil_ref(1.0, 1j, a - 30000j, k)) <= q.err <= tol * (1 + abs(q.value))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_integral_meets_tight_tol(weil_ref, k):
+    # J1's tails beyond |x| = 8 (lerch._em_tail) reach a remainder bound of
+    # about 5e-16 at B_20 here; that bound joins err, and the sum meets
+    # 1e-14 (an earlier tail raised SlowConvergence at its floor)
+    a, tol = 0.3 + 0.2j, 1e-14
+    q = weil_integral(WeilParams(SQUARE, a, k), tol=tol)
+    assert abs(q.value - weil_ref(1.0, 1j, a, k)) <= q.err <= tol * (1 + abs(q.value))
+
+
+def test_integral_tail_floor_raises_with_the_report(weil_ref, monkeypatch):
+    # at tol 1e-16 J1's tails cannot reach their share; the miss is the
+    # final check's ConvergenceError, with the report as .best
+    floors, em_tail = [], weil_module._em_tail
+
+    def recording(s, u, n, share):
+        t, bound = em_tail(s, u, n, share)
+        floors.append(bound >= share)
+        return t, bound
+
+    monkeypatch.setattr(weil_module, "_em_tail", recording)
+    a = 0.3 + 0.2j
+    with pytest.raises(ConvergenceError) as ei:
+        weil_integral(WeilParams(SQUARE, a, 3), tol=1e-16)
+    assert type(ei.value) is ConvergenceError and any(floors)
+    best = ei.value.best
+    assert isinstance(best, WeilReport) and abs(best.value - weil_ref(1.0, 1j, a, 3)) <= best.err
 
 
 class TestStripClosedForms:
@@ -754,6 +847,15 @@ class TestEisenstein:
     def test_rejects_small_k(self):
         with pytest.raises(UnsupportedDecay):
             eisenstein_series(SQUARE, 2)
+
+    def test_missed_tol_raises_with_value(self):
+        # the rows' roundoff, about 7e-15, is far above tol 1e-17 times
+        # 1 + |G_8|; the sum itself settles, so the raise is the err check's
+        # and carries the value
+        with pytest.raises(ConvergenceError) as ei:
+            eisenstein_series(SQUARE, 8, tol=1e-17)
+        assert type(ei.value) is ConvergenceError
+        assert abs(ei.value.best - eisenstein_series(SQUARE, 8, tol=1e-12)) <= 1e-13
 
 
 class TestDerivativeRecursion:
