@@ -1,10 +1,14 @@
 """First-order Euler-MacLaurin summation engines in one and two dimensions.
 
-``em_sum_1d`` converts a half-open integer sum into two integrals plus
-boundary terms; ``em_sum_2d`` is the two-dimensional analogue, whose
-right-hand side splits into an interior double integral, two boundary
-line integrals, and four corner terms.  ``brute_force_sum_2d`` is the
-exact summation oracle both identities are tested against.
+``em_sum_1d`` converts a half-open integer sum into the integral of
+phi + phi' P1 plus two boundary terms (``_em_rule``).  ``em_sum_2d`` is
+the two-dimensional analogue, that rule along each axis: i1 is the
+interior double integral; i2 + i4 is the rule in y for the x-edges
+g(y) = P1(alpha1) phi(alpha1, y) - P1(beta1) phi(beta1, y), its boundary
+terms the four corners i4; i3 is the rule's integral in x for the y-edges
+P1(alpha2) phi(x, alpha2) - P1(beta2) phi(x, beta2).
+``brute_force_sum_2d`` is the exact summation oracle both identities are
+tested against.
 
 Both identities hold exactly (up to quadrature error) only with the
 integer-point convention p1(n) = -1/2; see bernoulli.
@@ -23,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .bernoulli import p1
-from .errors import BudgetExceeded, ConvergenceError
-from .quadrature import check_tol, integrate_rect, integrate_segment, vectorize1, vectorize2
+from .errors import BudgetExceeded
+from .quadrature import _check_err, check_tol, integrate_rect, integrate_segment, vectorize1, vectorize2
 
 BRUTE_FORCE_POINT_BUDGET = 10**7
 
@@ -149,46 +153,38 @@ def validate_partials(
                 )
 
 
+def _em_integrand(phi, dphi):
+    """phi + phi' P1, the integrand of the first-order Euler-MacLaurin rule."""
+    return lambda t: phi(t) + dphi(t) * p1(t)
+
+
+def _em_rule(phi, dphi, lo, hi, tol):
+    """The first-order Euler-MacLaurin rule for the sum of phi(n) over the
+    integers n in (lo, hi], phi and its derivative dphi mapping float arrays
+    to arrays: the ``integrate_segment`` result for phi + phi' P1 and the
+    boundary terms P1(lo) phi(lo) - P1(hi) phi(hi)."""
+    q = integrate_segment(_em_integrand(phi, dphi), lo, hi, tol=tol)
+    ends = phi(np.array([lo, hi], float))
+    return q, p1(lo) * complex(ends[0]) - p1(hi) * complex(ends[1])
+
+
 def em_sum_1d(phi, dphi, alpha: float, beta: float, tol: float = 1e-10) -> complex:
     """Sum of phi(n) over integers n in (alpha, beta] via the first-order
-    Euler-MacLaurin identity: the integral of phi + phi' P1 (the 1-D twin
-    of em_sum_2d's interior integrand) and the two boundary terms.
-    ConvergenceError, the value as ``.best``, says err > tol * (1 + |sum|)."""
+    Euler-MacLaurin identity (``_em_rule``).  ConvergenceError, the value as
+    ``.best``, says err > tol * (1 + |sum|)."""
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     check_tol(tol)
-    phiv = vectorize1(phi)
-    dphiv = vectorize1(dphi)
-    q = integrate_segment(lambda x: phiv(x) + dphiv(x) * p1(x), alpha, beta, tol=tol)
-    ends = phiv(np.array([alpha, beta]))
-    value = q.value + (p1(alpha) * complex(ends[0]) - p1(beta) * complex(ends[1]))
-    if q.err > tol * (1.0 + abs(value)):
-        raise ConvergenceError(f"em_sum_1d err {q.err:.3g} misses tol {tol:g}", best=value)
+    q, ends = _em_rule(vectorize1(phi), vectorize1(dphi), alpha, beta, tol)
+    value = q.value + ends
+    _check_err("em_sum_1d", value, q.err, tol, value)
     return value
-
-
-def _edge_integrand(phi, d_along, lo, hi, p1lo, p1hi, edges_in_y):
-    """Boundary integrand of em_sum_2d in t along the edges lo, hi that fix
-    x (or y when ``edges_in_y``), d_along the partial in t:
-    p1lo (phi + d_along P1(t)) at lo minus p1hi (phi + d_along P1(t)) at hi."""
-
-    def g(t):
-        t = np.asarray(t, float)
-        pt = p1(t)
-
-        def at(edge, weight):
-            edge = np.full_like(t, edge)
-            xy = (t, edge) if edges_in_y else (edge, t)
-            return weight * (phi(*xy) + d_along(*xy) * pt)
-
-        return at(lo, p1lo) - at(hi, p1hi)
-
-    return g
 
 
 def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:
     """Double sum of phi over integer pairs in (alpha1, beta1] x
-    (alpha2, beta2] via the two-dimensional summation identity.
+    (alpha2, beta2] via the two-dimensional summation identity, the 1-D
+    rule along each axis (see the module docstring).
 
     The interior integrand phi + phi_x P1(x) + phi_y P1(y) + phi_xy P1(x)
     P1(y) is one Horner pass over the caller's four grids, with P1 taken
@@ -213,25 +209,21 @@ def em_sum_2d(f: Function2D, r: Rect, tol: float = 1e-9) -> EmBreakdown:
 
     p1a1, p1b1 = p1(a1), p1(b1)
     p1a2, p1b2 = p1(a2), p1(b2)
-    q2 = integrate_segment(_edge_integrand(phi, fy, a1, b1, p1a1, p1b1, False), a2, b2, tol=term_tol)
-    q3 = integrate_segment(_edge_integrand(phi, fx, a2, b2, p1a2, p1b2, True), a1, b1, tol=term_tol)
 
-    def corner(x, y):
-        return complex(phi(np.array([x]), np.array([y]))[0])
+    def x_edges(g):
+        return lambda y: p1a1 * g(np.full_like(y, a1), y) - p1b1 * g(np.full_like(y, b1), y)
 
-    i4 = (
-        p1a2 * p1a1 * corner(a1, a2)
-        - p1a2 * p1b1 * corner(b1, a2)
-        - p1b2 * p1a1 * corner(a1, b2)
-        + p1b2 * p1b1 * corner(b1, b2)
-    )
+    def y_edges(g):
+        return lambda x: p1a2 * g(x, np.full_like(x, a2)) - p1b2 * g(x, np.full_like(x, b2))
+
+    q2, i4 = _em_rule(x_edges(phi), x_edges(fy), a2, b2, term_tol)
+    q3 = integrate_segment(_em_integrand(y_edges(phi), y_edges(fx)), a1, b1, tol=term_tol)
 
     i1, i2, i3 = q1.value, q2.value, q3.value
     total = i1 + i2 + i3 + i4
     err = q1.err + q2.err + q3.err
     breakdown = EmBreakdown(i1=i1, i2=i2, i3=i3, i4=i4, total=total, err=err)
-    if err > tol * (1.0 + abs(total)):
-        raise ConvergenceError(f"em_sum_2d err {err:.3g} misses tol {tol:g}", best=breakdown)
+    _check_err("em_sum_2d", total, err, tol, breakdown)
     return breakdown
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import ConvergenceError, NoConvergence
 
 #: panels one adaptive segment or rectangle may add to its unit cells, read
 #: at each call
@@ -113,6 +113,13 @@ def check_tol(tol: float) -> None:
     or NaN can never be met and would only run a budget out."""
     if not (0 < tol < math.inf):
         raise ValueError("tol must be positive and finite")
+
+
+def _check_err(what: str, value: complex, err: float, tol: float, best) -> None:
+    """A result's acceptance: ConvergenceError, ``best`` as its ``.best``
+    and ``what`` naming the route, when err > tol * (1 + |value|)."""
+    if err > tol * (1.0 + abs(value)):
+        raise ConvergenceError(f"{what} err {err:.3g} misses tol {tol:g}", best=best)
 
 
 @dataclass(frozen=True)

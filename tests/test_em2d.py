@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from latzeta import em2d
+from latzeta.bernoulli import p1
 from latzeta.em2d import (
     EmBreakdown,
     Function2D,
@@ -89,6 +92,23 @@ class TestEm2d:
         br = em_sum_2d(f, r)
         want = brute_force_sum_2d(f.phi, r)
         assert abs(br.total - want) <= 1e-8
+
+    def test_each_edge_sum_on_its_own(self):
+        # i2 + i4 is the 1-D rule in y for the x-edges, i3 + i4 the same sum
+        # in x for the y-edges; the wave is not symmetric in x <-> y, so
+        # summing either pair of edges along the wrong axis fails
+        f, r = wave_function(0.9, 0.35, 0.4), Rect(-0.7, 3.4, 0.2, 6.9)
+        br = em_sum_2d(f, r)
+        x_edges = math.fsum(
+            p1(r.alpha1) * f.phi(r.alpha1, n) - p1(r.beta1) * f.phi(r.beta1, n)
+            for n in integer_range(r.alpha2, r.beta2)
+        )
+        y_edges = math.fsum(
+            p1(r.alpha2) * f.phi(m, r.alpha2) - p1(r.beta2) * f.phi(m, r.beta2)
+            for m in integer_range(r.alpha1, r.beta1)
+        )
+        assert abs(br.i2 + br.i4 - x_edges) <= br.err
+        assert abs(br.i3 + br.i4 - y_edges) <= br.err
 
     def test_rejects_empty_rect(self):
         with pytest.raises(ValueError):

@@ -71,3 +71,15 @@ def test_traced_lerch_and_em2d_record_layers():
         "em2d.em_sum_2d",
     } <= names
     assert any(span[2] == "quadrature.integrate_ray" and span[5]["evals"] > 0 for span in tracer.spans)
+
+
+def test_traced_em_sum_1d_records_its_segment():
+    # the 1-D rule runs in a private helper, which must reach
+    # integrate_segment through em2d's module global for the span to be seen
+    tracer = _load_spans().Tracer()
+    with tracer:
+        em2d.em_sum_1d(lambda x: x * x, lambda x: 2.0 * x, -2.3, 7.8)
+    (sid,) = [i for i, span in enumerate(tracer.spans) if span[2] == "em2d.em_sum_1d"]
+    assert any(
+        span[1] == sid and span[2] == "quadrature.integrate_segment" and span[5]["evals"] > 0 for span in tracer.spans
+    )
