@@ -90,10 +90,9 @@ def integer_points(lat: Lattice, a: complex, basis: Lattice):
     to: formed exactly, rounded once, with the size of that rounding.  a, w1
     and w2 are integers over q, the largest of their parts' power-of-2
     denominators; int / int rounds once, and the rounded part's denominator
-    divides q, so its distance is exact in integers.  The given basis is
-    its own change, and takes no coordinate solve."""
-    coords = (lattice_coordinates(lat, v) for v in (basis.w1, basis.w2))
-    (n1, m1), (n2, m2) = ((1, 0), (0, 1)) if basis == lat else ((round(c.x0), round(c.y0)) for c in coords)
+    divides q, so its distance is exact in integers."""
+    coords = [lattice_coordinates(lat, v) for v in (basis.w1, basis.w2)]
+    (n1, m1), (n2, m2) = ((round(c.x0), round(c.y0)) for c in coords)
     ratios = [x.as_integer_ratio() for z in (a, lat.w1, lat.w2) for x in (z.real, z.imag)]
     q = max(d for _, d in ratios)
     ar, ai, ur, ui, vr, vi = (p * (q // d) for p, d in ratios)

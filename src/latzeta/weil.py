@@ -204,7 +204,6 @@ def _eisenstein_sum(lat: Lattice, red: Lattice, a: complex, k: int, tol: float, 
     off = abs(lattice_coordinates(red, -a).y0 - m0)
     row_tol = tol / 64
     point = _row_points(a, lat, red)
-    rest = _outer_rest(k, w1, im_tau)
 
     def row(m):
         return _row_sum(*point(m0 + m), w1, k, row_tol)
@@ -212,8 +211,8 @@ def _eisenstein_sum(lat: Lattice, red: Lattice, a: complex, k: int, tol: float, 
     value, err = row(0)
     row_mass = abs(value)
     for m in range(1, _ROW_M_CAP + 1):
-        if (bound := rest(m - off)) <= tol / 8:
-            return value, err + bound + _EPS_FLOOR * row_mass
+        if (rest := _outer_rest(k, w1, im_tau, m - off)) <= tol / 8:
+            return value, err + rest + _EPS_FLOOR * row_mass
         (up, e_up), (dn, e_dn) = row(m), row(-m)
         value += up + dn
         err += e_up + e_dn
@@ -347,18 +346,18 @@ def _lipschitz(j: int, c: float, q: float) -> float:
     return total + m**j * (1 + c * m) * q**m / (1 - ratio)
 
 
-def _outer_rest(k: int, w1: complex, im_tau: float):
+def _outer_rest(k: int, w1: complex, im_tau: float, gap: float) -> float:
     """A bound on the rows m0 +/- m, m >= M, of sum_w (c + w)^-k less their
-    constants, as a function of gap = M - d >= 1/2, d = |y0 - m0|.  By
-    Lipschitz's formula, for Im z > 0 sum_n (z + n)^-k is (-2 pi i)^k /
-    (k - 1)! sum_{j>=1} j^(k-1) q^j, q = exp(2 pi i z), plus -i pi for k = 1
-    (+i pi for Im z < 0), which cancels within each pair m0 +/- m.  So row
-    m0 +/- m less its constant is at most B(h) = |w1|^-k (2 pi)^k / (k - 1)!
-    sum_j j^(k-1) e^(-2 pi j h) (``_lipschitz``), h = |Im z| >= |Im tau|
-    (m - d); as B(h + |Im tau|) <= e^(-2 pi |Im tau|) B(h), the pairs from
-    M on sum to at most 2 B(gap |Im tau|) / (1 - e^(-2 pi |Im tau|))."""
+    constants, gap = M - d >= 1/2 for d = |y0 - m0|.  By Lipschitz's formula,
+    for Im z > 0 sum_n (z + n)^-k is (-2 pi i)^k / (k - 1)! sum_{j>=1}
+    j^(k-1) q^j, q = exp(2 pi i z), plus -i pi for k = 1 (+i pi for Im z < 0),
+    which cancels within each pair m0 +/- m.  So row m0 +/- m less its
+    constant is at most B(h) = |w1|^-k (2 pi)^k / (k - 1)! sum_j j^(k-1)
+    e^(-2 pi j h) (``_lipschitz``), h = |Im z| >= |Im tau| (m - d); as
+    B(h + |Im tau|) <= e^(-2 pi |Im tau|) B(h), the pairs from M on sum to
+    at most 2 B(gap |Im tau|) / (1 - e^(-2 pi |Im tau|))."""
     scale = 2 * abs(w1) ** -k * (2 * math.pi) ** k / math.factorial(k - 1) / -math.expm1(-2 * math.pi * im_tau)
-    return lambda gap: scale * _lipschitz(k - 1, 0.0, math.exp(-2 * math.pi * im_tau * gap))
+    return scale * _lipschitz(k - 1, 0.0, math.exp(-2 * math.pi * im_tau * gap))
 
 
 def _row_bound(k: int, w1: complex, tau: complex, h: float, lift: int = 0) -> float:
@@ -552,7 +551,7 @@ def weil_integral(p: WeilParams, eps: float | None = None, tol: float = 1e-8) ->
     stops = ((q1.stop, q1.radius), (q.stop, depth))
     value, err = q1.value + q.value + row, q1.err + q.err + row_err
     if delta:
-        rows = _outer_rest(k + 1, w1, abs((w2 / w1).imag))(1 - abs(y0))
+        rows = _outer_rest(k + 1, w1, abs((w2 / w1).imag), 1 - abs(y0))
         err += k * delta * (abs(w1) ** -(k + 1) * _abs_row(c / w1, k + 1) + rows)
     report = WeilReport(value, "integral", err, q1.value, q.value, eps, row, (w1, w2), stops, (y_dn + m0, y_up + m0))
     _check_err("J1 + J2 + J3 + row", value, err, tol, report)
