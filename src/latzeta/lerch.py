@@ -75,12 +75,30 @@ class LerchParams:
             raise DomainError("on the unit circle only z = 1 is supported")
 
 
+def _terms_to_tol(log_r: float, sigma: float, a: complex, n0: int, log_scale: float, tol: float) -> int:
+    """N with r^N |a+N|^-sigma e^log_scale = tol, the tail bound inside the
+    disk with its other factors frozen at n0: Newton's steps on its log,
+    g(N) = N log r - sigma log|a+N| + log_scale - log tol, from n0 or, when
+    the terms still grow there, from where g falls at least half as fast as
+    log r.  Falling and convex (sigma >= 0) or concave (sigma < 0) beyond
+    that start, g is approached from below or above; rounded up past the
+    root in both cases."""
+    m = max(float(n0), 2 * max(0.0, -sigma) / -log_r - a.real)
+    for _ in range(50):
+        u = a + m
+        slope = log_r - sigma * u.real / abs(u) ** 2
+        step = (m * log_r - sigma * math.log(abs(u)) + log_scale - math.log(tol)) / slope
+        m -= step
+        if abs(step) < 0.25:
+            break
+    return math.ceil(m) + 1
+
+
 def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     """Partial sums of the defining series until a tail bound is below tol.
 
-    Terms are summed in chunks that double from 64 to _CHUNK.  Let N be
-    the first unsummed index, b = a + N and N + Re a > 0.  For n >= N,
-    |arg(a+n)| <= |arg b| and |a+n+1|/|a+n| <= 1 + 1/(N + Re a), so
+    Let N be the first unsummed index, b = a + N and N + Re a > 0.  For
+    n >= N, |arg(a+n)| <= |arg b| and |a+n+1|/|a+n| <= 1 + 1/(N + Re a), so
     |z^n (a+n)^-s| <= r^N |b|^-Re s e^(|Im s| |arg b|) rho^(n-N) with
     r = |z| and rho = r (1 + 1/(N + Re a))^max(0, -Re s).  For |z| < 1 and
     rho < 1 the tail is therefore at most
@@ -89,9 +107,15 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     sums of z^n bounded by 2/|1-z|, the tail from N is at most
     2/|1-z| (|f(N)| + sum_{n>=N} |f(n+1) - f(n)|), and the sum is at most
     |s| int_N^inf |x+a|^(-Re s-1) e^(|Im s| |arg(x+a)|) dx
-    <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  Raises
-    SlowConvergence if the roundoff 4e-16 sum |terms| exceeds tol (1 + |sum|).
-    z = 1 sums N terms and adds the Euler-MacLaurin tail at N (`_hurwitz_em`)."""
+    <= |s| e^(|Im s| |arg(N+a)|) (N + Re a)^(-Re s) / Re s.  Terms are
+    summed in chunks of at most _CHUNK, the first of 64; inside the disk
+    each further chunk runs to the N at which the bound, its other factors
+    taken at the chunk's start, meets tol (``_terms_to_tol``), and
+    elsewhere the chunks double.  z^n is built by products from the last
+    power, since z**n errs by about n |log z| ulps, alike in every term.
+    Raises SlowConvergence if the roundoff 4e-16 sum |terms| exceeds tol
+    (1 + |sum|).  z = 1 sums N terms and adds the Euler-MacLaurin tail at N
+    (`_hurwitz_em`)."""
     check_tol(tol)
     z, s, a = p.z, p.s, p.a
     if z == 1:
@@ -99,18 +123,23 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
     r = abs(z)
     if r == 0:
         return a ** (-s)  # 0^0 == 1: only the n = 0 term survives
-    sigma = s.real
+    sigma, log_r = s.real, math.log(r)
     # z > 0, real s and a > 0: positive real terms, some 25x faster in real arithmetic
     positive = z.imag == 0 and z.real > 0 and s.imag == 0 and a.imag == 0 and a.real > 0
     total = 0j
     mass = 0.0  # sum of |terms|, whose roundoff the total carries
-    n0 = 0
-    chunk = 64
+    n0, chunk, power = 0, 64, 1 + 0j
     while n0 < SERIES_TERM_BUDGET:
         hi = min(n0 + chunk, SERIES_TERM_BUDGET)
         n = np.arange(n0, hi, dtype=float)
-        terms = (np.exp(n * math.log(r) - sigma * np.log(a.real + n)) if positive
-                 else z**n * (a + n) ** (-s))
+        if positive:
+            terms = np.exp(n * log_r - sigma * np.log(a.real + n))
+        else:
+            powers = np.full(hi - n0, z)
+            powers[0] = power
+            powers = np.cumprod(powers)
+            power = powers[-1] * z
+            terms = powers * (a + n) ** (-s)
         total += complex(np.sum(terms))
         mass += float(np.sum(np.abs(terms)))
         n0 = hi
@@ -122,6 +151,9 @@ def lerch_series(p: LerchParams, tol: float = 1e-10) -> complex:
         elif r < 1 - 1e-12:
             rho = r * (1.0 + 1.0 / (n0 + a.real)) ** max(0.0, -sigma)
             tail = r**n0 * abs(b) ** -sigma * growth / (1.0 - rho) if rho < 1 else math.inf
+            if tol <= tail < math.inf:
+                log_scale = math.log(growth / (1.0 - rho))
+                chunk = min(max(_terms_to_tol(log_r, sigma, a, n0, log_scale, tol) - n0, 1), _CHUNK)
         else:
             variation = abs(s) * growth * (n0 + a.real) ** -sigma / sigma
             tail = 2.0 / abs(1.0 - z) * (abs(b ** (-s)) + variation)

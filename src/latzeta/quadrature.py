@@ -6,12 +6,17 @@ weight P1 is non-smooth exactly there) and refines the unit cells by
 ``_refine``: the first pass evaluates them all in array batches, and each
 pass that misses tol halves along every axis all the cells whose
 estimates exceed their share of tol, the worst first as far as the
-budget reaches, and evaluates their children in one batch.  A cell
-returns the tensor K15 rule, and its distance from the G7 subset on the
-same nodes is the error estimate; where the caller bounds the error of
-the tensor Gauss-Legendre rules on the unit cells, each takes instead
-the cheapest rule of the ladder GL8, GL12, GL16, GL24, GL32 whose bound
-meets the cell's share, and that bound.  A call may use
+budget reaches, and evaluates their children in one batch.  A panel
+returns the K15 rule, and its distance from the G7 subset on the same
+nodes is the error estimate.  A rectangle cell returns the sparse rule
+S = K15xG7 + G7xK15 - G7xG7 (Smolyak's combination of the pair) on 161
+of the 15 x 15 nodes, and |S - G7xG7| as its estimate; S differs from
+the tensor K15xK15 by (K15 - G7)x(K15 - G7) f, the product of the two
+axes' check differences, and so does that estimate from the tensor
+pair's.  Where the caller bounds the error of the tensor Gauss-Legendre
+rules on the unit cells, each takes instead the cheapest rule of the
+ladder GL8, GL12, GL16, GL24, GL32 whose bound meets the cell's share,
+and that bound.  A call may use
 DEFAULT_PANEL_BUDGET panels beyond its unit cells, and holds at most
 MAX_SPAN_CELLS of them.  A result meets tol * (1 + |base + value|),
 ``base`` being the rest of a sum the value joins, or NoConvergence is
@@ -67,13 +72,32 @@ _K15 = _kronrod(
 
 
 def _rule(x, w, check=None):
-    """A rule as its nodes, weights, check weights padded to all nodes, and
-    the weights and weights minus check weights as columns: a panel's value
-    and the signed difference that is its error estimate.  A rule checked
-    against nothing is its own check, so that its estimate is 0: it runs
-    only where the caller bounds its error."""
-    check = w if check is None else check
-    return x, w, check, np.stack([w, w - check], 1)
+    """A rule with its check: its nodes, weights, check weights padded to
+    all nodes, the weights and weights minus check weights as columns (a
+    panel's value and the signed difference that is its estimate), the
+    slices of the check's nodes and of the others, and the ``rows`` matrix
+    of the sparse 2-D rule.
+
+    On a square, S = K x G + G x K - G x G (Smolyak's combination of the
+    pair) is the value and S - G x G = (K - G) x G + G x (K - G) the
+    estimate.  Row y of the grid has panel sums s = K f and d = (K - G) f
+    along x; on the check's rows S takes K_y s - (K - G)_y d and the
+    estimate (K - G)_y s + (2 G - K)_y d, ``rows`` on the interleaved
+    (s, d); on the other rows, where G_y = 0, both take K_y G f, so f there
+    is needed only on the check's x.  K x K - S is (K - G) x (K - G), the
+    product of the two axes' check differences.
+
+    A check is given in the layout of ``_kronrod``, on every other node
+    from the second.  A rule checked against nothing is its own check: its
+    estimate is 0, S is K x K and no node is outer; it runs only where the
+    caller bounds its error."""
+    if check is None:
+        check, inner, outer = w, slice(None), slice(0)
+    else:
+        inner, outer = slice(1, None, 2), slice(0, None, 2)
+    diff = (w - check)[inner]
+    rows = np.stack([w[inner], diff, -diff, check[inner] - diff], 1).reshape(-1, 2)
+    return x, w, check, np.stack([w, w - check], 1), inner, outer, rows
 
 
 def _gauss_legendre(n):
@@ -98,9 +122,12 @@ _LADDER = (8, 12, 16, 24, 32)
 
 @functools.cache
 def _rules(n):
-    """The rule of n nodes per axis: K15 checked against G7 (n = 15), or
-    GL_n checked against nothing, built at its first use, so that a program
-    that certifies no cell spends no time on the Gauss-Legendre rules."""
+    """The rule of n nodes per axis: K15 checked against G7 (n = 15), which
+    a rectangle cell combines into the sparse S = K15xG7 + G7xK15 - G7xG7,
+    K15xK15 less (K15 - G7)x(K15 - G7) f; or GL_n checked against nothing,
+    whose S is the tensor GL_n x GL_n.  Built at its first use, so that a
+    program that certifies no cell spends no time on the Gauss-Legendre
+    rules."""
     return _rule(*_K15) if n == 15 else _rule(*_gauss_legendre(n))
 
 
@@ -323,38 +350,48 @@ def _cutpoints(a, b):
 
 
 def _eval_cells(fv, cells, n=15):
-    """The tensor rule of n nodes per axis (``_rules``) on each row of
-    ``cells``, (lo, hi) per axis with x first, _MAX_CALL_POINTS // n**dim
-    cells per integrand call, which bounds peak memory.  A 1-D fv gets its
-    nodes as one flat array, a 2-D fv as (cells, 1, x) and (cells, y, 1)
-    grids.
+    """The rule of n nodes per axis (``_rules``) on each row of ``cells``,
+    (lo, hi) per axis with x first: on a segment K, on a rectangle the
+    sparse S = K x G + G x K - G x G of ``_rule``, which differs from the
+    tensor K x K by (K - G) x (K - G) f.  A 1-D fv gets its nodes as one
+    flat array.  A 2-D fv gets two tensor blocks per chunk, each as
+    (cells, 1, x) and (cells, y, 1) grids: x on all n nodes by y on the
+    check's, then x on the check's by y on the others; 161 points per K15
+    cell, and n x n per Gauss-Legendre cell, whose second block is empty.
+    _MAX_CALL_POINTS // (points per cell) cells per chunk bounds peak
+    memory.
 
     Returns arrays over the cells of the value, the error estimate
-    |K15xK15 - G7xG7| (|K15 - G7| on one axis; 0 for the unchecked
-    Gauss-Legendre rules) and the integral of |f|, and the evaluations
-    spent."""
+    |S - G7xG7| (|K15 - G7| on one axis; 0 for the unchecked
+    Gauss-Legendre rules), the integral of |f| by K x G (K on one axis),
+    whose weights are all positive, and the evaluations spent."""
     dim = cells.shape[1] // 2
-    x, w, check, panel = _rules(n)
+    x, w, check, panel, inner, outer, rows = _rules(n)
     value, err, mass = np.empty(len(cells), complex), np.empty(len(cells)), np.empty(len(cells))
-    step = _MAX_CALL_POINTS // n**dim
+    gauss, rest_w = check[inner], w[outer]
+    per_cell = n if dim == 1 else gauss.size * (n + rest_w.size)
+    step = _MAX_CALL_POINTS // per_cell
     for i in range(0, len(cells), step):
         lo, hi = cells[i : i + step, 0::2], cells[i : i + step, 1::2]
         h = 0.5 * (hi - lo)
         nodes = h[..., None] * x + (lo + h)[..., None]  # (cells, axis, node)
-        vals = fv(nodes.ravel()).reshape(-1, n) if dim == 1 else fv(nodes[:, 0, None], nodes[:, 1, :, None])
-        # sum out x, the last axis, first: the sums and their differences
-        # from the check; each further axis takes the difference of the sums
-        # plus the check of the differences.  One (-1, n) matrix per axis
-        # keeps each product one matrix call
-        sums_diffs, absf, size = vals.reshape(-1, n) @ panel, np.abs(vals).reshape(-1, n) @ w, h[:, 0]
-        for axis in range(1, dim):
-            checked = sums_diffs[:, 1].reshape(-1, n) @ check
-            sums_diffs = sums_diffs[:, 0].reshape(-1, n) @ panel
-            sums_diffs[:, 1] += checked
-            absf, size = absf.reshape(-1, n) @ w, size * h[:, axis]
-        value[i : i + step], err[i : i + step] = size * sums_diffs[:, 0], np.abs(size * sums_diffs[:, 1])
+        if dim == 1:
+            vals = fv(nodes.ravel()).reshape(-1, n)
+            sums, absf = vals @ panel, np.abs(vals) @ w
+        else:
+            xs, ys = nodes[:, 0, None], nodes[:, 1, :, None]
+            # x summed out first on the check's rows, one (-1, n) matrix
+            # per product, then the rows combined by ``rows``
+            vals = fv(xs, ys[:, inner])
+            sums = (vals.reshape(-1, n) @ panel).reshape(len(h), -1) @ rows
+            absf = (np.abs(vals).reshape(-1, n) @ w).reshape(len(h), -1) @ gauss
+            if rest_w.size:
+                rest = fv(xs[..., inner], ys[:, outer]).reshape(-1, gauss.size) @ gauss
+                sums = sums + (rest.reshape(len(h), -1) @ rest_w)[:, None]
+        size = h.prod(1)
+        value[i : i + step], err[i : i + step] = size * sums[:, 0], np.abs(size * sums[:, 1])
         mass[i : i + step] = size * absf
-    return value, err, mass, len(cells) * n**dim
+    return value, err, mass, len(cells) * per_cell
 
 
 def _certified(fv, rows, cell_bound, share):
@@ -362,11 +399,12 @@ def _certified(fv, rows, cell_bound, share):
     certifies: each row takes the first n whose ``cell_bound(rows, n)``,
     evaluated for all n at once as a column, meets the row's part of
     ``share`` by area, and that bound as its error; a row that no rung
-    certifies takes K15 and its estimate."""
+    certifies takes the K15/G7 rule, sparse on a rectangle, and its
+    estimate."""
     area = np.prod(rows[:, 1::2] - rows[:, ::2], 1)
     bounds = cell_bound(rows, np.array(_LADDER)[:, None])
     met = bounds <= share / area.sum() * area
-    # the row past the ladder's end is K15's, which always runs
+    # the row past the ladder's end is the K15/G7 rule's, which always runs
     rung = np.vstack([met, np.ones(len(rows), bool)]).argmax(0)
     value, err, mass = np.empty(len(rows), complex), np.empty(len(rows)), np.empty(len(rows))
     evals = 0
@@ -383,13 +421,16 @@ def _certified(fv, rows, cell_bound, share):
 def _cells(fv, boxes, tol, what, base=0j, cell_bound=None):
     """One ``_refine`` of a vectorized fv over the unit cells of ``boxes``,
     rows (lo, hi) per axis with x first and lo < hi, to tol relative to
-    base plus their sum.  Every axis is cut at every integer; each cell
-    returns the tensor K15 rule checked against G7 on the same nodes
-    (``_eval_cells``) and splits in half along every axis.  Given
+    base plus their sum.  Every axis is cut at every integer; a panel
+    returns K15 checked against G7 on the same nodes, a rectangle cell the
+    sparse S = K15xG7 + G7xK15 - G7xG7 on 161 points checked against
+    G7xG7, which differs from K15xK15 by (K15 - G7)x(K15 - G7) f
+    (``_eval_cells``), and each splits in half along every axis.  Given
     ``cell_bound``, a unit cell takes instead the cheapest tensor
     Gauss-Legendre rule of ``_LADDER`` whose error bound meets its share of
     tol/4, absolute and spread over the unit cells by area, and that bound
-    (``_certified``); children, and cells that no rung certifies, take K15.
+    (``_certified``); children, and cells that no rung certifies, take the
+    K15/G7 rule.
     The budget is DEFAULT_PANEL_BUDGET panels beyond the unit cells, so that
     domains of many cells can split; more than MAX_SPAN_CELLS unit cells in
     all raise NoConvergence before any is built."""
@@ -428,8 +469,10 @@ def integrate_segment(f, a: float, b: float, tol: float = 1e-10) -> QuadratureRe
 
 def integrate_rect(f, x_lo: float, x_hi: float, y_lo: float, y_hi: float, tol: float = 1e-10) -> QuadratureResult:
     """Adaptively integrate f over a finite rectangle by one ``_cells``:
-    the rule, budget and cap of ``integrate_segment`` on the cells of the
-    integer grid, each returning K15xK15 checked against G7xG7."""
+    the budget and cap of ``integrate_segment`` on the cells of the integer
+    grid, each returning the sparse S = K15xG7 + G7xK15 - G7xG7 on 161
+    points, checked against G7xG7; S differs from the tensor K15xK15 by
+    (K15 - G7)x(K15 - G7) f."""
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("rectangle bounds must be increasing")
     check_tol(tol)

@@ -36,7 +36,9 @@ Both routes form every moved point from the given generators
 its band, about row 0, by ``lerch._hurwitz_em``.  Each box cell takes the
 cheapest tensor Gauss-Legendre rule of a fixed ladder (8 to 32 nodes) that
 a Bernstein-ellipse bound certifies (``_gauss_bound``), and that bound as
-its err; only a cell next to the pole that no rung certifies takes K15.
+its err; only a cell next to the pole that no rung certifies takes the
+sparse K15/G7 rule of ``quadrature`` (161 points, K15xK15 less
+(K15 - G7)x(K15 - G7) f), and so do all cells' children.
 """
 
 from __future__ import annotations

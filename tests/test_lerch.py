@@ -304,6 +304,42 @@ class TestSeriesInsideDisk:
         got = lerch_series(LerchParams(z, s, a), tol=tol)
         assert abs(got - ref) <= tol * (1 + abs(ref))
 
+    def test_term_count_follows_the_tail_bound(self, monkeypatch):
+        # the chunk after the first runs to where the tail bound meets tol,
+        # not to the next power of two: 15,459 terms at z = 0.999, where
+        # doubling summed 16,320, and 19,198 at z = 0.9992, where it summed
+        # 32,704; the bound first meets tol at 15,458 and 19,197
+        lengths = []
+
+        class LoggingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arange(self, *args, **kwargs):
+                out = np.arange(*args, **kwargs)
+                lengths.append(len(out))
+                return out
+
+        monkeypatch.setattr(latzeta.lerch, "np", LoggingNumpy())
+        for z, want in ((0.999, 15459), (0.9992, 19198)):
+            lengths.clear()
+            lerch_series(LerchParams(z, 1.5, 0.65), tol=1e-10)
+            assert (sum(lengths), len(lengths)) == (want, 2)
+
+    def test_complex_powers_meet_tol_or_raise(self):
+        # z**n erred by about n |log z| ulps alike in every term, which left
+        # this sum 1.44 tol off with no raise
+        mpmath = pytest.importorskip("mpmath")
+        z, s = -0.904658432357986 + 0.42378546549355744j, -0.797928129223739 + 0.35203740902151326j
+        a, tol = 2.1173494551647756, 1e-10
+        try:
+            got = lerch_series(LerchParams(z, s, a), tol=tol)
+        except SlowConvergence:
+            return
+        with mpmath.workdps(30):
+            ref = complex(mpmath.lerchphi(z, s, a))
+        assert abs(got - ref) <= tol * (1 + abs(ref))
+
     def test_cancelling_terms_raise(self):
         # sum |terms| is about 1.3e16 here, so roundoff alone is about 5
         with pytest.raises(SlowConvergence):

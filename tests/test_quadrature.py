@@ -94,9 +94,11 @@ class TestSegment:
 
     def test_eval_cells_matches_per_cell_rule(self):
         # 1500 panels and 150 cells: more than one integrand call of
-        # _MAX_CALL_POINTS // 15 (1092) panels or // 225 (72) cells.  Each
-        # returns K15 (K15xK15), |K15 - G7| (|K15xK15 - G7xG7|) and the
-        # K15 integral of |f|, summed here with np.dot on each cell
+        # _MAX_CALL_POINTS // 15 (1092) panels or // 161 (101) cells.  A
+        # panel returns K15, |K15 - G7| and the K15 integral of |f|; a cell
+        # the sparse S = K15xG7 + G7xK15 - G7xG7, |S - G7xG7| and the K15xG7
+        # integral of |f| (x by K15, y by G7) from 161 of its 15 x 15 nodes,
+        # all summed here with np.dot on each cell's full grid
         rng = np.random.default_rng(5)
         x, wk, wg = _K15
         f1 = vectorize1(lambda x: np.exp(1j * x) / (1.0 + x * x))
@@ -105,21 +107,39 @@ class TestSegment:
             lo = rng.uniform(0.0, 20.0, (n, 1 if fv is f1 else 2))
             cells = np.stack([lo, lo + rng.uniform(0.05, 2.0, lo.shape)], 2).reshape(n, -1)
             *got, evals = _eval_cells(fv, cells)
-            assert evals == n * x.size ** lo.shape[1]
+            assert evals == n * (15 if fv is f1 else 161)
             assert all(isinstance(arr, np.ndarray) and arr.shape == (n,) for arr in got)
             for cell, value, err, mass in zip(cells, *got):
                 h = 0.5 * (cell[1::2] - cell[::2])
                 nodes = [h_d * x + lo_d + h_d for h_d, lo_d in zip(h, cell[::2])]
                 if fv is f1:
-                    vals, rule = fv(nodes[0]), np.dot
+                    vals = fv(nodes[0])
+                    want, gauss = np.dot(wk, vals), np.dot(wg, vals)
+                    want_mass = np.dot(wk, abs(vals))
                 else:
                     vals = fv(nodes[0][None, :], nodes[1][:, None])  # (y, x)
-                    rule = lambda w, v: np.dot(w, np.dot(v, w))  # noqa: E731
-                pairs = ((wk, vals), (wg, vals), (wk, abs(vals)))
-                kronrod, gauss, want_mass = (h.prod() * rule(w, v) for w, v in pairs)
-                assert abs(value - kronrod) <= 1e-14 * abs(kronrod)
-                assert abs(err - abs(kronrod - gauss)) <= 1e-14 * abs(kronrod)
+                    rule = lambda wy, wx, v=vals: np.dot(wy, np.dot(v, wx))  # noqa: E731
+                    gauss = rule(wg, wg)
+                    want, want_mass = rule(wg, wk) + rule(wk, wg) - gauss, rule(wg, wk, abs(vals))
+                want, gauss, want_mass = (h.prod() * v for v in (want, gauss, want_mass))
+                assert abs(value - want) <= 1e-14 * abs(want)
+                assert abs(err - abs(want - gauss)) <= 1e-14 * abs(want)
                 assert abs(mass - want_mass) <= 1e-14 * want_mass
+
+    def test_sparse_rule_is_exact(self):
+        # S = K15xG7 + G7xK15 - G7xG7 integrates x^a y^b exactly on a cell
+        # for a <= 23, b <= 13 and for a <= 13, b <= 23, as K15xK15 does;
+        # it misses x^14 y^14 by (K15 - G7)x(K15 - G7), as G7xG7 misses it
+        cell = np.array([(-1.0, 1.0, -1.0, 1.0)])
+        x, wk, wg = _K15
+        for a, b in itertools.product(range(24), range(24)):
+            value = _eval_cells(vectorize2(lambda x, y, a=a, b=b: x**a * y**b), cell)[0][0]
+            exact = 4.0 / ((a + 1) * (b + 1)) if a % 2 == b % 2 == 0 else 0.0
+            if min(a, b) <= 13:
+                assert abs(value - exact) <= 1e-14, (a, b)
+            elif (a, b) == (14, 14):
+                miss = (np.dot(wk - wg, x**14)) ** 2
+                assert miss > 1e-8 and abs(value - (exact - miss)) <= 1e-14
 
     def test_kronrod_rule_is_exact(self):
         # K15 is exact for x^d, d <= 23, on [-1, 1], and its G7 subset for
@@ -135,10 +155,10 @@ class TestSegment:
         # each rule GL_n of the ladder is exact for x^d, d <= 2n - 1, on
         # [-1, 1]; GL8 is not for d = 16
         for n in _LADDER:
-            x, w, _, _ = _rules(n)
+            x, w = _rules(n)[:2]
             for d in range(2 * n):
                 assert abs(np.dot(w, x**d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-15, (n, d)
-        x, w, _, _ = _rules(8)
+        x, w = _rules(8)[:2]
         assert abs(np.dot(w, x**16) - 2.0 / 17) > 1e-6
 
     @pytest.mark.parametrize("n", _LADDER)
@@ -146,7 +166,7 @@ class TestSegment:
         # nodes the roots of P_n and weights 2 / ((1 - x^2) P_n'(x)^2),
         # each from mpmath at 30 digits, to within one unit in the last place
         mpmath = pytest.importorskip("mpmath")
-        x, w, _, _ = _rules(n)
+        x, w = _rules(n)[:2]
         assert np.all(np.diff(x) > 0)
         with mpmath.workdps(30):
             for node, weight in zip(x, w):
@@ -160,7 +180,7 @@ class TestSegment:
         # weights, largest node first
         xs = [0.9602898564975362317, 0.7966664774136267396, 0.5255324099163289858, 0.1834346424956498049]
         ws = [0.1012285362903762591, 0.2223810344533744706, 0.3137066458778872873, 0.3626837833783619830]
-        x, w, _, _ = _rules(8)
+        x, w = _rules(8)[:2]
         for got, want in ((x[:4], np.negative(xs)), (x[:3:-1], xs), (w[:4], ws), (w[:3:-1], ws)):
             assert np.all(np.abs(got - want) <= 2.3e-16 * np.abs(want))
 
@@ -451,11 +471,12 @@ class TestRect:
     def test_peak_refinement_work(self, batches):
         # a peak of height 1000 and width 0.03 at (0.3, 0.3) on [0, 2]^2:
         # the 4 unit cells refine in five passes of 2 x 2 halvings, to 97
-        # panels of K15 x K15, and err bounds the true error.  The
+        # panels, 128 cells evaluated by the sparse rule's 161 points each,
+        # and err bounds the true error.  The
         # reference integrates the closed form in y over x by mpmath
         mpmath = pytest.importorskip("mpmath")
         q = integrate_rect(lambda x, y: 1 / ((x - 0.3) ** 2 + (y - 0.3) ** 2 + 1e-3), 0.0, 2.0, 0.0, 2.0, 1e-10)
-        assert (q.panels, q.evals, len(batches)) == (97, 28800, 6)
+        assert (q.panels, q.evals, len(batches)) == (97, 128 * 161, 6)
         with mpmath.workdps(30):
             c, h = mpmath.mpf("0.3"), mpmath.mpf("1e-3")
 
@@ -465,6 +486,22 @@ class TestRect:
 
             truth = complex(mpmath.quad(inner, [0, c, 2]))
         assert q.err >= abs(q.value - truth)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_err_bounds_large_mixed_derivatives(self, tol):
+        # where f_xy is large the sparse rule departs most from K15xK15:
+        # exp(4xy) on [0, 2]^2, whose integral is Ein(16) / 4 = sum_k
+        # 16^k / (4 k k!), and (x + iy - c)^-3 with c 0.3 off the corner
+        # (2, 2) along the diagonal, whose integral is the corners' sum of
+        # 1 / (2i (x + iy - c)).  err bounds the true error on both
+        ein = math.fsum(16.0**k / (4 * k * math.factorial(k)) for k in range(1, 120))
+        q = integrate_rect(lambda x, y: np.exp(4 * x * y), 0.0, 2.0, 0.0, 2.0, tol)
+        assert abs(q.value - ein) <= q.err <= tol * (1 + abs(q.value))
+        c = 2 + 2j + 0.3 * cmath.exp(0.25j * math.pi)
+        corners = {(2, 2): 1, (0, 2): -1, (2, 0): -1, (0, 0): 1}
+        truth = sum(sign / (2j * (complex(x, y) - c)) for (x, y), sign in corners.items())
+        q = integrate_rect(lambda x, y: (x + 1j * y - c) ** -3, 0.0, 2.0, 0.0, 2.0, tol)
+        assert abs(q.value - truth) <= q.err <= tol * (1 + abs(q.value))
 
     def test_cell_cap_raises_before_evaluation(self):
         # 2^11 x 2^10 unit cells, twice MAX_SPAN_CELLS in all though each
